@@ -67,7 +67,7 @@ def with_feature(lines: list[str], name: str, seed: int) -> list[str]:
 
 
 def main() -> None:
-    repo = Repository(encoder=LineDiffEncoder(), cache_size=8)
+    repo = Repository(encoder=LineDiffEncoder())
 
     # Analyst A commits the base dataset on main.
     base = make_base_table()

@@ -53,6 +53,7 @@ def mutate(rng: random.Random, lines: list[str]) -> list[str]:
 
 def main() -> None:
     rng = random.Random(2024)
+    # A small warm cache: realized recreation below is net of its reuse.
     repo = Repository(encoder=LineDiffEncoder(), cache_size=8)
 
     # Mainline commits.

@@ -21,7 +21,6 @@ from ..core.version_graph import VersionGraph
 from ..datagen.scenarios import bootstrap_forks, densely_connected, linear_chain
 from ..delta.base import DeltaEncoder
 from ..storage.batch import BatchMaterializer
-from ..storage.materializer import Materializer
 from ..storage.repository import Repository
 
 __all__ = [
@@ -123,7 +122,7 @@ def batch_vs_sequential(
         repo = build_repository_from_graph(graph, seed=seed)
         version_ids: Sequence = repo.graph.version_ids
 
-        sequential = Materializer(repo.store, repo.encoder, cache_size=0)
+        sequential = BatchMaterializer(repo.store, repo.encoder, cache_size=0)
         start = time.perf_counter()
         sequential_deltas = 0
         sequential_cost = 0.0

@@ -105,7 +105,6 @@ def serve_warm_vs_cold(
     num_requests: int = 300,
     exponent: float = 2.0,
     cache_size: int = 256,
-    strategy: str = "dfs",
     seed: int = 0,
 ) -> list[dict[str, float | str]]:
     """Serve one Zipf stream cold, then replay it warm, per scenario.
@@ -124,7 +123,7 @@ def serve_warm_vs_cold(
     rows: list[dict[str, float | str]] = []
     for name, graph in graphs.items():
         repo = build_repository_from_graph(graph, seed=seed)
-        service = VersionStoreService(repo, cache_size=cache_size, strategy=strategy)
+        service = VersionStoreService(repo, cache_size=cache_size)
         stream = zipf_request_stream(
             repo.graph.version_ids, num_requests, exponent=exponent, seed=seed
         )

@@ -793,8 +793,6 @@ def _serve_once(
     service = VersionStoreService(
         repo,
         cache_size=args.cache_size,
-        strategy=args.strategy,
-        cache_admission=args.cache_admission,
         cache_tier_dir=cache_tier_dir,
         cache_tier_bytes=args.cache_tier_bytes,
         # Persist the state file after every commit so a crash never loses
@@ -959,21 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help="payloads kept in the warm materialization cache",
-    )
-    serve.add_argument(
-        "--strategy",
-        choices=("dfs", "lru"),
-        default="dfs",
-        help="batch scheduling strategy for checkout_many",
-    )
-    serve.add_argument(
-        "--cache-admission",
-        choices=("always", "cost"),
-        default="always",
-        help="warm-cache admission policy: 'cost' admits a payload only "
-        "when its marginal recreation cost exceeds the cheapest sampled "
-        "victim's, so cheap-to-rebuild entries never displace expensive "
-        "ones (default: always)",
     )
     serve.add_argument(
         "--cache-tier-bytes",

@@ -204,11 +204,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise ReproError(f"request body exceeds {MAX_BODY_BYTES} bytes")
         self._body_consumed = True
-        return self.rfile.read(length) if length else b""
+        return self.rfile.read(self._body_length) if self._body_length else b""
 
     def _read_json(self) -> dict[str, Any]:
         raw = self._read_body()
@@ -232,8 +229,23 @@ class _Handler(BaseHTTPRequestHandler):
         # (unmatched route, oversize body, pre-read errors), drop the
         # connection instead of poisoning it.
         self._body_consumed = False
+        # The header is parsed once per request; -1 marks a malformed one.
+        # A length this server refuses is never read, so the connection is
+        # dropped below.
         try:
-            handled = self._route(method, parts, parse_qs(parsed.query))
+            self._body_length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            self._body_length = -1
+        try:
+            if self._body_length < 0:
+                raise ValueError("malformed Content-Length header")
+            if self._body_length > MAX_BODY_BYTES:
+                self._send_json(
+                    413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"}
+                )
+                handled = True
+            else:
+                handled = self._route(method, parts, parse_qs(parsed.query))
         except VersionNotFoundError as error:
             self._send_json(404, {"error": str(error)})
         except KeyError as error:
@@ -256,7 +268,7 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             # The flag only affects what happens after the response is
             # flushed: the socket is dropped instead of being reused.
-            if not self._body_consumed and int(self.headers.get("Content-Length") or 0) > 0:
+            if not self._body_consumed and self._body_length != 0:
                 self.close_connection = True
             if timed:
                 elapsed = time.perf_counter() - started

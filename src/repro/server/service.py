@@ -192,9 +192,11 @@ class _Inflight:
 class VersionStoreService:
     """Serve commits and checkouts from one repository, warm and thread-safe.
 
-    The service keeps its *own* :class:`BatchMaterializer` (it does not
-    reuse the repository's): its cache is the service's working set, sized
-    by ``cache_size``, and persists across every request the process serves.
+    The service builds the process's one :class:`BatchMaterializer` —
+    warm cache sized by ``cache_size``, worker pool, stripe locks, optional
+    spill tier — and installs it as ``repository.materializer``: served
+    checkouts, a commit's parent read, the repack swap's cache drop and
+    ``sync()``'s epoch drop all act on that one cache.
 
     **Concurrency model.**  Reads (checkouts, batches, stats, planning,
     the repack's measurement and staging phases) hold the
@@ -247,7 +249,6 @@ class VersionStoreService:
         repository: Repository,
         *,
         cache_size: int = 256,
-        strategy: str = "dfs",
         on_commit: Callable[[Repository], None] | None = None,
         workload_log: WorkloadLog | None = None,
         max_workers: int | None = None,
@@ -257,7 +258,6 @@ class VersionStoreService:
         auto_repack_interval: int = 32,
         adaptive_repack: bool = False,
         repack_horizon: float = 1000.0,
-        cache_admission: str = "always",
         cache_tier_dir: str | None = None,
         cache_tier_bytes: int = 0,
         metrics: MetricsRegistry | None = None,
@@ -284,14 +284,14 @@ class VersionStoreService:
             repository.store,
             repository.encoder,
             cache_size=cache_size,
-            strategy=strategy,
             max_workers=self.max_workers,
             lock_manager=self.chain_locks,
-            admission=cache_admission,
             spill_dir=cache_tier_dir,
             spill_bytes=cache_tier_bytes,
             worker_model=worker_model,
         )
+        repository.materializer.close()
+        repository.materializer = self.materializer
         # The *effective* model: the materializer may have fallen back to
         # threads when the backend/encoder cannot cross a process boundary.
         self.worker_model = self.materializer.worker_model
@@ -805,21 +805,7 @@ class VersionStoreService:
         with self.coordinator.shared():
             with self._state_lock:
                 serving = self.stats_counters.snapshot()
-                cache_info = self.materializer.cache_info()
-                serving["cache"] = {
-                    "capacity": cache_info["capacity"],
-                    "entries": cache_info["size"],
-                    "hits": cache_info["hits"],
-                    "misses": cache_info["misses"],
-                    "strategy": self.materializer.strategy,
-                    "admission": cache_info["admission"],
-                    "admission_rejections": cache_info["admission_rejections"],
-                    "eviction": cache_info["eviction"],
-                    "cost_evictions": cache_info["cost_evictions"],
-                    "lru_evictions": cache_info["lru_evictions"],
-                }
-                if "tier" in cache_info:
-                    serving["cache"]["tier"] = cache_info["tier"]
+                serving["cache"] = self.materializer.cache_info()
                 auto_error = self._auto_repack_error
             repository = {
                 "versions": len(self.repository),
@@ -958,7 +944,7 @@ class VersionStoreService:
            no coordinator mode — do not mix raw ``/objects`` deletes with
            a running repack);
         4. the exclusive barrier — the only moment reads pause — repoints
-           versions, collects dead objects, drops caches and bumps the
+           versions, collects dead objects, drops the warm cache and bumps the
            epoch, all priced from the store's cost index: no payload is
            read inside the barrier.  Every checkout is therefore served
            entirely from one epoch and stays byte-identical across the
@@ -1170,11 +1156,11 @@ class VersionStoreService:
                 # reads pause, and it contains no payload access at all.
                 try:
                     with self.coordinator.exclusive():
-                        swap_report = self.repacker.swap(staged)
-                        # The serving cache holds payloads keyed by
-                        # dead-epoch object ids; drop it inside the same
+                        # The swap also drops the warm cache (payloads
+                        # keyed by dead-epoch object ids) — the repository's
+                        # engine is this service's — inside the same
                         # exclusive window.
-                        self.materializer.clear_cache()
+                        swap_report = self.repacker.swap(staged)
                         if self._on_commit is not None:
                             # The swap repointed every version and collected
                             # the old objects; persist the new mapping

@@ -8,10 +8,13 @@
   counts maintained at commit/repack time);
 * :mod:`~repro.storage.concurrency` — striped per-chain locks and the
   epoch read/write coordinator behind parallel serving;
-* :mod:`~repro.storage.materializer` — reconstructs payloads by replaying
-  delta chains;
-* :mod:`~repro.storage.batch` — batch checkout engine that amortizes shared
-  chain prefixes across many concurrent checkouts;
+* :mod:`~repro.storage.batch` — the one replay engine: reconstructs
+  payloads by walking the union tree of the requested delta chains, so a
+  batch pays shared prefixes once and a single checkout is a batch of one;
+* :mod:`~repro.storage.cache_tiers` — the warm payload cache the engine
+  reads and fills (memory LRU ranked by marginal recreation cost, optional
+  compressed disk tier);
+* :mod:`~repro.storage.replay_worker` — the engine's process-pool tasks;
 * :mod:`~repro.storage.repository` — commit / checkout / branch / merge,
   plus the bridge to the optimization layer (cost-model measurement and
   plan-driven repacking);
@@ -38,9 +41,9 @@ from .backends import (
     register_backend,
 )
 from .batch import BatchItem, BatchMaterializer, BatchResult, WarmChainCost
+from .cache_tiers import LRUPayloadCache
 from .catalog import CatalogWorkloadLog, MetadataCatalog, SQLiteBackend
 from .concurrency import EpochCoordinator, StripedLockManager
-from .materializer import LRUPayloadCache, MaterializationResult, Materializer
 from .objects import ChainStats, ObjectMeta, ObjectStore, StoredObject
 from .planner import apply_plan, plan_order
 from .repack import (
@@ -73,8 +76,6 @@ __all__ = [
     "EpochCoordinator",
     "StripedLockManager",
     "LRUPayloadCache",
-    "MaterializationResult",
-    "Materializer",
     "ChainStats",
     "ObjectMeta",
     "ObjectStore",

@@ -6,21 +6,18 @@ checkouts — a dashboard rebuilding every branch head, a CI farm checking out
 fifty snapshots of the same lineage — can do much better: chains that share
 a prefix only need that prefix replayed once.
 
-:class:`BatchMaterializer` implements that amortization.  The default
-``"dfs"`` strategy overlays every requested chain into a *union tree* (chains
-are root-first and each object has a unique base, so the overlay is a
-forest) and walks it depth-first, carrying the payload of the current path
-on the traversal stack.  Every shared prefix is therefore replayed exactly
-once per batch — a guarantee that holds even with a tiny or disabled
-payload cache.  The ``"lru"`` strategy keeps the original scheduler:
-requests are ordered so that chains sharing a prefix are processed back to
-back (sorting by the chain's object-id tuple puts every prefix immediately
-before its extensions) and intermediate payloads are parked in a bounded
-:class:`~repro.storage.materializer.LRUPayloadCache`, so each request only
-pays for the suffix below its deepest cached ancestor.  Both strategies
-read and warm the same persistent LRU cache, which is what lets a
-long-lived serving process answer repeat requests without replaying
-anything.
+:class:`BatchMaterializer` implements that amortization, and is the only
+code that turns a delta chain into a payload: it overlays every requested
+chain into a *union tree* (chains are root-first and each object has a
+unique base, so the overlay is a forest) and walks it depth-first, carrying
+the payload of the current path on the traversal stack.  Every shared
+prefix is therefore replayed exactly once per batch — a guarantee that
+holds even with a tiny or disabled payload cache.  A single checkout is a
+batch of one: the union tree of one chain, trimmed at its deepest cached
+ancestor.  The walk reads and warms a persistent
+:class:`~repro.storage.cache_tiers.LRUPayloadCache` ranked by marginal
+recreation cost, which is what lets a long-lived serving process answer
+repeat requests without replaying anything.
 
 **Concurrency.**  The materializer is safe for concurrent callers: the
 payload cache is atomic, and chain metadata lives in the object store's
@@ -66,9 +63,8 @@ from typing import Any, Callable, Hashable, Mapping, Sequence
 from ..delta.base import DeltaEncoder
 from ..exceptions import ObjectNotFoundError
 from ..obs.metrics import NULL_INSTRUMENT, log_once
-from .cache_tiers import TieredPayloadCache
+from .cache_tiers import LRUPayloadCache, TieredPayloadCache
 from .concurrency import StripedLockManager, subtree_stripe_keys
-from .materializer import ADMISSION_POLICIES, LRUPayloadCache, replay_chain
 from .objects import ObjectStore, StoredObject
 from .replay_worker import (
     ReplayTaskResult,
@@ -82,9 +78,6 @@ __all__ = [
     "BatchItem",
     "BatchResult",
     "WarmChainCost",
-    "STRATEGIES",
-    "EVICTION_POLICIES",
-    "ADMISSION_POLICIES",
     "WORKER_MODELS",
 ]
 
@@ -96,8 +89,8 @@ class WarmChainCost:
     The cold model prices every request at its full Φ chain sum; a warm
     serving process only replays the suffix below the deepest cached
     ancestor.  ``phi`` / ``deltas`` are exactly the recreation cost and
-    delta applications :func:`~repro.storage.materializer.replay_chain`
-    would charge against the current cache contents; ``cached_depth`` is
+    delta applications :meth:`BatchMaterializer.materialize` would charge
+    against the current cache contents; ``cached_depth`` is
     the number of chain entries the cache covers (0 = fully cold, in which
     case ``phi`` equals the cold Φ chain sum by construction).
     """
@@ -184,14 +177,6 @@ class BatchResult:
         }
 
 
-#: Scheduling strategies understood by :class:`BatchMaterializer`.
-STRATEGIES = ("dfs", "lru")
-
-#: Cache-eviction policies understood by :class:`BatchMaterializer`:
-#: ``"cost"`` ranks victims by marginal recreation cost (the warm cost
-#: model's metric), ``"lru"`` keeps plain recency order.
-EVICTION_POLICIES = ("cost", "lru")
-
 #: Replay worker models: ``"thread"`` runs groups on a thread pool in this
 #: process; ``"process"`` ships them to a spawn-based ``ProcessPoolExecutor``
 #: so CPU-bound delta application escapes the GIL.
@@ -218,11 +203,10 @@ def _shutdown_executor_holder(holder: dict) -> None:
 class BatchMaterializer:
     """Materializes many objects at once, replaying shared prefixes once.
 
-    ``strategy`` selects the batch scheduler: ``"dfs"`` (default) walks the
-    union tree of all requested chains depth-first and guarantees a single
-    replay of every shared prefix regardless of cache size; ``"lru"`` is the
-    original sorted-schedule scheduler whose sharing degrades gracefully to
-    sequential replay as the cache shrinks.
+    The warm cache ranks payloads by marginal recreation cost (what a
+    request would re-pay without the entry) both when choosing an eviction
+    victim and at the door; recency is the fallback for entries the cost
+    index cannot price.
 
     ``max_workers`` bounds the worker pool that replays *independent* union
     trees of one batch in parallel (1 keeps everything on the calling
@@ -249,32 +233,17 @@ class BatchMaterializer:
         encoder: DeltaEncoder,
         *,
         cache_size: int = 64,
-        strategy: str = "dfs",
         max_workers: int | None = None,
         lock_manager: StripedLockManager | None = None,
-        eviction: str = "cost",
-        admission: str = "always",
         spill_dir: str | None = None,
         spill_bytes: int = 0,
         worker_model: str = "thread",
     ) -> None:
-        if strategy not in STRATEGIES:
-            known = ", ".join(STRATEGIES)
-            raise ValueError(f"unknown batch strategy {strategy!r} (known: {known})")
-        if eviction not in EVICTION_POLICIES:
-            known = ", ".join(EVICTION_POLICIES)
-            raise ValueError(f"unknown eviction policy {eviction!r} (known: {known})")
-        if admission not in ADMISSION_POLICIES:
-            known = ", ".join(ADMISSION_POLICIES)
-            raise ValueError(f"unknown admission policy {admission!r} (known: {known})")
         if worker_model not in WORKER_MODELS:
             known = ", ".join(WORKER_MODELS)
             raise ValueError(f"unknown worker model {worker_model!r} (known: {known})")
         self.store = store
         self.encoder = encoder
-        self.strategy = strategy
-        self.eviction = eviction
-        self.admission = admission
         self.requested_worker_model = worker_model
         self.worker_model_fallback: str | None = None
         if worker_model == "process":
@@ -296,7 +265,6 @@ class BatchMaterializer:
                 )
                 worker_model = "thread"
         self.worker_model = worker_model
-        victim_cost = self._marginal_payload_cost if eviction == "cost" else None
         if spill_dir is not None and int(spill_bytes) > 0:
             # Two-tier warm cache: the bounded memory LRU spills through to
             # a compressed disk tier, so warm capacity scales past RAM.
@@ -304,12 +272,11 @@ class BatchMaterializer:
                 cache_size,
                 spill_dir=spill_dir,
                 spill_bytes=int(spill_bytes),
-                victim_cost=victim_cost,
-                admission=admission,
+                victim_cost=self._marginal_payload_cost,
             )
         else:
             self.cache = LRUPayloadCache(
-                cache_size, victim_cost=victim_cost, admission=admission
+                cache_size, victim_cost=self._marginal_payload_cost
             )
         self.max_workers = max(1, int(max_workers)) if max_workers else 1
         self.lock_manager = lock_manager
@@ -470,27 +437,7 @@ class BatchMaterializer:
             object_id: self.store.chain_ids(object_id) for object_id in distinct
         }
 
-        if self.strategy == "dfs":
-            materialized = self._materialize_forest(chains, prefetched)
-        else:
-            # LRU fallback: order the work so that chains sharing a prefix
-            # run back to back — sorting by the chain's id tuple places each
-            # prefix immediately before its extensions, which is exactly the
-            # order a bounded LRU exploits best.  Peak memory stays bounded
-            # by the payload cache no matter how large the batch is.  The
-            # schedule stays sequential (no worker pool — the sorted order
-            # *is* the strategy), but each chain's replay still holds its
-            # subtree stripe lock so concurrent callers cooperate through
-            # the cache instead of replaying the same chain twice.
-            schedule = sorted(chains, key=lambda oid: chains[oid])
-            stripes = subtree_stripe_keys(chains)
-            fetch = self._fetcher(prefetched)
-            materialized = {}
-            for object_id in schedule:
-                with self._chain_guard(stripes[object_id]):
-                    materialized[object_id] = self._materialize_chain(
-                        object_id, chains[object_id], fetch=fetch
-                    )
+        materialized = self._materialize_forest(chains, prefetched)
 
         # Distinct keys can resolve to the same object (content addressing
         # deduplicates identical payloads): the single materialization's cost
@@ -519,15 +466,21 @@ class BatchMaterializer:
         return result
 
     def materialize(self, object_id: str) -> BatchItem:
-        """Materialize a single object through the shared batch cache.
+        """Materialize a single object: the batch of one.
 
-        Useful for serving loops (and the re-packer) that interleave single
-        reads with batches but still want prefix amortization.  On a
-        chain-following remote backend the uncached part of the chain
-        arrives in one round trip and is replayed from that response,
-        instead of one HTTP exchange per object — and warm repeats (chain
-        metadata indexed, payloads cached) perform no exchange at all.
+        The same union-tree walk :meth:`materialize_many` runs, over the
+        one chain, through the same warm cache.  On a chain-following
+        remote backend the uncached part of the chain arrives in one round
+        trip and is replayed from that response, instead of one HTTP
+        exchange per object — and warm repeats (chain metadata indexed,
+        payloads cached) perform no exchange at all.
+
+        Unlike a batch, this takes no stripe lock: callers that serialize
+        per subtree (the serving layer) already hold their stripe, and a
+        second, differently keyed one taken inside it would invert the
+        lock order across hashed stripes.
         """
+        prefetched = self.store.prime_chains([object_id])
         predicted = None
         if self._metrics_on:
             # Price the chain against the current cache *before* the replay
@@ -536,45 +489,20 @@ class BatchMaterializer:
                 predicted = self.warm_chain_cost(object_id).phi
             except ObjectNotFoundError:
                 predicted = None
+        chains = {object_id: self.store.chain_ids(object_id)}
         if self.worker_model == "process":
-            item = self._materialize_single_process(object_id)
-        elif getattr(self.store.backend, "follows_chains", False):
-            item = self._materialize_remote(object_id)
+            # Concurrent request threads each dispatch their chain as its
+            # own pool task, so CPU-bound encoders overlap across worker
+            # processes instead of serializing on this process's GIL.
+            item = self._materialize_group_process(chains)[object_id]
         else:
-            item = self._materialize_chain(object_id, self.store.chain_ids(object_id))
+            item = self._materialize_union_tree(chains, prefetched)[object_id]
         if predicted is not None:
             actual = item.recreation_cost
             self._m_warm_error.observe(
                 abs(predicted - actual) / max(predicted, actual, 1.0)
             )
         return item
-
-    def _materialize_remote(self, object_id: str) -> BatchItem:
-        """Segment-batched replay against a chain-following remote backend."""
-        chain_ids = self.store.cached_chain_ids(object_id)
-        if chain_ids is None:
-            # First sight of this chain: one multiget resolves *and* carries
-            # every object, so the replay below fetches nothing else.
-            chain = self.store.delta_chain(object_id)
-            by_id = {obj.object_id: obj for obj in chain}
-            return self._materialize_chain(
-                object_id,
-                tuple(obj.object_id for obj in chain),
-                fetch=by_id.__getitem__,
-            )
-        # Metadata already indexed: only the suffix below the deepest
-        # cached payload needs objects — prefetch it in one round trip
-        # (zero round trips when the tip itself is cached).
-        start = 0
-        for index in range(len(chain_ids) - 1, -1, -1):
-            if chain_ids[index] in self.cache:
-                start = index
-                break
-        needed = [oid for oid in chain_ids[start:] if oid not in self.cache]
-        prefetched = self.store.get_many(needed) if needed else {}
-        return self._materialize_chain(
-            object_id, chain_ids, fetch=self._fetcher(prefetched)
-        )
 
     def predicted_chain_cost(self, object_id: str) -> float:
         """Φ chain sum of ``object_id`` from the store's cost index alone.
@@ -589,7 +517,7 @@ class BatchMaterializer:
     def warm_chain_cost(self, object_id: str) -> WarmChainCost:
         """Price one chain against the *current* cache contents.
 
-        Performs exactly the probe :func:`replay_chain` opens with — scan
+        Performs exactly the probe the union-tree walk opens with — scan
         the chain tip-down for the deepest cached payload — and prices the
         remaining suffix from the store's cost index (both the tip's and
         the anchor's :class:`~repro.storage.objects.ChainStats` are
@@ -621,15 +549,13 @@ class BatchMaterializer:
         """Counters of the warm cache, one flat dict per tier for stats."""
         cache = self.cache
         info: dict[str, object] = {
-            "size": len(cache),
+            "entries": len(cache),
             "capacity": cache.capacity,
             "hits": cache.hits,
             "misses": cache.misses,
             "cost_evictions": cache.cost_evictions,
             "lru_evictions": cache.lru_evictions,
-            "admission": self.admission,
             "admission_rejections": cache.admission_rejections,
-            "eviction": self.eviction,
         }
         disk = getattr(cache, "disk", None)
         if disk is not None:
@@ -912,22 +838,13 @@ class BatchMaterializer:
                 )
         return items
 
-    def _materialize_single_process(self, object_id: str) -> BatchItem:
-        """Single-checkout hot path under ``worker_model="process"``.
-
-        Concurrent request threads each dispatch their chain as its own
-        pool task, so CPU-bound encoders overlap across worker processes
-        instead of serializing on this process's GIL.
-        """
-        chain_ids = self.store.chain_ids(object_id)
-        return self._materialize_group_process({object_id: chain_ids})[object_id]
-
     def _materialize_union_tree(
         self,
         chains: dict[str, tuple[str, ...]],
         prefetched: Mapping[str, StoredObject] | None = None,
         *,
         parallel_branches: bool = False,
+        observe: Callable[[str, float], None] | None = None,
     ) -> dict[str, BatchItem]:
         """Materialize every requested chain via one DFS over their union.
 
@@ -946,18 +863,23 @@ class BatchMaterializer:
         and each union-tree node is still visited exactly once.  Only call
         it from an unpooled thread.
 
+        ``observe`` receives ``(object_id, seconds)`` for every hop actually
+        replayed (fetch + apply wall time); it defaults to the store's
+        measured Δ/Φ model, and a pool worker passes a collector so its
+        observations travel back to the parent's store.
+
         Per-item accounting charges each node's actually-paid cost to the
         first request (in ``chains`` order) whose chain contains it, so the
         per-item numbers sum to exactly what the batch paid and every item
         stays at or below its Φ prediction.
         """
         prefetched = prefetched or {}
-        # Trim every chain at its deepest cached ancestor (the same probe
-        # replay_chain performs), so a warm repeat request replays nothing
-        # even when intermediate prefix nodes have been evicted.  The cached
-        # payload is captured *now*: puts during the traversal can evict it
-        # from the LRU before its subtree is reached, and a trimmed suffix
-        # must never find itself without a base.
+        observe = observe if observe is not None else self.store.observe_apply
+        # Trim every chain at its deepest cached ancestor, so a warm repeat
+        # request replays nothing even when intermediate prefix nodes have
+        # been evicted.  The cached payload is captured *now*: puts during
+        # the traversal can evict it from the LRU before its subtree is
+        # reached, and a trimmed suffix must never find itself without a base.
         captured: dict[str, Any] = {}
         trimmed: dict[str, tuple[str, ...]] = {}
         for object_id, chain_ids in chains.items():
@@ -1033,7 +955,7 @@ class BatchMaterializer:
                     payload = self.encoder.apply(base_payload, obj.payload)
                     node_cost[oid] = obj.payload.recreation_cost
                     node_is_delta_replay[oid] = True
-                self.store.observe_apply(oid, time.perf_counter() - started)
+                observe(oid, time.perf_counter() - started)
                 node_cache_hit[oid] = False
                 self.cache.put(oid, payload)
             if oid in requested:
@@ -1159,27 +1081,3 @@ class BatchMaterializer:
                 errors.append(error)
         if errors:
             raise errors[0]
-
-    def _materialize_chain(
-        self,
-        object_id: str,
-        chain_ids: tuple[str, ...],
-        fetch: Callable[[str], Any] | None = None,
-    ) -> BatchItem:
-        payload, paid, deltas_applied, cache_hits = replay_chain(
-            chain_ids, fetch if fetch is not None else self.store.get,
-            self.cache, self.encoder, observe=self.store.observe_apply,
-        )
-        if self._metrics_on:
-            self._m_deltas.inc(deltas_applied)
-            self._m_bytes.inc(paid)
-        return BatchItem(
-            key=object_id,
-            object_id=object_id,
-            payload=payload,
-            chain_length=len(chain_ids) - 1,
-            predicted_cost=self.store.chain_stats(object_id).phi_total,
-            recreation_cost=paid,
-            deltas_applied=deltas_applied,
-            cache_hits=cache_hits,
-        )

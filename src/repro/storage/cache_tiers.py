@@ -1,13 +1,14 @@
-"""A two-tier warm payload cache: bounded memory LRU over a compressed disk tier.
+"""The warm payload cache: a bounded memory LRU, optionally over a disk tier.
 
-The serving cache (:class:`~repro.storage.materializer.LRUPayloadCache`)
-caps warm capacity at what fits in RAM.  :class:`TieredPayloadCache`
-extends it with a byte-bounded *spill tier* on disk: every payload written
-to the cache is also spilled as a zlib-compressed pickle under the
-repository directory, a memory miss falls through to the disk tier, and a
-disk hit is promoted back into the memory tier.  Both tiers rank eviction
-victims by marginal rebuild cost (the warm cost model's metric), so the
-cheap-to-rebuild long tail is what falls out of each tier first.
+:class:`LRUPayloadCache` is the bounded cache the replay engine
+(:mod:`repro.storage.batch`) keys intermediate payloads on.
+:class:`TieredPayloadCache` extends it with a byte-bounded *spill tier* on
+disk: every payload written to the cache is also spilled as a
+zlib-compressed pickle under the repository directory, a memory miss falls
+through to the disk tier, and a disk hit is promoted back into the memory
+tier.  Both tiers rank eviction victims by marginal rebuild cost (the warm
+cost model's metric), so the cheap-to-rebuild long tail is what falls out
+of each tier first.
 
 The spill format is deliberately disposable: one ``<object_id>.spill``
 file per payload, written to a temp name and atomically renamed, read
@@ -27,15 +28,231 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from ..obs.metrics import log_once
-from .materializer import _MISS, LRUPayloadCache
 
-__all__ = ["SpillTier", "TieredPayloadCache"]
+__all__ = ["LRUPayloadCache", "SpillTier", "TieredPayloadCache"]
+
+_MISS = object()
 
 _SPILL_SUFFIX = ".spill"
 
 # Fast compression: the spill tier trades ratio for put-path latency
 # (every materialized payload passes through here when the tier is on).
 _COMPRESSION_LEVEL = 1
+
+
+class LRUPayloadCache:
+    """A bounded least-recently-used cache of object-id → payload.
+
+    ``capacity <= 0`` disables the cache entirely (every lookup misses,
+    every insert is dropped), which lets callers share one code path.
+
+    **Victim ranking.**  With ``victim_cost`` unset, eviction is plain
+    LRU (oldest entry out).  With it set, the cache ranks the
+    ``eviction_sample`` least-recently-used entries by their *marginal
+    recreation cost* — what a request would re-pay if exactly that entry
+    were evicted — and drops the cheapest one: payloads sitting deep on
+    otherwise-uncached chains are worth more than payloads one delta away
+    from a cached base, even when touched less recently.  ``victim_cost``
+    returning ``None`` marks an entry unpriceable (e.g. its chain left the
+    store's index after a repack) — those evict first.  The callback is
+    invoked while the cache lock is held; it may take other locks but must
+    never call back into this cache except through ``__contains__``.
+
+    **Admission.**  With ``victim_cost`` set, the same ranking is applied
+    at the door: once the cache is full, a payload whose marginal rebuild
+    cost is lower than the cheapest sampled victim's is not inserted at
+    all (counted in ``admission_rejections``) — the entries it would
+    displace are worth more than it is.
+
+    Every operation is atomic behind an internal lock: the batch engine's
+    union-tree workers and concurrently served checkouts all read and warm
+    one shared cache, so ``move_to_end``/eviction must never interleave
+    mid-flight.  Payload *values* are shared by reference and treated as
+    immutable by every caller, exactly as before.
+    """
+
+    def __init__(
+        self,
+        capacity: int,
+        *,
+        victim_cost: Callable[[str], float | None] | None = None,
+        eviction_sample: int = 8,
+    ) -> None:
+        self.capacity = int(capacity)
+        self.victim_cost = victim_cost
+        self.eviction_sample = max(1, int(eviction_sample))
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self._lock = threading.RLock()
+        self.hits = 0
+        self.misses = 0
+        self.cost_evictions = 0
+        self.lru_evictions = 0
+        self.admission_rejections = 0
+
+    def get(self, key: str) -> Any:
+        """The cached payload for ``key``, or the module-level miss sentinel."""
+        with self._lock:
+            if self.capacity <= 0 or key not in self._entries:
+                self.misses += 1
+                return _MISS
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return self._entries[key]
+
+    def put(self, key: str, payload: Any) -> None:
+        if self._admission_reject(key):
+            return
+        with self._lock:
+            if self.capacity <= 0:
+                return
+            self._entries[key] = payload
+            self._entries.move_to_end(key)
+            if len(self._entries) <= self.capacity:
+                return
+            if self.victim_cost is None:
+                while len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+                    self.lru_evictions += 1
+                return
+        # Cost-ranked eviction prices candidates *outside* the lock: each
+        # victim_cost call walks chain metadata, and serializing every
+        # over-capacity put of all replay workers behind those walks would
+        # undo the per-chain parallelism the cache serves.
+        self._evict_by_cost()
+
+    def _admission_reject(self, key: str) -> bool:
+        """True when the marginal-cost ranking refuses to insert ``key``.
+
+        Mirrors the eviction ranking at the door: with the cache full, a
+        candidate whose marginal rebuild cost is *below* the cheapest
+        sampled victim's would immediately become the next eviction choice
+        — inserting it only churns the cold end.  Unpriceable candidates
+        or victims admit (plain LRU behavior), and a cache below capacity
+        admits everything, so admission never starves a warming cache.
+        Pricing happens outside the lock for the same reason eviction
+        pricing does.
+        """
+        if self.victim_cost is None:
+            return False
+        with self._lock:
+            if (
+                self.capacity <= 0
+                or key in self._entries
+                or len(self._entries) < self.capacity
+            ):
+                return False
+            sample = min(self.eviction_sample, len(self._entries) - 1)
+            candidates = []
+            for existing in self._entries:  # insertion order = LRU order
+                candidates.append(existing)
+                if len(candidates) >= sample:
+                    break
+        if not candidates:
+            return False
+        try:
+            candidate_cost = self.victim_cost(key)
+        except Exception as exc:
+            log_once(
+                "cache:admission_cost",
+                "admission scoring failed (%s: %s); admitting the entry",
+                type(exc).__name__,
+                exc,
+            )
+            return False
+        if candidate_cost is None:
+            return False
+        cheapest: float | None = None
+        for existing in candidates:
+            try:
+                cost = self.victim_cost(existing)
+            except Exception:
+                cost = None
+            if cost is None:
+                # An unpriceable victim (dead-epoch leftover) evicts for
+                # free — displacing it is always worthwhile.
+                return False
+            if cheapest is None or cost < cheapest:
+                cheapest = cost
+        if cheapest is not None and float(candidate_cost) < cheapest:
+            with self._lock:
+                self.admission_rejections += 1
+            return True
+        return False
+
+    def _evict_by_cost(self) -> None:
+        # Rank the oldest entries only, and never the most recent one: a
+        # just-replayed payload always looks cheap (its base is cached) but
+        # evicting it would defeat the warm repeat the cache exists for —
+        # recency stays the first filter, marginal cost breaks ties within
+        # the cold end.  The lock is held only to snapshot candidates and
+        # to delete the chosen victim (re-validated: it may have been
+        # touched or evicted by a peer while we priced); after a few
+        # contended rounds fall back to plain LRU rather than spin.
+        for _attempt in range(4):
+            with self._lock:
+                if len(self._entries) <= self.capacity:
+                    return
+                sample = min(self.eviction_sample, len(self._entries) - 1)
+                candidates: list[str] = []
+                for key in self._entries:  # insertion order = LRU order
+                    candidates.append(key)
+                    if len(candidates) >= sample:
+                        break
+            victim = candidates[0]
+            best: tuple[int, float, int] | None = None
+            for index, key in enumerate(candidates):
+                try:
+                    cost = self.victim_cost(key)  # type: ignore[misc]
+                except Exception as exc:
+                    # Scoring must never break a put, but a broken scorer
+                    # silently degrades the cache to LRU — say so once.
+                    cost = None
+                    log_once(
+                        "cache:victim_cost",
+                        "victim_cost scoring failed (%s: %s); treating the "
+                        "entry as unpriceable",
+                        type(exc).__name__,
+                        exc,
+                    )
+                # Unpriceable entries (dead-epoch leftovers) rank below
+                # every priced one; ties go to the least recently used.
+                rank = (0, 0.0, index) if cost is None else (1, float(cost), index)
+                if best is None or rank < best:
+                    best = rank
+                    victim = key
+            with self._lock:
+                if len(self._entries) <= self.capacity:
+                    return
+                mru = next(reversed(self._entries))
+                if victim in self._entries and victim != mru:
+                    if victim != next(iter(self._entries)):
+                        self.cost_evictions += 1
+                    else:
+                        self.lru_evictions += 1
+                    del self._entries[victim]
+                    if len(self._entries) <= self.capacity:
+                        return
+        with self._lock:
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.lru_evictions += 1
+
+    def __contains__(self, key: str) -> bool:
+        with self._lock:
+            return self.capacity > 0 and key in self._entries
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    @staticmethod
+    def is_miss(value: Any) -> bool:
+        """True when ``value`` is the sentinel returned on a cache miss."""
+        return value is _MISS
 
 
 class SpillTier:
@@ -274,7 +491,7 @@ class TieredPayloadCache(LRUPayloadCache):
 
     Drop-in for :class:`LRUPayloadCache` wherever the batch engine expects
     one: ``get`` falls through to the disk tier on a memory miss and
-    promotes the hit back into memory (through the same admission policy
+    promotes the hit back into memory (through the same admission ranking
     as any other insert), ``put`` writes through to both tiers, and
     membership covers both — so the warm cost model prices a disk-resident
     ancestor as cached, which is exactly what a replay starting from it
@@ -290,13 +507,9 @@ class TieredPayloadCache(LRUPayloadCache):
         spill_bytes: int,
         victim_cost: Callable[[str], float | None] | None = None,
         eviction_sample: int = 8,
-        admission: str = "always",
     ) -> None:
         super().__init__(
-            capacity,
-            victim_cost=victim_cost,
-            eviction_sample=eviction_sample,
-            admission=admission,
+            capacity, victim_cost=victim_cost, eviction_sample=eviction_sample
         )
         self.disk = SpillTier(
             spill_dir,

@@ -13,7 +13,7 @@ into two phases so a long re-encode never blocks readers:
   old version→object mapping — are completely unaffected.
 * :meth:`OnlineRepacker.swap` (phase 2) repoints every version at its new
   object, garbage-collects objects no chain references anymore, drops the
-  repository's payload caches and bumps the *epoch* counter.  The caller
+  repository's payload cache and bumps the *epoch* counter.  The caller
   must exclude concurrent readers and writers for this (short) phase; the
   serving layer does so under its serving lock, which is what guarantees a
   checkout is served entirely from one epoch — never a mix.
@@ -858,8 +858,8 @@ class OnlineRepacker:
 
         The caller must exclude concurrent readers and writers (the serving
         layer takes its coordinator's exclusive barrier); the swap itself
-        is quick — repoint, sweep unreferenced objects, drop stale payload
-        caches, bump the epoch.  Nothing here replays or even reads a
+        is quick — repoint, sweep unreferenced objects, drop the stale
+        payload cache, bump the epoch.  Nothing here replays or even reads a
         payload: the referenced set comes from the store's cost index
         (every staged object was indexed at write time, every old object
         when the rebuild streamed it), so the exclusive window stays at
@@ -884,7 +884,6 @@ class OnlineRepacker:
 
         # Stale payloads and chain metadata describe the dead epoch.
         repository.materializer.clear_cache()
-        repository.batch_materializer.clear_cache()
         repository.epoch += 1
 
         # Deliberately no ``storage_after`` here: totalling storage
@@ -946,7 +945,7 @@ class OnlineRepacker:
                 "staging was marked failed and can be pruned"
             )
         # Adopt the activated mapping (staged + carried-forward versions)
-        # and the new epoch; the sync drops the payload caches on the
+        # and the new epoch; the sync drops the payload cache on the
         # epoch change.
         repository.sync(force=True)
         report = dict(stats)

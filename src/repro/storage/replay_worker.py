@@ -12,13 +12,14 @@ payloads back.
 
 Worker processes are reused across tasks, so each keeps a small
 module-level state cache keyed by ``(backend spec, encoder name, cache
-size)``: the reopened :class:`~repro.storage.objects.ObjectStore`, the
-rebuilt encoder, and a worker-local
-:class:`~repro.storage.materializer.LRUPayloadCache`.  Repeated tasks
-against the same store amortize both the reopen and shared chain
-prefixes.  The parent's shared cache stays authoritative: the parent
-re-caches returned tip payloads, and epoch swaps clear parent caches as
-before — a worker-local cache can only ever hold content-addressed
+size)``: a worker-local single-threaded
+:class:`~repro.storage.batch.BatchMaterializer` over the reopened
+:class:`~repro.storage.objects.ObjectStore` and the rebuilt encoder — the
+worker runs the very walk the parent would.  Repeated tasks against the
+same store amortize both the reopen and shared chain prefixes.  The
+parent's shared cache stays authoritative: the parent re-caches returned
+tip payloads, and epoch swaps clear the parent cache as before — a
+worker-local cache can only ever hold content-addressed
 payloads, which are immutable, so a stale entry is impossible by
 construction.
 
@@ -36,11 +37,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Tuple
 
 from ..delta.registry import encoder_from_name, registered_encoder_names
-from .materializer import LRUPayloadCache, replay_chain
 from .objects import ObjectStore
+
+if TYPE_CHECKING:  # pragma: no cover - batch imports this module
+    from .batch import BatchMaterializer
 
 __all__ = [
     "ReplayOutcome",
@@ -106,25 +109,28 @@ class ReplayTaskResult:
     observations: Tuple[Tuple[str, float], ...] = field(default_factory=tuple)
 
 
-#: Per-worker-process state: (backend spec, encoder name, cache size) ->
-#: (store, encoder, worker-local payload cache).  Module-level so it
-#: survives across tasks within one pool worker and is rebuilt from
-#: scratch in every new worker (spawn start method).
-_WORKER_STATE: Dict[Tuple[str, str, int], Tuple[ObjectStore, Any, LRUPayloadCache]] = {}
+#: Per-worker-process engines, keyed by (backend spec, encoder name, cache
+#: size).  Module-level so they survive across tasks within one pool worker
+#: and are rebuilt from scratch in every new worker (spawn start method).
+_WORKER_STATE: Dict[Tuple[str, str, int], BatchMaterializer] = {}
 
 
-def _worker_state(
+def _worker_engine(
     backend_spec: str, encoder_name: str, cache_size: int
-) -> Tuple[ObjectStore, Any, LRUPayloadCache]:
+) -> BatchMaterializer:
+    from .batch import BatchMaterializer  # batch imports this module
+
     key = (backend_spec, encoder_name, cache_size)
-    state = _WORKER_STATE.get(key)
-    if state is None:
-        store = ObjectStore(backend=backend_spec)
-        encoder = encoder_from_name(encoder_name)
-        cache = LRUPayloadCache(cache_size)
-        state = (store, encoder, cache)
-        _WORKER_STATE[key] = state
-    return state
+    engine = _WORKER_STATE.get(key)
+    if engine is None:
+        engine = BatchMaterializer(
+            ObjectStore(backend=backend_spec),
+            encoder_from_name(encoder_name),
+            cache_size=cache_size,
+            max_workers=1,
+        )
+        _WORKER_STATE[key] = engine
+    return engine
 
 
 def replay_task(
@@ -137,34 +143,29 @@ def replay_task(
 
     ``chains`` maps each requested tip to its root-first chain ids (the
     parent resolves chains before dispatch so workers never race on
-    metadata).  Tips are replayed in sorted order through the worker's
+    metadata).  The worker's engine walks their union tree through its
     local payload cache, so chains sharing a prefix — the common case
     within one subtree stripe — pay for it once.  Also runs fine in the
     parent process (the thread model's tests reuse it directly).
     """
     started = time.time()
-    store, encoder, cache = _worker_state(backend_spec, encoder_name, cache_size)
+    engine = _worker_engine(backend_spec, encoder_name, cache_size)
     observations: list[Tuple[str, float]] = []
-    outcomes: list[ReplayOutcome] = []
-    for object_id in sorted(chains):
-        payload, cost_paid, deltas_applied, cache_hits = replay_chain(
-            chains[object_id],
-            store.get,
-            cache,
-            encoder,
-            observe=lambda oid, seconds: observations.append((oid, seconds)),
-        )
-        outcomes.append(
-            ReplayOutcome(
-                object_id=object_id,
-                payload=payload,
-                cost_paid=cost_paid,
-                deltas_applied=deltas_applied,
-                cache_hits=cache_hits,
-            )
-        )
+    items = engine._materialize_union_tree(
+        dict(sorted(chains.items())),
+        observe=lambda oid, seconds: observations.append((oid, seconds)),
+    )
     return ReplayTaskResult(
-        outcomes=tuple(outcomes),
+        outcomes=tuple(
+            ReplayOutcome(
+                object_id=item.object_id,
+                payload=item.payload,
+                cost_paid=item.recreation_cost,
+                deltas_applied=item.deltas_applied,
+                cache_hits=item.cache_hits,
+            )
+            for item in items.values()
+        ),
         pid=os.getpid(),
         started=started,
         finished=time.time(),

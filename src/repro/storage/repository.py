@@ -22,7 +22,7 @@ this package:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
 from ..core.instance import ProblemInstance
@@ -33,14 +33,14 @@ from ..core.version_graph import VersionGraph
 from ..delta.base import DeltaEncoder, payload_size
 from ..delta.line_diff import LineDiffEncoder
 from ..exceptions import (
+    DuplicateVersionError,
     MergeError,
     RepositoryError,
     StaleEpochError,
     VersionNotFoundError,
 )
 from .backends import StorageBackend
-from .batch import BatchMaterializer, BatchResult
-from .materializer import MaterializationResult, Materializer
+from .batch import BatchItem, BatchMaterializer, BatchResult
 from .objects import ObjectStore
 
 __all__ = ["Repository", "CheckoutStats"]
@@ -75,7 +75,7 @@ class CheckoutStats:
     total_chain_length: int = 0
     per_version: dict[VersionID, int] = field(default_factory=dict)
 
-    def record(self, version_id: VersionID, result: MaterializationResult) -> None:
+    def record(self, version_id: VersionID, result: BatchItem) -> None:
         """Fold one checkout into the running totals."""
         self.num_checkouts += 1
         self.total_recreation_cost += result.recreation_cost
@@ -94,13 +94,11 @@ class CheckoutStats:
 class Repository:
     """Commit/checkout/branch/merge on top of delta-compressed storage.
 
-    Single checkouts and batch checkouts deliberately keep separate payload
-    caches: :meth:`checkout` reports the canonical chain cost the paper's Φ
-    matrix models (``cache_size`` controls its own small cache), while
-    :meth:`checkout_many` reports amortized serving cost through the batch
-    engine's larger cache (``batch_cache_size``).  Sharing one cache would
-    make single-checkout cost accounting depend on whatever batch happened
-    to run before it.
+    One :class:`~repro.storage.batch.BatchMaterializer` (``materializer``,
+    ``cache_size`` payloads warm) serves :meth:`checkout`,
+    :meth:`checkout_many` and the parent read of :meth:`commit`.  An item's
+    ``recreation_cost`` is what that request paid given the warm cache; its
+    ``predicted_cost`` is the cold chain sum the paper's Φ matrix models.
     """
 
     DEFAULT_BRANCH = "main"
@@ -111,16 +109,13 @@ class Repository:
         *,
         directory: str | None = None,
         backend: str | StorageBackend | None = None,
-        cache_size: int = 4,
-        batch_cache_size: int = 64,
-        batch_strategy: str = "dfs",
+        cache_size: int = 64,
         delta_against_parent: bool = True,
     ) -> None:
         self.encoder = encoder if encoder is not None else LineDiffEncoder()
         self.store = ObjectStore(directory=directory, backend=backend)
-        self.materializer = Materializer(self.store, self.encoder, cache_size=cache_size)
-        self.batch_materializer = BatchMaterializer(
-            self.store, self.encoder, cache_size=batch_cache_size, strategy=batch_strategy
+        self.materializer = BatchMaterializer(
+            self.store, self.encoder, cache_size=cache_size
         )
         self.graph = VersionGraph()
         self.delta_against_parent = bool(delta_against_parent)
@@ -159,7 +154,7 @@ class Repository:
         counter.  On a change, unseen versions are added to the graph, the
         version→object mapping and branch heads are replaced wholesale,
         and — when the active epoch moved (a peer repacked) — the payload
-        caches are dropped, since they describe the dead encoding.
+        cache is dropped, since it describes the dead encoding.
         Returns ``True`` when state was adopted.
         """
         if self._catalog is None:
@@ -202,7 +197,6 @@ class Repository:
             self._change_seq = int(state["change_seq"])
             if epoch_changed:
                 self.materializer.clear_cache()
-                self.batch_materializer.clear_cache()
             return True
 
     # ------------------------------------------------------------------ #
@@ -280,30 +274,33 @@ class Repository:
         if self._catalog is not None:
             return self._commit_catalog(payload, parent_ids, message, version_id)
 
-        vid = version_id if version_id is not None else self._next_id()
+        if version_id is not None and version_id in self.graph:
+            raise DuplicateVersionError(version_id)
+        # Store the object first: a backend failure must leave the graph,
+        # the branch head and the id counter exactly as they were.
         size = payload_size(payload)
-        version = Version(
-            version_id=vid,
-            size=size,
-            name=message or str(vid),
-            parents=parent_ids,
-            created_at=self._counter,
-            metadata={"message": message},
-        )
-        self.graph.add_version(version)
-
-        stored_as_delta = False
+        object_id: str | None = None
         if self.delta_against_parent and parent_ids:
             base_vid = parent_ids[0]
             base_payload = self.checkout(base_vid, record_stats=False).payload
             delta = self.encoder.diff(base_payload, payload)
             if delta.storage_cost < size:
-                base_object = self._object_of[base_vid]
-                self._object_of[vid] = self.store.put_delta(base_object, delta)
-                stored_as_delta = True
-        if not stored_as_delta:
-            self._object_of[vid] = self.store.put_full(payload)
+                object_id = self.store.put_delta(self._object_of[base_vid], delta)
+        if object_id is None:
+            object_id = self.store.put_full(payload)
 
+        vid = version_id if version_id is not None else self._next_id()
+        self.graph.add_version(
+            Version(
+                version_id=vid,
+                size=size,
+                name=message or str(vid),
+                parents=parent_ids,
+                created_at=self._counter,
+                metadata={"message": message},
+            )
+        )
+        self._object_of[vid] = object_id
         self._branches[self._current_branch] = vid
         return vid
 
@@ -403,8 +400,8 @@ class Repository:
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #
-    def checkout(self, version_id: VersionID, record_stats: bool = True) -> MaterializationResult:
-        """Reconstruct the payload of ``version_id``."""
+    def checkout(self, version_id: VersionID, record_stats: bool = True) -> BatchItem:
+        """Reconstruct the payload of ``version_id`` (a batch of one)."""
         if version_id not in self._object_of:
             # The version may have been committed by a peer process since
             # the last sync; adopt the catalog state before giving up.
@@ -433,7 +430,7 @@ class Repository:
                 if vid not in self._object_of:
                     raise VersionNotFoundError(vid)
             requests.append((vid, self._object_of[vid]))
-        result = self.batch_materializer.materialize_many(requests)
+        result = self.materializer.materialize_many(requests)
         if record_stats:
             # Every request counts as a checkout, but cost is folded in as
             # actually paid: the first request for an item carries its
@@ -444,12 +441,7 @@ class Repository:
             for vid, _ in requests:
                 item = result.items[vid]
                 if vid in recorded:
-                    item = MaterializationResult(
-                        payload=item.payload,
-                        recreation_cost=0.0,
-                        chain_length=item.chain_length,
-                        cache_hits=1,
-                    )
+                    item = replace(item, recreation_cost=0.0, cache_hits=1)
                 else:
                     recorded.add(vid)
                 self.checkout_stats.record(vid, item)

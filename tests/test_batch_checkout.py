@@ -9,9 +9,14 @@ from repro.storage.batch import BatchMaterializer
 from repro.storage.repository import Repository
 
 
-def build_chain_repo(num_versions: int = 50) -> tuple[Repository, list[str]]:
-    """A repository whose versions form one shared-prefix delta chain."""
-    repo = Repository(cache_size=0)
+def build_chain_repo(
+    num_versions: int = 50, cache_size: int = 0
+) -> tuple[Repository, list[str]]:
+    """A repository whose versions form one shared-prefix delta chain.
+
+    Cache-less by default, so sequential checkouts pay the full Φ chain.
+    """
+    repo = Repository(cache_size=cache_size)
     payload = [f"row,{i},{i * 2}" for i in range(40)]
     version_ids = [repo.commit(payload, message="base")]
     for step in range(1, num_versions):
@@ -61,7 +66,7 @@ class TestCheckoutMany:
     def test_request_order_does_not_matter(self):
         repo, version_ids = build_chain_repo(15)
         forward = repo.checkout_many(version_ids, record_stats=False)
-        repo.batch_materializer.clear_cache()
+        repo.materializer.clear_cache()
         backward = repo.checkout_many(list(reversed(version_ids)), record_stats=False)
         assert forward.deltas_applied == backward.deltas_applied
         for vid in version_ids:
@@ -77,19 +82,10 @@ class TestCheckoutMany:
             assert result.items[vid].payload == repo.checkout(vid, record_stats=False).payload
         assert result.deltas_applied <= result.naive_delta_applications
 
-    def test_zero_cache_lru_degenerates_to_sequential(self):
-        """The LRU fallback loses all sharing without a cache to park payloads."""
-        repo, version_ids = build_chain_repo(8)
-        cold = BatchMaterializer(repo.store, repo.encoder, cache_size=0, strategy="lru")
-        result = cold.materialize_many(
-            [(vid, repo.object_id_of(vid)) for vid in version_ids]
-        )
-        assert result.deltas_applied == result.naive_delta_applications
-
     def test_zero_cache_dfs_still_shares_prefixes(self):
         """The union-tree DFS replays each shared prefix once even cache-less."""
         repo, version_ids = build_chain_repo(8)
-        cold = BatchMaterializer(repo.store, repo.encoder, cache_size=0, strategy="dfs")
+        cold = BatchMaterializer(repo.store, repo.encoder, cache_size=0)
         result = cold.materialize_many(
             [(vid, repo.object_id_of(vid)) for vid in version_ids]
         )
@@ -176,7 +172,7 @@ class TestCheckoutMany:
         assert batch.total_recreation_cost == 0.0
 
     def test_cache_persists_across_batches(self):
-        repo, version_ids = build_chain_repo(10)
+        repo, version_ids = build_chain_repo(10, cache_size=64)
         repo.checkout_many(version_ids, record_stats=False)
         # A follow-up batch over already-cached versions applies no deltas.
         again = repo.checkout_many([version_ids[-1]], record_stats=False)

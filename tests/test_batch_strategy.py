@@ -1,10 +1,10 @@
-"""Union-tree DFS vs LRU batch scheduling (BatchMaterializer strategies)."""
+"""The union-tree DFS guarantee: every shared prefix replays exactly once."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.storage.batch import STRATEGIES, BatchMaterializer
+from repro.storage.batch import BatchMaterializer
 from repro.storage.repository import Repository
 
 
@@ -37,28 +37,13 @@ def unique_delta_objects(repo: Repository, vids: list[str]) -> int:
     return len(deltas)
 
 
-class TestStrategySelection:
-    def test_default_is_dfs(self):
-        repo, _ = build_tree_repo()
-        assert repo.batch_materializer.strategy == "dfs"
-        assert BatchMaterializer(repo.store, repo.encoder).strategy == "dfs"
-
-    def test_unknown_strategy_rejected(self):
-        repo, _ = build_tree_repo()
-        with pytest.raises(ValueError, match="unknown batch strategy"):
-            BatchMaterializer(repo.store, repo.encoder, strategy="magic")
-
-    def test_known_strategies_exported(self):
-        assert STRATEGIES == ("dfs", "lru")
-
-
 class TestDFSGuarantee:
-    @pytest.mark.parametrize("cache_size", [0, 1, 2, 64])
+    @pytest.mark.parametrize("cache_size", [0, 1, 2, 64, 256])
     def test_every_prefix_replayed_once_regardless_of_cache(self, cache_size):
         """The DFS guarantee: replay count equals the union tree's delta count."""
         repo, vids = build_tree_repo()
         engine = BatchMaterializer(
-            repo.store, repo.encoder, cache_size=cache_size, strategy="dfs"
+            repo.store, repo.encoder, cache_size=cache_size
         )
         result = engine.materialize_many(
             [(vid, repo.object_id_of(vid)) for vid in vids]
@@ -67,51 +52,9 @@ class TestDFSGuarantee:
         for vid in vids:
             assert result.items[vid].payload == repo.checkout(vid, record_stats=False).payload
 
-    @pytest.mark.parametrize("cache_size", [1, 2])
-    def test_lru_fallback_degrades_with_tiny_cache(self, cache_size):
-        """With a tiny cache the LRU scheduler replays prefixes repeatedly —
-        the gap the union-tree DFS was built to close.  Both engines pin
-        plain-recency eviction: the comparison isolates the *scheduler*,
-        and cost-aware eviction would (correctly) shrink the gap by keeping
-        expensive prefix nodes cached."""
-        repo, vids = build_tree_repo()
-        dfs = BatchMaterializer(
-            repo.store, repo.encoder, cache_size=cache_size, strategy="dfs",
-            eviction="lru",
-        )
-        lru = BatchMaterializer(
-            repo.store, repo.encoder, cache_size=cache_size, strategy="lru",
-            eviction="lru",
-        )
-        requests = [(vid, repo.object_id_of(vid)) for vid in vids]
-        dfs_result = dfs.materialize_many(requests)
-        lru_result = lru.materialize_many(requests)
-        assert dfs_result.deltas_applied < lru_result.deltas_applied
-        for vid in vids:
-            assert dfs_result.items[vid].payload == lru_result.items[vid].payload
-
-    def test_strategies_agree_with_ample_cache(self):
-        repo, vids = build_tree_repo()
-        requests = [(vid, repo.object_id_of(vid)) for vid in vids]
-        results = {
-            strategy: BatchMaterializer(
-                repo.store, repo.encoder, cache_size=256, strategy=strategy
-            ).materialize_many(requests)
-            for strategy in STRATEGIES
-        }
-        assert (
-            results["dfs"].deltas_applied
-            == results["lru"].deltas_applied
-            == unique_delta_objects(repo, vids)
-        )
-        for vid in vids:
-            assert (
-                results["dfs"].items[vid].payload == results["lru"].items[vid].payload
-            )
-
     def test_dfs_accounting_stays_within_predictions(self):
         repo, vids = build_tree_repo()
-        engine = BatchMaterializer(repo.store, repo.encoder, cache_size=0, strategy="dfs")
+        engine = BatchMaterializer(repo.store, repo.encoder, cache_size=0)
         result = engine.materialize_many(
             [(vid, repo.object_id_of(vid)) for vid in vids]
         )
@@ -124,22 +67,26 @@ class TestDFSGuarantee:
 
     def test_dfs_reads_the_warm_cache_across_batches(self):
         repo, vids = build_tree_repo()
-        engine = BatchMaterializer(repo.store, repo.encoder, cache_size=256, strategy="dfs")
+        engine = BatchMaterializer(repo.store, repo.encoder, cache_size=256)
         requests = [(vid, repo.object_id_of(vid)) for vid in vids]
         engine.materialize_many(requests)
         warm = engine.materialize_many(requests)
         assert warm.deltas_applied == 0
 
     def test_dfs_short_circuits_at_deepest_cached_ancestor(self):
-        """A warm repeat must replay nothing even when a tiny cache evicted
-        every intermediate prefix node (the chain is trimmed at the cached
+        """A warm repeat must replay nothing when the tip is cached and no
+        intermediate prefix node is (the chain is trimmed at the cached
         tip, not re-walked from the root)."""
         repo, vids = build_tree_repo()
         tip = vids[-1]
-        engine = BatchMaterializer(repo.store, repo.encoder, cache_size=1, strategy="dfs")
+        engine = BatchMaterializer(repo.store, repo.encoder, cache_size=1)
         request = [(tip, repo.object_id_of(tip))]
         cold = engine.materialize_many(request)
         assert cold.deltas_applied > 0
+        # Leave the tip as the cache's only entry: a one-slot cache keeps
+        # whichever payload is dearest to rebuild, not necessarily the tip.
+        engine.clear_cache()
+        engine.cache.put(repo.object_id_of(tip), cold.items[tip].payload)
         warm = engine.materialize_many(request)
         assert warm.deltas_applied == 0
         assert warm.items[tip].payload == repo.checkout(tip, record_stats=False).payload
@@ -149,8 +96,10 @@ class TestDFSGuarantee:
         shared prefix; both must come back correct."""
         repo, vids = build_tree_repo()
         tip_a, tip_b = vids[-1], vids[-3]
-        engine = BatchMaterializer(repo.store, repo.encoder, cache_size=1, strategy="dfs")
-        engine.materialize_many([(tip_a, repo.object_id_of(tip_a))])
+        engine = BatchMaterializer(repo.store, repo.encoder, cache_size=1)
+        first = engine.materialize_many([(tip_a, repo.object_id_of(tip_a))])
+        engine.clear_cache()
+        engine.cache.put(repo.object_id_of(tip_a), first.items[tip_a].payload)
         # tip_a is now the only cached payload; tip_b needs the full prefix.
         mixed = engine.materialize_many(
             [(tip_a, repo.object_id_of(tip_a)), (tip_b, repo.object_id_of(tip_b))]

@@ -2,10 +2,10 @@
 
 Covers the acceptance properties of the cost-economy PR:
 
-* **marginal-cost admission** — with ``admission="cost"`` a payload whose
+* **marginal-cost admission** — in a cache with a scorer a payload whose
   marginal rebuild cost is lower than every sampled victim's never enters
-  the warm cache; unpriceable candidates and a non-full cache always
-  admit;
+  the warm cache; unpriceable candidates, a non-full cache and a
+  scorer-less cache always admit;
 * **two-tier property suite** — a seeded Zipf workload larger than the
   memory tier, across every encoder × memory/file/zip/sqlite backends:
   byte parity with direct checkouts, and a warm hit-rate / replayed-delta
@@ -29,8 +29,7 @@ import pytest
 
 from repro.bench.serve_bench import zipf_request_stream
 from repro.server.service import VersionStoreService
-from repro.storage.cache_tiers import SpillTier, TieredPayloadCache
-from repro.storage.materializer import LRUPayloadCache
+from repro.storage.cache_tiers import LRUPayloadCache, SpillTier, TieredPayloadCache
 from repro.storage.repack import StagingCostCalibration
 from repro.storage.repository import Repository
 
@@ -63,7 +62,7 @@ def build_chain_repository(encoder_key: str, spec, num_versions: int = 24):
 class TestCostAdmission:
     def test_cheap_candidate_is_rejected_when_full(self):
         costs = {"a": 10.0, "b": 20.0, "cheap": 1.0, "dear": 99.0}
-        cache = LRUPayloadCache(2, victim_cost=costs.get, admission="cost")
+        cache = LRUPayloadCache(2, victim_cost=costs.get)
         cache.put("a", "A")
         cache.put("b", "B")
         cache.put("cheap", "X")
@@ -73,8 +72,8 @@ class TestCostAdmission:
         cache.put("dear", "D")
         assert "dear" in cache
 
-    def test_admission_always_is_the_default_and_never_rejects(self):
-        cache = LRUPayloadCache(1, victim_cost=lambda key: 0.0)
+    def test_scorerless_cache_never_rejects(self):
+        cache = LRUPayloadCache(1)
         cache.put("a", "A")
         cache.put("b", "B")
         assert cache.admission_rejections == 0
@@ -82,7 +81,7 @@ class TestCostAdmission:
 
     def test_unpriceable_candidate_or_victim_admits(self):
         costs = {"a": 10.0}
-        cache = LRUPayloadCache(1, victim_cost=costs.get, admission="cost")
+        cache = LRUPayloadCache(1, victim_cost=costs.get)
         cache.put("a", "A")
         cache.put("mystery", "M")  # candidate unpriceable -> admitted
         assert "mystery" in cache
@@ -91,14 +90,10 @@ class TestCostAdmission:
         assert cache.admission_rejections == 0
 
     def test_not_full_always_admits(self):
-        cache = LRUPayloadCache(4, victim_cost=lambda key: 100.0, admission="cost")
+        cache = LRUPayloadCache(4, victim_cost=lambda key: 100.0)
         cache.put("cheap", "X")
         assert "cheap" in cache
         assert cache.admission_rejections == 0
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            LRUPayloadCache(4, admission="sometimes")
 
 
 # --------------------------------------------------------------------- #
@@ -142,7 +137,6 @@ class TestTieredCacheProperties:
         tiered = VersionStoreService(
             repo,
             cache_size=4,
-            cache_admission="cost",
             cache_tier_dir=str(tmp_path / "tier"),
             cache_tier_bytes=32 * 1024 * 1024,
         )
@@ -383,24 +377,15 @@ def test_stats_expose_admission_and_tier(tmp_path):
     service = VersionStoreService(
         repo,
         cache_size=4,
-        cache_admission="cost",
         cache_tier_dir=str(tmp_path / "tier"),
         cache_tier_bytes=1 << 20,
     )
     for vid in vids:
         service.checkout(vid)
     cache = service.stats()["serving"]["cache"]
-    assert cache["admission"] == "cost"
-    assert cache["eviction"] == "cost"
     assert "admission_rejections" in cache
     tier = cache["tier"]
     assert tier["max_bytes"] == 1 << 20
     assert tier["spills"] > 0
     assert tier["bytes_used"] > 0
     service.close()
-
-
-def test_service_rejects_unknown_admission_policy():
-    repo, _, _ = build_chain_repository("line", None, num_versions=2)
-    with pytest.raises(ValueError):
-        VersionStoreService(repo, cache_admission="perhaps")

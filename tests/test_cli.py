@@ -267,3 +267,66 @@ class TestPersistence:
     def test_load_missing_repository_raises(self, tmp_path):
         with pytest.raises(ReproError):
             load_repository(str(tmp_path / "nothing"))
+
+
+class TestServeSurface:
+    """`repro serve`'s options, the removed ones, and the README table."""
+
+    @staticmethod
+    def serve_flags() -> set[str]:
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action.choices, dict) and "serve" in action.choices
+        )
+        return {
+            option
+            for action in subparsers.choices["serve"]._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+
+    @pytest.mark.parametrize(
+        "removed", [["--strategy", "dfs"], ["--cache-admission", "cost"]]
+    )
+    def test_removed_flags_are_rejected(self, removed, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "repo", *removed])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_keyword_arguments_are_rejected(self):
+        from repro.server.service import VersionStoreService
+        from repro.storage.batch import BatchMaterializer
+        from repro.storage.cache_tiers import LRUPayloadCache
+        from repro.storage.repository import Repository
+
+        repo = Repository()
+        for factory, removed in [
+            (lambda **kw: Repository(**kw), ("batch_cache_size", "batch_strategy")),
+            (
+                lambda **kw: BatchMaterializer(repo.store, repo.encoder, **kw),
+                ("strategy", "eviction", "admission"),
+            ),
+            (
+                lambda **kw: VersionStoreService(repo, **kw),
+                ("strategy", "cache_admission"),
+            ),
+            (lambda **kw: LRUPayloadCache(4, **kw), ("admission",)),
+        ]:
+            for name in removed:
+                with pytest.raises(TypeError, match=name):
+                    factory(**{name: "cost"})
+
+    def test_readme_flag_table_names_exactly_the_parser_options(self):
+        import re
+
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as handle:
+            rows = [line for line in handle if line.startswith("| `--")]
+        documented = {
+            flag
+            for row in rows
+            for flag in re.findall(r"--[a-z][a-z-]*", row.split("|")[1])
+        }
+        assert documented == self.serve_flags()

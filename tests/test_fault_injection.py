@@ -10,6 +10,9 @@ Covers the recovery guarantees of the storage stack under injected
   as it was: the old epoch keeps serving byte-identically, zero staged
   objects leak (torn ones included), commits resume, and a later healed
   repack succeeds;
+* **commit abort** — a commit whose object write fails registers nothing:
+  graph, branch head and id allocation are exactly as before, and the
+  planner still works;
 * **workload-log crash recovery** — a crash mid-append loses at most the
   torn final line; a crash mid-compaction loses *nothing* (the
   write-then-rename either completed or never happened), and the log
@@ -23,6 +26,7 @@ import os
 
 import pytest
 
+from repro.core.problems import solve
 from repro.server.service import VersionStoreService
 from repro.storage.backends import MemoryBackend
 from repro.storage.repository import Repository
@@ -164,6 +168,33 @@ class TestRepackAbort:
                     vid,
                 )
         service.close()
+
+
+# --------------------------------------------------------------------- #
+# a commit whose object write fails
+# --------------------------------------------------------------------- #
+class TestCommitAbort:
+    def test_failed_commit_registers_no_phantom_version(self):
+        flaky = FlakyBackend(MemoryBackend())
+        repo, vids = build_chain_repo(flaky)
+        head_before = repo.head()
+        flaky.fail_puts_after = flaky.puts  # the commit's object write dies
+        with pytest.raises(InjectedFault):
+            repo.commit(["never", "stored"], message="doomed")
+        flaky.heal()
+
+        assert len(repo) == len(vids)
+        assert repo.head() == head_before
+        assert [version.version_id for version in repo.log()] == vids[::-1]
+        # The id the failed commit would have taken goes to the next one.
+        retry = repo.commit(["stored", "this", "time"], message="retry")
+        assert retry == f"v{len(vids)}"
+        assert repo.checkout(retry).payload == ["stored", "this", "time"]
+        # Every version the graph names has an object: planning still works.
+        report = repo.repack(solve(repo.problem_instance(), 1).plan)
+        assert report["storage_after"] > 0
+        for vid in vids + [retry]:
+            repo.checkout(vid)
 
 
 # --------------------------------------------------------------------- #

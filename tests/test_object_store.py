@@ -6,7 +6,7 @@ import pytest
 
 from repro.delta.line_diff import LineDiffEncoder
 from repro.exceptions import ObjectNotFoundError
-from repro.storage.materializer import Materializer
+from repro.storage.batch import BatchMaterializer
 from repro.storage.objects import ObjectStore
 
 
@@ -94,19 +94,19 @@ class TestMaterializer:
 
     def test_materialize_full_object(self):
         store, encoder, payloads, ids = self.build_chain()
-        result = Materializer(store, encoder).materialize(ids[0])
+        result = BatchMaterializer(store, encoder).materialize(ids[0])
         assert result.payload == payloads[0]
         assert result.chain_length == 0
 
     def test_materialize_deep_delta(self):
         store, encoder, payloads, ids = self.build_chain()
-        result = Materializer(store, encoder).materialize(ids[-1])
+        result = BatchMaterializer(store, encoder).materialize(ids[-1])
         assert result.payload == payloads[-1]
         assert result.chain_length == 4
 
     def test_recreation_cost_equals_chain_sum(self):
         store, encoder, payloads, ids = self.build_chain()
-        result = Materializer(store, encoder).materialize(ids[-1])
+        result = BatchMaterializer(store, encoder).materialize(ids[-1])
         chain = store.delta_chain(ids[-1])
         expected = chain[0].storage_cost() + sum(
             obj.payload.recreation_cost for obj in chain[1:]
@@ -115,22 +115,23 @@ class TestMaterializer:
 
     def test_cache_hits_reduce_work(self):
         store, encoder, payloads, ids = self.build_chain()
-        materializer = Materializer(store, encoder, cache_size=10)
+        materializer = BatchMaterializer(store, encoder, cache_size=10)
         first = materializer.materialize(ids[-1])
         second = materializer.materialize(ids[-1])
         assert first.cache_hits == 0
-        assert second.cache_hits == 1
+        assert second.cache_hits == len(ids)  # the cached tip covers the chain
+        assert second.deltas_applied == 0
         assert second.payload == payloads[-1]
 
     def test_cache_eviction_respects_size(self):
         store, encoder, payloads, ids = self.build_chain()
-        materializer = Materializer(store, encoder, cache_size=1)
+        materializer = BatchMaterializer(store, encoder, cache_size=1)
         materializer.materialize(ids[-1])
-        assert len(materializer._cache) == 1
+        assert len(materializer.cache) == 1
 
     def test_clear_cache(self):
         store, encoder, payloads, ids = self.build_chain()
-        materializer = Materializer(store, encoder, cache_size=5)
+        materializer = BatchMaterializer(store, encoder, cache_size=5)
         materializer.materialize(ids[-1])
         materializer.clear_cache()
         assert materializer.materialize(ids[-1]).cache_hits == 0

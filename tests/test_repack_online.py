@@ -480,7 +480,7 @@ class TestWorkloadAwareEffectiveness:
         )
         # Weighting everything onto one version prices that version's chain.
         skewed = expected_workload_cost(repo, {vids[-1]: 5.0})
-        chain_cost = repo.batch_materializer.predicted_chain_cost(
+        chain_cost = repo.materializer.predicted_chain_cost(
             repo.object_id_of(vids[-1])
         )
         assert skewed["per_request"] == pytest.approx(chain_cost)

@@ -53,6 +53,8 @@ class TestEndToEnd:
         expected = {
             vid: repo.checkout(vid, record_stats=False).payload for vid in vids
         }
+        # Direct checkouts go through the served engine; start the stream cold.
+        service.materializer.clear_cache()
 
         # 30 sequential requests cycling the history (a warm, mixed stream)...
         stream = [vids[i % len(vids)] for i in range(30)]
@@ -162,6 +164,32 @@ class TestEndToEnd:
         first.read()
         good.request("GET", "/healthz")
         assert good.getresponse().status == 200
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", 400), ("-5", 400), (str(64 * 1024 * 1024 + 1), 413)],
+    )
+    def test_unreadable_content_length_is_rejected_and_counted(
+        self, served_repo, length, status
+    ):
+        """A Content-Length the server will not read gets its status, drops
+        the connection, and is still counted as a request."""
+        import socket
+
+        server, *_ = served_repo
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                f"POST /commit HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            received = b""
+            while chunk := sock.recv(65536):  # b"" = the server hung up
+                received += chunk
+        assert received.startswith(f"HTTP/1.1 {status} ".encode())
+        metrics = urllib.request.urlopen(f"{server.url}/metrics").read().decode()
+        counted = f'repro_http_requests_total{{endpoint="commit",code="{status}"}} 1'
+        assert counted in metrics
 
     def test_plan_over_http(self, served_repo):
         server, *_ = served_repo

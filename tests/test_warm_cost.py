@@ -24,7 +24,7 @@ import pytest
 from repro.bench.serve_bench import warm_pricing_benchmark, zipf_request_stream
 from repro.server.service import VersionStoreService
 from repro.storage.batch import BatchMaterializer
-from repro.storage.materializer import LRUPayloadCache
+from repro.storage.cache_tiers import LRUPayloadCache
 from repro.storage.repack import expected_workload_cost
 from repro.storage.repository import Repository
 
@@ -212,7 +212,6 @@ class TestCostAwareEviction:
             payload = list(payload) + [f"appended,{step}"]
             vids.append(repo.commit(payload))
         engine = BatchMaterializer(repo.store, repo.encoder, cache_size=4)
-        assert engine.eviction == "cost"
         assert engine.cache.victim_cost is not None
         engine.materialize(repo.object_id_of(vids[-1]))
         # Every cached entry must be priceable through the store's index.
@@ -241,15 +240,10 @@ class TestCostAwareEviction:
         full = repo.store.chain_stats(tip_oid).phi_total
         assert engine._marginal_payload_cost(chain[-1]) == pytest.approx(full)
 
-    def test_eviction_knob_validates(self):
-        repo = Repository()
-        with pytest.raises(ValueError, match="eviction"):
-            BatchMaterializer(repo.store, repo.encoder, eviction="mru")
-
     def test_cost_eviction_preserves_expensive_chain_payloads(self):
         """Under pressure, the cost-aware cache keeps the deep chain's
-        work while plain LRU throws it away — measured by what a repeat
-        checkout of the deep tip replays."""
+        work while a scorer-less (plain recency) cache throws it away —
+        measured by what a repeat checkout of the deep tip replays."""
         def build():
             repo = Repository(cache_size=0)
             deep_payload = [f"deep,{i}" for i in range(40)]
@@ -269,9 +263,9 @@ class TestCostAwareEviction:
         replays = {}
         for eviction in ("cost", "lru"):
             repo, deep, shallow = build()
-            engine = BatchMaterializer(
-                repo.store, repo.encoder, cache_size=3, eviction=eviction
-            )
+            engine = BatchMaterializer(repo.store, repo.encoder, cache_size=3)
+            if eviction == "lru":
+                engine.cache = LRUPayloadCache(3)
             engine.materialize(repo.object_id_of(deep[-1]))
             for vid in shallow:  # pressure from cheap full objects
                 engine.materialize(repo.object_id_of(vid))
