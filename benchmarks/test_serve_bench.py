@@ -10,11 +10,7 @@
 * concurrent checkout throughput over independent chains: the per-chain
   lock-striping refactor vs the old single-lock server, on a store whose
   fetches carry I/O latency — the acceptance experiment for the parallel
-  materialization PR;
-* CPU-bound checkout throughput, thread vs process workers: the simulated
-  CPU encoder serializes thread replay exactly as the GIL serializes real
-  decode, and the spawn pool escapes it — the acceptance experiment for
-  the worker-model PR.
+  materialization PR.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from __future__ import annotations
 from repro.bench.batch_bench import batch_benchmark_scenarios
 from repro.bench.serve_bench import (
     concurrent_serving_benchmark,
-    cpu_bound_serving_benchmark,
     serve_warm_vs_cold,
     warm_pricing_benchmark,
 )
@@ -151,45 +146,4 @@ def test_concurrent_checkouts_scale_with_workers():
     assert all(not row["errors"] for row in rows), [row["errors"] for row in rows]
     assert all(row["byte_identical"] for row in rows)
     # The acceptance bar: ≥2× concurrent throughput with 4 workers.
-    assert speedup >= 2.0, f"expected ≥2x, measured {speedup:.2f}x"
-
-
-def test_cpu_bound_checkouts_escape_the_gil():
-    """Acceptance: with a CPU-charging encoder (simulated, deterministic on
-    any machine), ``worker_model="process"`` reaches ≥2× the thread model's
-    concurrent throughput at 4 workers, byte-identically.  The driver
-    asserts both bars internally and raises on a miss."""
-    rows = cpu_bound_serving_benchmark(
-        num_chains=4,
-        chain_length=6,
-        requests_per_chain=2,
-        workers=4,
-        apply_seconds=0.01,
-        seed=11,
-    )
-
-    print_series_table(
-        "repro serve: CPU-bound checkouts, thread vs process workers",
-        ["config", "requests", "seconds", "req/s", "deltas", "parity"],
-        [
-            [
-                row["config"],
-                int(row["num_requests"]),
-                f"{row['seconds']:.3f}",
-                f"{row['requests_per_s']:.1f}",
-                int(row["deltas_applied"]),
-                str(bool(row["byte_identical"])),
-            ]
-            for row in rows
-        ],
-    )
-    by_config = {row["config"]: row for row in rows}
-    speedup = by_config["speedup"]["speedup"]
-    print(f"speedup (process vs thread workers): {speedup:.2f}x")
-    # Equal deterministic work on both sides: the speedup is pure
-    # parallelism, not a workload difference.
-    assert (
-        by_config["thread-4w"]["deltas_applied"]
-        == by_config["process-4w"]["deltas_applied"]
-    )
     assert speedup >= 2.0, f"expected ≥2x, measured {speedup:.2f}x"

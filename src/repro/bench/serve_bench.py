@@ -31,30 +31,18 @@ Three experiments:
   reported).  Byte parity against direct repository checkouts is verified
   for every served payload.
 
-* :func:`cpu_bound_serving_benchmark` — the worker-model experiment: the
-  same concurrent request schedule served once with ``worker_model=
-  "thread"`` and once with ``worker_model="process"`` over a repository
-  whose encoder charges simulated CPU time under a module-wide lock
-  (:class:`~repro.delta.simulated.SimulatedCpuEncoder` — a deterministic,
-  machine-independent stand-in for GIL-bound decode work).  Threads in
-  one interpreter serialize on that lock exactly as real CPU-bound decode
-  serializes on the GIL; spawn-pool workers each hold their own copy and
-  overlap, so the measured speedup is the GIL escape itself.
-
 Both drivers run in-process (no HTTP) so the numbers isolate the
 materialization layer rather than socket overhead.
 """
 
 from __future__ import annotations
 
-import tempfile
 import threading
 import time
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core.version_graph import VersionGraph
 from ..datagen.workload import sample_accesses, zipfian_workload
-from ..delta import SimulatedCpuEncoder
 from ..server.service import VersionStoreService
 from ..storage.backends import MemoryBackend, StorageBackend
 from ..storage.repository import Repository
@@ -68,7 +56,6 @@ __all__ = [
     "SimulatedLatencyBackend",
     "build_independent_chains",
     "concurrent_serving_benchmark",
-    "cpu_bound_serving_benchmark",
 ]
 
 
@@ -389,7 +376,6 @@ def build_independent_chains(
     num_rows: int = 60,
     seed: int = 0,
     backend: StorageBackend | str | None = None,
-    encoder=None,
 ) -> tuple[Repository, dict[int, list]]:
     """A repository holding ``num_chains`` independent delta chains.
 
@@ -400,7 +386,7 @@ def build_independent_chains(
     as deltas on that chain.  Returns the repository plus the version ids
     of every chain.
     """
-    repo = Repository(cache_size=0, backend=backend, encoder=encoder)
+    repo = Repository(cache_size=0, backend=backend)
     chains: dict[int, list] = {}
     for chain in range(num_chains):
         payload = [
@@ -538,146 +524,6 @@ def concurrent_serving_benchmark(
     return rows
 
 
-def cpu_bound_serving_benchmark(
-    *,
-    num_chains: int = 4,
-    chain_length: int = 6,
-    requests_per_chain: int = 2,
-    workers: int = 4,
-    apply_seconds: float = 0.01,
-    seed: int = 0,
-) -> list[dict[str, float | str | bool]]:
-    """Concurrent CPU-bound checkout throughput: thread vs process workers.
-
-    ``num_chains`` client threads each re-checkout the tip of their own
-    independent chain (cache disabled, so every request replays the whole
-    chain) against a repository encoded with
-    :class:`~repro.delta.simulated.SimulatedCpuEncoder`: every delta apply
-    sleeps ``apply_seconds`` while holding a module-wide lock, modelling
-    GIL-bound decode CPU deterministically on any machine.  The identical
-    schedule runs through two services at the same ``workers`` width:
-
-    * ``thread-Nw`` — the in-process pool; all applies serialize on the
-      simulated GIL no matter how many threads serve;
-    * ``process-Nw`` — replay shipped to spawn-pool workers, each with its
-      own interpreter (and own simulated GIL), so chains decode in
-      parallel.
-
-    Process-pool spawn and per-tip warmup happen outside the measured
-    window.  Raises :class:`AssertionError` if any served payload differs
-    from a direct checkout or if the process model fails to reach 2x the
-    thread model's throughput — the acceptance bar for the GIL escape.
-    """
-    rows: list[dict[str, float | str | bool]] = []
-    for model in ("thread", "process"):
-        with tempfile.TemporaryDirectory(prefix=f"repro-cpu-bench-{model}-") as root:
-            repo, chains = build_independent_chains(
-                num_chains=num_chains,
-                chain_length=chain_length,
-                seed=seed,
-                backend=f"file://{root}/objects",
-                encoder=SimulatedCpuEncoder(apply_seconds=apply_seconds),
-            )
-            tips = {chain: vids[-1] for chain, vids in chains.items()}
-            expected = {
-                vid: repo.checkout(vid, record_stats=False).payload
-                for vid in tips.values()
-            }
-            service = VersionStoreService(
-                repo,
-                cache_size=0,  # every request replays: isolates decode cost
-                max_workers=workers,
-                worker_model=model,
-            )
-            assert service.worker_model == model, (
-                f"worker model {model!r} unavailable: "
-                f"{service.materializer.worker_model_fallback}"
-            )
-            mismatches: list = []
-            errors: list = []
-            deltas = [0]
-            count_lock = threading.Lock()
-
-            def run_schedule(requests: int) -> float:
-                barrier = threading.Barrier(num_chains + 1)
-
-                def client(chain: int) -> None:
-                    vid = tips[chain]
-                    barrier.wait()
-                    try:
-                        for _ in range(requests):
-                            response = service.checkout(vid)
-                            if response.payload != expected[vid]:
-                                mismatches.append((chain, vid))
-                            with count_lock:
-                                deltas[0] += max(0, response.chain_length - 1)
-                    except BaseException as error:  # pragma: no cover
-                        errors.append(error)
-
-                threads = [
-                    threading.Thread(target=client, args=(chain,))
-                    for chain in chains
-                ]
-                for thread in threads:
-                    thread.start()
-                barrier.wait()
-                started = time.perf_counter()
-                for thread in threads:
-                    thread.join()
-                return time.perf_counter() - started
-
-            # Warm up with the *concurrent* schedule, outside the measured
-            # window: the spawn pool creates workers lazily on concurrent
-            # demand, so a warm pass is what gets all ``workers`` processes
-            # spawned and their per-process stores opened.  The measured
-            # pass then compares steady-state decode throughput.
-            run_schedule(1)
-            deltas[0] = 0
-            elapsed = run_schedule(requests_per_chain)
-            service.close()
-
-        num_requests = num_chains * requests_per_chain
-        rows.append(
-            {
-                "config": f"{model}-{workers}w",
-                "workers": float(workers),
-                "num_requests": float(num_requests),
-                "seconds": elapsed,
-                "requests_per_s": num_requests / elapsed if elapsed > 0 else 0.0,
-                "deltas_applied": float(deltas[0]),
-                "payload_mismatches": float(len(mismatches)),
-                "byte_identical": not mismatches and not errors,
-                "errors": "; ".join(repr(error) for error in errors),
-            }
-        )
-    threaded, processed = rows[0], rows[1]
-    speedup = float(threaded["seconds"]) / max(1e-9, float(processed["seconds"]))
-    rows.append(
-        {
-            "config": "speedup",
-            "workers": float(workers),
-            "num_requests": threaded["num_requests"],
-            "seconds": 0.0,
-            "requests_per_s": 0.0,
-            "deltas_applied": 0.0,
-            "payload_mismatches": float(
-                threaded["payload_mismatches"] + processed["payload_mismatches"]
-            ),
-            "byte_identical": bool(
-                threaded["byte_identical"] and processed["byte_identical"]
-            ),
-            "errors": "",
-            "speedup": speedup,
-        }
-    )
-    assert threaded["byte_identical"] and processed["byte_identical"], rows
-    assert speedup >= 2.0, (
-        f"process workers reached only {speedup:.2f}x the thread model "
-        f"(acceptance bar is 2x): {rows}"
-    )
-    return rows
-
-
 # --------------------------------------------------------------------- #
 # CLI entry point: the fast benches -> BENCH_serve.json (CI artifact)
 # --------------------------------------------------------------------- #
@@ -728,7 +574,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             graphs, num_requests=args.requests, seed=args.seed
         ),
         "concurrent_serving": concurrent_serving_benchmark(seed=args.seed),
-        "cpu_bound_serving": cpu_bound_serving_benchmark(seed=args.seed),
     }
     write_bench_json(args.output, "serve", params, metrics, args.timestamp)
     print(f"wrote {args.output} ({len(metrics)} benchmark groups)")

@@ -756,6 +756,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pass
 
 
+def _cache_tier_dir(args: argparse.Namespace, acceptor: int | None) -> str | None:
+    """Where this serving process spills its warm cache (``None``: nowhere).
+
+    A spill tier scrubs its directory on open and unlinks what it evicts,
+    so ``--frontend-procs`` acceptors, which share nothing else, each get
+    their own ``fe<i>`` subdirectory.
+    """
+    directory = args.cache_tier_dir
+    if directory is None and args.cache_tier_bytes > 0:
+        directory = os.path.join(args.repository, "cache-tier")
+    if directory is not None and acceptor is not None:
+        directory = os.path.join(directory, f"fe{acceptor}")
+    return directory
+
+
 def _serve_once(
     args: argparse.Namespace, *, reuse_port: bool = False, proc_index: int = 0
 ) -> int:
@@ -787,13 +802,10 @@ def _serve_once(
         if reuse_port and proc_index:
             # Each --frontend-procs acceptor is its own lease competitor.
             replica_id = f"{replica_id}-fe{proc_index}"
-    cache_tier_dir = args.cache_tier_dir
-    if cache_tier_dir is None and args.cache_tier_bytes > 0:
-        cache_tier_dir = os.path.join(args.repository, "cache-tier")
     service = VersionStoreService(
         repo,
         cache_size=args.cache_size,
-        cache_tier_dir=cache_tier_dir,
+        cache_tier_dir=_cache_tier_dir(args, proc_index if reuse_port else None),
         cache_tier_bytes=args.cache_tier_bytes,
         # Persist the state file after every commit so a crash never loses
         # acknowledged versions (objects are already on disk by then).
@@ -802,7 +814,6 @@ def _serve_once(
         # workload survives restarts and feeds `repro repack --workload`.
         workload_log=open_workload_log(args.repository, repo=repo),
         max_workers=args.workers,
-        worker_model=getattr(args, "worker_model", "thread"),
         repack_budget=args.repack_budget,
         auto_repack_interval=args.repack_interval,
         adaptive_repack=args.adaptive_repack,
@@ -818,7 +829,7 @@ def _serve_once(
     replica = f"; replica {replica_id}" if replica_id else ""
     print(
         f"serving {args.repository} on http://{host}:{port} "
-        f"({service.max_workers} {service.worker_model} workers"
+        f"({service.max_workers} workers"
         f"{acceptor}{replica}; ctrl-c to stop)"
     )
     try:
@@ -979,17 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker threads for parallel chain materialization "
-        "(default: the machine's CPU count)",
-    )
-    serve.add_argument(
-        "--worker-model",
-        choices=("thread", "process"),
-        default="thread",
-        help="replay worker model: 'thread' shares the interpreter (best "
-        "for I/O-bound decode), 'process' ships subtree replays to a "
-        "spawn-based process pool so CPU-bound decoding escapes the GIL "
-        "(falls back to 'thread' for non-reopenable backends/encoders)",
+        help="worker threads for replaying the independent root trees of "
+        "one batch in parallel (default: the cores this process may use)",
     )
     serve.add_argument(
         "--frontend-procs",

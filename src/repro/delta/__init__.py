@@ -11,8 +11,6 @@ from .cell_diff import CellDiffEncoder
 from .command_delta import CommandDeltaEncoder, EditCommand, apply_commands
 from .compression import CompressedEncoder, compression_ratio, gzip_size
 from .line_diff import LineDiffEncoder, TwoWayLineDiffEncoder, line_operations
-from .registry import encoder_from_name, register_encoder, registered_encoder_names
-from .simulated import SimulatedCpuEncoder
 from .xor_diff import XorDeltaEncoder, run_length_decode, run_length_encode
 
 __all__ = [
@@ -30,11 +28,7 @@ __all__ = [
     "LineDiffEncoder",
     "TwoWayLineDiffEncoder",
     "line_operations",
-    "SimulatedCpuEncoder",
     "XorDeltaEncoder",
-    "encoder_from_name",
-    "register_encoder",
-    "registered_encoder_names",
     "run_length_decode",
     "run_length_encode",
 ]

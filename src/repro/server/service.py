@@ -90,7 +90,10 @@ __all__ = ["VersionStoreService", "CheckoutResponse", "ServiceStats"]
 
 
 def default_worker_count() -> int:
-    """Worker-pool size when the operator does not pass one: the machine."""
+    """Worker-pool size when the operator does not pass one: the cores
+    this process may run on (a pinned server cannot use the others)."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -208,15 +211,12 @@ class VersionStoreService:
     stripes) — the node below the deepest fork point, which degenerates to
     the chain root on linear histories — so independent chains *and
     disjoint subtrees of one fork-heavy root* replay concurrently while
-    same-subtree requests serialize into the warm cache.  ``max_workers``
-    (default: the machine's CPU count) additionally fans one
-    ``checkout_many`` batch out across workers, one per subtree stripe.
-    ``worker_model`` selects where replay runs: ``"thread"`` (default)
-    keeps it in-process; ``"process"`` dispatches each stripe to a spawned
-    process pool so CPU-bound encoders escape the GIL (falling back to
-    threads, once-logged, when the backend or encoder cannot cross a
-    process boundary).  Setting ``lock_stripes=1`` with ``max_workers=1``
-    reproduces the old single-lock server — the benchmark's baseline.
+    same-subtree requests serialize into the warm cache.  Replay runs on
+    the thread that asked for it; ``max_workers`` (default: the cores this
+    process may run on) additionally fans the independent root trees of one
+    ``checkout_many`` batch out across worker threads.  Setting
+    ``lock_stripes=1`` with ``max_workers=1`` reproduces the old
+    single-lock server — the benchmark's baseline.
 
     ``on_commit`` is called after every successful commit — and after the
     swap phase of an online :meth:`repack` — while the exclusive barrier is
@@ -252,7 +252,6 @@ class VersionStoreService:
         on_commit: Callable[[Repository], None] | None = None,
         workload_log: WorkloadLog | None = None,
         max_workers: int | None = None,
-        worker_model: str = "thread",
         lock_stripes: int = 64,
         repack_budget: float | None = None,
         auto_repack_interval: int = 32,
@@ -288,13 +287,9 @@ class VersionStoreService:
             lock_manager=self.chain_locks,
             spill_dir=cache_tier_dir,
             spill_bytes=cache_tier_bytes,
-            worker_model=worker_model,
         )
         repository.materializer.close()
         repository.materializer = self.materializer
-        # The *effective* model: the materializer may have fallen back to
-        # threads when the backend/encoder cannot cross a process boundary.
-        self.worker_model = self.materializer.worker_model
         self.stats_counters = ServiceStats()
         self._on_commit = on_commit
         # Every served checkout is folded into the workload log; with a
@@ -854,10 +849,8 @@ class VersionStoreService:
             }
             concurrency = {
                 "max_workers": self.max_workers,
-                "worker_model": self.worker_model,
                 "lock_stripes": self.chain_locks.num_stripes,
                 "exclusive_epochs": self.coordinator.exclusive_epochs,
-                "replay_pool": self.materializer.pool_info(),
             }
         return {
             "serving": serving,

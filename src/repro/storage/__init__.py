@@ -14,7 +14,6 @@
 * :mod:`~repro.storage.cache_tiers` — the warm payload cache the engine
   reads and fills (memory LRU ranked by marginal recreation cost, optional
   compressed disk tier);
-* :mod:`~repro.storage.replay_worker` — the engine's process-pool tasks;
 * :mod:`~repro.storage.repository` — commit / checkout / branch / merge,
   plus the bridge to the optimization layer (cost-model measurement and
   plan-driven repacking);

@@ -22,26 +22,16 @@ repeat requests without replaying anything.
 **Concurrency.**  The materializer is safe for concurrent callers: the
 payload cache is atomic, and chain metadata lives in the object store's
 incremental cost index (immutable under content addressing, guarded by the
-store's index lock) instead of a private memo.  The union forest is
-partitioned by **subtree stripe key** (see
-:func:`~repro.storage.concurrency.subtree_stripe_keys`): disjoint
-subtrees of one fork-heavy root — not just distinct roots — become
-independent groups, so with ``max_workers > 1`` they replay in parallel;
-an optional ``lock_manager`` (a
+store's index lock) instead of a private memo.  Replay runs on the thread
+that asked for it, through the one union-tree DFS; the only fan-out is
+across *independent root trees* of one batch, which with ``max_workers >
+1`` replay on a thread pool (fetches that sleep release the GIL).  An
+optional ``lock_manager`` (a
 :class:`~repro.storage.concurrency.StripedLockManager`) serializes work
-per stripe, so concurrent batches and single checkouts touching the
-same subtree cooperate through the warm cache instead of duplicating the
-replay.
-
-**Worker models.**  ``worker_model="thread"`` (default) replays groups on
-a thread pool — ideal when replay cost is I/O (sleeping fetches release
-the GIL).  ``worker_model="process"`` dispatches each group to a
-``ProcessPoolExecutor`` task (see :mod:`repro.storage.replay_worker`)
-that ships only the backend spec, the encoder name and the chain ids,
-and returns materialized payloads — CPU-bound encoders then run on real
-parallel interpreters instead of serializing on the GIL.  Backends that
-cannot be reopened from a spec (``memory://``, wrapped test backends) and
-encoders without a registered factory silently fall back to threads.
+per chain root, so concurrent batches touching the same tree cooperate
+through the warm cache instead of duplicating the replay.  More cores are
+used by running more serving processes over one catalog (``repro serve
+--frontend-procs`` / ``--join``), never by shipping replay elsewhere.
 
 The result reports, per version and in aggregate, the recreation cost
 *actually paid* next to the chain cost the storage plan *predicts* (the Φ
@@ -51,34 +41,26 @@ model the optimizers plan against.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from ..delta.base import DeltaEncoder
 from ..exceptions import ObjectNotFoundError
-from ..obs.metrics import NULL_INSTRUMENT, log_once
+from ..obs.metrics import NULL_INSTRUMENT
 from .cache_tiers import LRUPayloadCache, TieredPayloadCache
-from .concurrency import StripedLockManager, subtree_stripe_keys
+from .concurrency import StripedLockManager
 from .objects import ObjectStore, StoredObject
-from .replay_worker import (
-    ReplayTaskResult,
-    process_safe_spec,
-    replay_task,
-    replayable_encoder,
-)
 
 __all__ = [
     "BatchMaterializer",
     "BatchItem",
     "BatchResult",
     "WarmChainCost",
-    "WORKER_MODELS",
 ]
 
 
@@ -177,16 +159,6 @@ class BatchResult:
         }
 
 
-#: Replay worker models: ``"thread"`` runs groups on a thread pool in this
-#: process; ``"process"`` ships them to a spawn-based ``ProcessPoolExecutor``
-#: so CPU-bound delta application escapes the GIL.
-WORKER_MODELS = ("thread", "process")
-
-#: How many recent pool-task (pid, started, finished) spans to retain for
-#: stats and the concurrency tests.
-_SPAN_HISTORY = 64
-
-
 def _shutdown_executor_holder(holder: dict) -> None:
     """Shut down every executor in ``holder`` (the weakref.finalize hook).
 
@@ -210,21 +182,16 @@ class BatchMaterializer:
 
     ``max_workers`` bounds the worker pool that replays *independent* union
     trees of one batch in parallel (1 keeps everything on the calling
-    thread); ``lock_manager`` optionally serializes work per subtree
-    stripe across concurrent callers.  ``worker_model`` selects where
-    group replay runs: ``"thread"`` (default) or ``"process"`` (a
-    spawn-based process pool fed through
-    :func:`~repro.storage.replay_worker.replay_task`; falls back to
-    threads, once-logged, when the backend spec or encoder cannot cross a
-    process boundary).  The cache persists across
+    thread); ``lock_manager`` optionally serializes work per chain root
+    across concurrent callers.  The cache persists across
     :meth:`materialize_many` calls, so a serving loop keeps benefiting from
     earlier batches; call :meth:`clear_cache` between measurements that
     must start cold.
 
     The materializer is a context manager (``with BatchMaterializer(...)
-    as m:`` closes its pools on exit) and registers a ``weakref.finalize``
+    as m:`` closes its pool on exit) and registers a ``weakref.finalize``
     fallback, so one-shot CLI paths that forget :meth:`close` cannot leak
-    idle worker threads or processes for the life of the process.
+    idle worker threads for the life of the process.
     """
 
     def __init__(
@@ -237,34 +204,9 @@ class BatchMaterializer:
         lock_manager: StripedLockManager | None = None,
         spill_dir: str | None = None,
         spill_bytes: int = 0,
-        worker_model: str = "thread",
     ) -> None:
-        if worker_model not in WORKER_MODELS:
-            known = ", ".join(WORKER_MODELS)
-            raise ValueError(f"unknown worker model {worker_model!r} (known: {known})")
         self.store = store
         self.encoder = encoder
-        self.requested_worker_model = worker_model
-        self.worker_model_fallback: str | None = None
-        if worker_model == "process":
-            spec = store.backend.spec()
-            if not process_safe_spec(spec):
-                self.worker_model_fallback = (
-                    f"backend {spec!r} cannot be reopened from a worker process"
-                )
-            elif not replayable_encoder(encoder):
-                self.worker_model_fallback = (
-                    f"encoder {getattr(encoder, 'name', '?')!r} has no "
-                    "registered zero-argument factory"
-                )
-            if self.worker_model_fallback is not None:
-                log_once(
-                    "batch:worker_model:%s" % spec,
-                    "worker_model=process unavailable (%s); using threads",
-                    self.worker_model_fallback,
-                )
-                worker_model = "thread"
-        self.worker_model = worker_model
         if spill_dir is not None and int(spill_bytes) > 0:
             # Two-tier warm cache: the bounded memory LRU spills through to
             # a compressed disk tier, so warm capacity scales past RAM.
@@ -280,28 +222,20 @@ class BatchMaterializer:
             )
         self.max_workers = max(1, int(max_workers)) if max_workers else 1
         self.lock_manager = lock_manager
-        # Both pools live in one holder dict shared with the finalizer:
+        # The pool lives in a holder dict shared with the finalizer:
         # whichever of close()/__exit__/GC runs first empties it, and the
         # others become no-ops.
-        self._executors: dict[str, Executor] = {}
+        self._executors: dict[str, ThreadPoolExecutor] = {}
         self._executor_lock = threading.Lock()
         self._finalizer = weakref.finalize(
             self, _shutdown_executor_holder, self._executors
         )
-        # Replay-pool accounting (satellite observability): group
-        # dispatches by model, in-flight process tasks, worker provenance.
-        self._pool_lock = threading.Lock()
-        self._pool_tasks = {"thread": 0, "process": 0}
-        self._pool_queue_depth = 0
-        self._worker_pids: set[int] = set()
-        self.recent_task_spans: list[tuple[int, float, float]] = []
         # Live instruments replace these no-ops when bind_metrics() runs.
         self._metrics_on = False
         self._m_deltas = NULL_INSTRUMENT
         self._m_bytes = NULL_INSTRUMENT
         self._m_warm_error = NULL_INSTRUMENT
-        self._m_pool_thread = NULL_INSTRUMENT
-        self._m_pool_process = NULL_INSTRUMENT
+        self._m_pool_tasks = NULL_INSTRUMENT
 
     def bind_metrics(self, registry) -> None:
         """Attach materializer counters and scrape-time cache gauges.
@@ -326,21 +260,11 @@ class BatchMaterializer:
             "/ max(predicted, actual, 1) per single checkout.",
             buckets=(0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0),
         )
-        pool_tasks = registry.counter(
+        self._m_pool_tasks = registry.counter(
             "repro_replay_pool_tasks_total",
-            "Replay group dispatches by worker model.",
+            "Root groups of batches replayed.",
             ("model",),
-        )
-        self._m_pool_thread = pool_tasks.labels("thread")
-        self._m_pool_process = pool_tasks.labels("process")
-        pool_queue = registry.gauge(
-            "repro_replay_pool_queue_depth",
-            "Replay tasks submitted to the process pool, not yet completed.",
-        )
-        pool_workers = registry.gauge(
-            "repro_replay_pool_workers",
-            "Distinct replay worker processes observed (lifetime).",
-        )
+        ).labels("thread")
         hits = registry.gauge("repro_cache_hits", "Payload cache hits (lifetime).")
         misses = registry.gauge(
             "repro_cache_misses", "Payload cache misses (lifetime)."
@@ -393,9 +317,6 @@ class BatchMaterializer:
                 tier_fields["bytes"].set(disk.bytes_used)
                 tier_fields["spills"].set(disk.spills)
                 tier_fields["corruption_drops"].set(disk.corruption_drops)
-            with self._pool_lock:
-                pool_queue.set(self._pool_queue_depth)
-                pool_workers.set(len(self._worker_pids))
 
         registry.register_collector(collect)
 
@@ -490,13 +411,7 @@ class BatchMaterializer:
             except ObjectNotFoundError:
                 predicted = None
         chains = {object_id: self.store.chain_ids(object_id)}
-        if self.worker_model == "process":
-            # Concurrent request threads each dispatch their chain as its
-            # own pool task, so CPU-bound encoders overlap across worker
-            # processes instead of serializing on this process's GIL.
-            item = self._materialize_group_process(chains)[object_id]
-        else:
-            item = self._materialize_union_tree(chains, prefetched)[object_id]
+        item = self._materialize_union_tree(chains, prefetched)[object_id]
         if predicted is not None:
             actual = item.recreation_cost
             self._m_warm_error.observe(
@@ -583,14 +498,14 @@ class BatchMaterializer:
         self.cache.clear()
 
     def close(self) -> None:
-        """Shut down the worker pools (idempotent; the materializer keeps
-        working afterwards — a later parallel batch simply recreates them).
+        """Shut down the worker pool (idempotent; the materializer keeps
+        working afterwards — a later parallel batch simply recreates it).
 
-        Short-lived materializers no longer *have* to call this: the
+        Short-lived materializers do not *have* to call this: the
         context-manager protocol closes on ``__exit__``, and a
-        ``weakref.finalize`` fallback shuts the pools down at garbage
+        ``weakref.finalize`` fallback shuts the pool down at garbage
         collection, so a forgotten one-shot CLI path cannot accumulate
-        idle worker threads or processes.
+        idle worker threads.
         """
         with self._executor_lock:
             executors = dict(self._executors)
@@ -631,62 +546,27 @@ class BatchMaterializer:
         chains: dict[str, tuple[str, ...]],
         prefetched: Mapping[str, StoredObject],
     ) -> dict[str, BatchItem]:
-        """Replay the union forest in parallel groups.
+        """Replay the union forest, one group per chain *root*.
 
-        The grouping depends on the worker model:
-
-        * ``thread`` — one group per chain *root*, each an exactly-once
-          union-tree DFS (the batch guarantee: no delta object replays
-          twice, whatever the cache size).  Parallelism comes from two
-          places: root groups fan out across worker threads, and a batch
-          that collapses into a *single* fork-heavy root tree replays its
-          disjoint subtrees on parallel branch walkers inside the one DFS
-          (see :meth:`_materialize_union_tree`) — so fork fans no longer
-          serialize on their common root.
-        * ``process`` — one group per batch-local **subtree stripe key**
-          (the node below the deepest fork the batch's chains exhibit),
-          each shipped to the process pool as an independent replay task.
-          A prefix above a fork point may replay once per side — the cost
-          of giving every subtree its own GIL; content addressing keeps
-          the results byte-identical.
-
-        Each group's replay optionally holds a stripe lock, so concurrent
-        batches (and single checkouts serialized the same way by the
-        serving layer) cooperate on a chain instead of racing it.
+        Each group is an exactly-once union-tree DFS (the batch guarantee:
+        no delta object replays twice, whatever the cache size).  With
+        ``max_workers > 1`` independent root groups fan out across worker
+        threads; a batch inside one root tree replays on the calling
+        thread.  Each group's replay optionally holds a stripe lock, so
+        concurrent batches cooperate on a tree instead of racing it.
         """
-        process_model = self.worker_model == "process"
         groups: dict[str, dict[str, tuple[str, ...]]] = {}
-        if process_model:
-            stripes = subtree_stripe_keys(chains)
-            for object_id, chain_ids in chains.items():
-                groups.setdefault(stripes[object_id], {})[object_id] = chain_ids
-        else:
-            for object_id, chain_ids in chains.items():
-                groups.setdefault(chain_ids[0], {})[object_id] = chain_ids
-        group_keys = list(groups)
-        # With every chain in one root tree, the group level offers no
-        # parallelism — let the union-tree DFS walk fork branches on the
-        # pool instead.  (Never both: branch walkers submitting to the
-        # executor from inside pooled group tasks could starve a saturated
-        # pool into deadlock.)
-        branch_parallel = (
-            not process_model and self.max_workers > 1 and len(group_keys) == 1
-        )
+        for object_id, chain_ids in chains.items():
+            groups.setdefault(chain_ids[0], {})[object_id] = chain_ids
 
         def run_group(key: str) -> dict[str, BatchItem]:
             with self._chain_guard(key):
-                if process_model:
-                    return self._materialize_group_process(groups[key])
-                self._count_pool_task("thread")
-                return self._materialize_union_tree(
-                    groups[key], prefetched, parallel_branches=branch_parallel
-                )
+                self._m_pool_tasks.inc()
+                return self._materialize_union_tree(groups[key], prefetched)
 
         materialized: dict[str, BatchItem] = {}
-        if self.max_workers > 1 and len(group_keys) > 1:
-            futures = [
-                self._get_executor().submit(run_group, key) for key in group_keys
-            ]
+        if self.max_workers > 1 and len(groups) > 1:
+            futures = [self._get_executor().submit(run_group, key) for key in groups]
             # Drain every future before propagating any failure: an
             # abandoned sibling would keep reading the store after the
             # caller released its locks (and its error would vanish).
@@ -699,7 +579,7 @@ class BatchMaterializer:
             if errors:
                 raise errors[0]
         else:
-            for key in group_keys:
+            for key in groups:
                 materialized.update(run_group(key))
         return materialized
 
@@ -712,139 +592,12 @@ class BatchMaterializer:
                     thread_name_prefix="repro-materialize",
                 )
                 self._executors["thread"] = executor
-            return executor  # type: ignore[return-value]
-
-    def _get_process_executor(self) -> ProcessPoolExecutor:
-        with self._executor_lock:
-            executor = self._executors.get("process")
-            if executor is None:
-                # spawn, never fork: the serving process is multithreaded
-                # (HTTP handlers, repack stager), and forking a threaded
-                # process inherits locks in undefined states.
-                executor = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                )
-                self._executors["process"] = executor
-            return executor  # type: ignore[return-value]
-
-    def _count_pool_task(self, model: str) -> None:
-        with self._pool_lock:
-            self._pool_tasks[model] += 1
-        if self._metrics_on:
-            if model == "process":
-                self._m_pool_process.inc()
-            else:
-                self._m_pool_thread.inc()
-
-    def pool_info(self) -> dict[str, object]:
-        """Replay-pool counters for ``stats()``: model, tasks, workers."""
-        with self._pool_lock:
-            return {
-                "worker_model": self.worker_model,
-                "requested_worker_model": self.requested_worker_model,
-                "worker_model_fallback": self.worker_model_fallback,
-                "tasks": dict(self._pool_tasks),
-                "queue_depth": self._pool_queue_depth,
-                "worker_pids": sorted(self._worker_pids),
-            }
-
-    def _run_replay_task(
-        self, chains: Mapping[str, tuple[str, ...]]
-    ) -> ReplayTaskResult:
-        """Ship one stripe's chains to the process pool and fold the result.
-
-        The task carries only picklable descriptions (spec, encoder name,
-        chain ids); the worker's per-hop timing observations are replayed
-        into this store's measured-cost index, and provenance (pid, wall
-        span) is recorded for stats and the concurrency tests.
-        """
-        executor = self._get_process_executor()
-        with self._pool_lock:
-            self._pool_queue_depth += 1
-        try:
-            future = executor.submit(
-                replay_task,
-                self.store.backend.spec(),
-                self.encoder.name,
-                dict(chains),
-                max(0, self.cache.capacity),
-            )
-            result = future.result()
-        finally:
-            with self._pool_lock:
-                self._pool_queue_depth -= 1
-        self._count_pool_task("process")
-        with self._pool_lock:
-            self._worker_pids.add(result.pid)
-            self.recent_task_spans.append(
-                (result.pid, result.started, result.finished)
-            )
-            del self.recent_task_spans[:-_SPAN_HISTORY]
-        for object_id, seconds in result.observations:
-            self.store.observe_apply(object_id, seconds)
-        if self._metrics_on:
-            self._m_deltas.inc(
-                sum(outcome.deltas_applied for outcome in result.outcomes)
-            )
-            self._m_bytes.inc(sum(outcome.cost_paid for outcome in result.outcomes))
-        return result
-
-    def _materialize_group_process(
-        self, chains: Mapping[str, tuple[str, ...]]
-    ) -> dict[str, BatchItem]:
-        """Materialize one stripe group via the process pool.
-
-        Tips already warm in the parent's shared cache are served locally
-        (no dispatch at all); the rest travel as one task.  Returned tip
-        payloads re-warm the parent cache, so repeats — from any worker
-        model — hit locally.  Intermediate chain payloads stay in the
-        *worker's* cache only: shipping every intermediate back would cost
-        more in pickling than the replay saved.
-        """
-        items: dict[str, BatchItem] = {}
-        dispatch: dict[str, tuple[str, ...]] = {}
-        for object_id, chain_ids in chains.items():
-            cached = self.cache.get(object_id)
-            if not LRUPayloadCache.is_miss(cached):
-                items[object_id] = BatchItem(
-                    key=object_id,
-                    object_id=object_id,
-                    payload=cached,
-                    chain_length=len(chain_ids) - 1,
-                    predicted_cost=self.store.chain_stats(object_id).phi_total,
-                    recreation_cost=0.0,
-                    deltas_applied=0,
-                    cache_hits=1,
-                )
-            else:
-                dispatch[object_id] = chain_ids
-        if dispatch:
-            result = self._run_replay_task(dispatch)
-            for outcome in result.outcomes:
-                self.cache.put(outcome.object_id, outcome.payload)
-                chain_ids = dispatch[outcome.object_id]
-                items[outcome.object_id] = BatchItem(
-                    key=outcome.object_id,
-                    object_id=outcome.object_id,
-                    payload=outcome.payload,
-                    chain_length=len(chain_ids) - 1,
-                    predicted_cost=self.store.chain_stats(
-                        outcome.object_id
-                    ).phi_total,
-                    recreation_cost=outcome.cost_paid,
-                    deltas_applied=outcome.deltas_applied,
-                    cache_hits=outcome.cache_hits,
-                )
-        return items
+            return executor
 
     def _materialize_union_tree(
         self,
         chains: dict[str, tuple[str, ...]],
-        prefetched: Mapping[str, StoredObject] | None = None,
-        *,
-        parallel_branches: bool = False,
-        observe: Callable[[str, float], None] | None = None,
+        prefetched: Mapping[str, StoredObject],
     ) -> dict[str, BatchItem]:
         """Materialize every requested chain via one DFS over their union.
 
@@ -855,26 +608,14 @@ class BatchMaterializer:
         cache is tiny or disabled; the cache is still consulted (warm
         serving across batches) and re-warmed on the way down.
 
-        With ``parallel_branches`` the walk fans out at fork nodes: the
-        current walker keeps one child and hands every sibling subtree —
-        with its base payload already materialized — to a worker thread.
-        Walkers never wait on each other (only the caller drains them), so
-        a saturated pool degrades to sequential instead of deadlocking,
-        and each union-tree node is still visited exactly once.  Only call
-        it from an unpooled thread.
-
-        ``observe`` receives ``(object_id, seconds)`` for every hop actually
-        replayed (fetch + apply wall time); it defaults to the store's
-        measured Δ/Φ model, and a pool worker passes a collector so its
-        observations travel back to the parent's store.
+        Every hop actually replayed reports its fetch + apply wall time to
+        the store's measured Δ/Φ model.
 
         Per-item accounting charges each node's actually-paid cost to the
         first request (in ``chains`` order) whose chain contains it, so the
         per-item numbers sum to exactly what the batch paid and every item
         stays at or below its Φ prediction.
         """
-        prefetched = prefetched or {}
-        observe = observe if observe is not None else self.store.observe_apply
         # Trim every chain at its deepest cached ancestor, so a warm repeat
         # request replays nothing even when intermediate prefix nodes have
         # been evicted.  The cached payload is captured *now*: puts during
@@ -931,9 +672,6 @@ class BatchMaterializer:
         node_cache_hit: dict[str, bool] = {}
 
         def visit(oid: str, base_payload: Any) -> Any:
-            # Each union-tree node is visited by exactly one walker, so the
-            # per-node dict writes never race; cache and store are
-            # internally locked.
             cached = captured[oid] if oid in captured else self.cache.get(oid)
             if oid in captured or not LRUPayloadCache.is_miss(cached):
                 payload = cached
@@ -955,23 +693,21 @@ class BatchMaterializer:
                     payload = self.encoder.apply(base_payload, obj.payload)
                     node_cost[oid] = obj.payload.recreation_cost
                     node_is_delta_replay[oid] = True
-                observe(oid, time.perf_counter() - started)
+                self.store.observe_apply(oid, time.perf_counter() - started)
                 node_cache_hit[oid] = False
                 self.cache.put(oid, payload)
             if oid in requested:
                 payloads[oid] = payload
             return payload
 
-        roots = children.get(None, [])
-        if parallel_branches and self.max_workers > 1:
-            self._walk_branches_parallel(roots, children, visit)
-        else:
-            stack: list[tuple[str, Any]] = [(root, None) for root in reversed(roots)]
-            while stack:
-                oid, base_payload = stack.pop()
-                payload = visit(oid, base_payload)
-                for child in reversed(children.get(oid, [])):
-                    stack.append((child, payload))
+        stack: list[tuple[str, Any]] = [
+            (root, None) for root in reversed(children.get(None, []))
+        ]
+        while stack:
+            oid, base_payload = stack.pop()
+            payload = visit(oid, base_payload)
+            for child in reversed(children.get(oid, [])):
+                stack.append((child, payload))
 
         if self._metrics_on:
             self._m_deltas.inc(sum(1 for v in node_is_delta_replay.values() if v))
@@ -1008,76 +744,3 @@ class BatchMaterializer:
                 cache_hits=cache_hits,
             )
         return materialized
-
-    def _walk_branches_parallel(
-        self,
-        roots: Sequence[str],
-        children: Mapping[str | None, Sequence[str]],
-        visit: Callable[[str, Any], Any],
-    ) -> None:
-        """Walk the union forest, forking a worker thread per sibling subtree.
-
-        Each walker descends one child at every node and submits the
-        remaining siblings (with the just-materialized base payload) to the
-        thread pool.  Walkers never block on another walker's future — the
-        caller alone drains the growing future list — so walkers cannot
-        deadlock each other however small the pool is.  The caller itself
-        may hold this group's stripe lock while draining, and the pool's
-        workers may be busy with *another* batch's groups blocked on that
-        very stripe — so the drain must not wait on a future that has not
-        started: it cancels queued futures and runs their walks inline,
-        guaranteeing progress whatever the pool is wedged on.  Every error
-        surfaces only after all walkers finished touching the store.
-        """
-        futures: list = []
-        futures_lock = threading.Lock()
-
-        def walk(oid: str, base_payload: Any) -> None:
-            stack: list[tuple[str, Any]] = [(oid, base_payload)]
-            while stack:
-                node, base = stack.pop()
-                payload = visit(node, base)
-                kids = children.get(node, [])
-                if not kids:
-                    continue
-                for sibling in kids[1:]:
-                    with futures_lock:
-                        futures.append(
-                            (
-                                self._get_executor().submit(walk, sibling, payload),
-                                sibling,
-                                payload,
-                            )
-                        )
-                stack.append((kids[0], payload))
-
-        for root in roots[1:]:
-            with futures_lock:
-                futures.append(
-                    (self._get_executor().submit(walk, root, None), root, None)
-                )
-        if roots:
-            walk(roots[0], None)
-        errors: list[BaseException] = []
-        index = 0
-        while True:
-            with futures_lock:
-                if index >= len(futures):
-                    break
-                future, oid, base_payload = futures[index]
-            index += 1
-            if future.cancel():
-                # Still queued — a busy (or wedged) pool never ran it.
-                # Run it here so the drain cannot block behind workers
-                # that are themselves waiting on this caller's locks.
-                try:
-                    walk(oid, base_payload)
-                except BaseException as error:
-                    errors.append(error)
-                continue
-            try:
-                future.result()
-            except BaseException as error:
-                errors.append(error)
-        if errors:
-            raise errors[0]

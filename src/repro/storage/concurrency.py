@@ -8,7 +8,7 @@ small primitives replace that funnel:
 * :class:`StripedLockManager` — a fixed array of re-entrant locks with a
   stable key→stripe mapping.  The serving layer keys stripes by the
   **subtree stripe key** of a delta chain (see
-  :func:`subtree_stripe_keys` and ``ObjectStore.subtree_stripe_key``):
+  ``ObjectStore.subtree_stripe_key``):
   the chain node just below the deepest fork point, which degenerates to
   the chain root for linear chains.  Checkouts of independent chains —
   and of *disjoint subtrees of one fork-heavy root* — proceed in
@@ -40,46 +40,9 @@ import zlib
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
-from typing import Mapping, Sequence
-
 from ..obs.metrics import NULL_INSTRUMENT
 
-__all__ = ["StripedLockManager", "EpochCoordinator", "subtree_stripe_keys"]
-
-
-def subtree_stripe_keys(
-    chains: Mapping[str, Sequence[str]]
-) -> dict[str, str]:
-    """Batch-local stripe key per requested tip, from root-first chains.
-
-    Builds the union forest of the given chains and keys every tip by the
-    chain node just **below the deepest fork point** on its path — the
-    root of the tip's own subtree within this batch.  Tips in disjoint
-    subtrees of a shared root get distinct keys (their replays proceed in
-    parallel under different stripe locks / pool tasks), while tips whose
-    chains genuinely overlap share a key and amortize the shared prefix
-    through one group's cache.  A batch of linear, unrelated chains
-    degenerates to keying by chain root, the pre-subtree behavior.
-
-    Content addressing keeps this safe: when two groups race on a prefix
-    *above* their fork point, each replays it independently and produces
-    byte-identical intermediate payloads — duplicated work at worst,
-    never divergent results.
-    """
-    children: dict[str | None, set[str]] = {}
-    for chain in chains.values():
-        parent: str | None = None
-        for object_id in chain:
-            children.setdefault(parent, set()).add(object_id)
-            parent = object_id
-    keys: dict[str, str] = {}
-    for tip, chain in chains.items():
-        key = chain[0]
-        for index in range(len(chain) - 1):
-            if len(children.get(chain[index], ())) >= 2:
-                key = chain[index + 1]
-        keys[tip] = key
-    return keys
+__all__ = ["StripedLockManager", "EpochCoordinator"]
 
 
 class StripedLockManager:

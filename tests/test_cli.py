@@ -287,7 +287,12 @@ class TestServeSurface:
         }
 
     @pytest.mark.parametrize(
-        "removed", [["--strategy", "dfs"], ["--cache-admission", "cost"]]
+        "removed",
+        [
+            ["--strategy", "dfs"],
+            ["--cache-admission", "cost"],
+            ["--worker-model", "process"],
+        ],
     )
     def test_removed_flags_are_rejected(self, removed, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -306,11 +311,11 @@ class TestServeSurface:
             (lambda **kw: Repository(**kw), ("batch_cache_size", "batch_strategy")),
             (
                 lambda **kw: BatchMaterializer(repo.store, repo.encoder, **kw),
-                ("strategy", "eviction", "admission"),
+                ("strategy", "eviction", "admission", "worker_model"),
             ),
             (
                 lambda **kw: VersionStoreService(repo, **kw),
-                ("strategy", "cache_admission"),
+                ("strategy", "cache_admission", "worker_model"),
             ),
             (lambda **kw: LRUPayloadCache(4, **kw), ("admission",)),
         ]:

@@ -24,6 +24,7 @@ Covers the acceptance properties of the per-chain concurrency refactor:
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import time
@@ -591,6 +592,18 @@ class TestKnobs:
         assert service.materializer.max_workers == 3
         stats = service.stats()["concurrency"]
         assert stats["max_workers"] == 3
+
+    def test_default_workers_count_the_cores_this_process_may_use(self, monkeypatch):
+        from repro.server import service as service_module
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert service_module.default_worker_count() == 1
+        repo, _ = build_independent_chains(num_chains=1, chain_length=2)
+        assert VersionStoreService(repo).max_workers == 1
+        # Platforms without affinity fall back to the machine's count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert service_module.default_worker_count() == 8
 
     def test_single_stripe_single_worker_is_the_baseline(self):
         repo, chains = build_independent_chains(num_chains=2, chain_length=5)

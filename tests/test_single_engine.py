@@ -4,13 +4,14 @@
   ``materialize(o)`` and ``materialize_many([o]).items[o]`` agree on the
   payload, the accounting and the number of ``encoder.apply`` /
   ``backend.get`` calls, across every encoder × backend, cold, warm and
-  half-warm, under both worker models;
+  half-warm, with a pool of 1 and of 4;
 * **flat commit cost** — a commit reads its parent through the warm
   engine, so the backend gets it pays do not grow with chain depth;
 * **one cache** — a serving process has one engine: the service's is the
   repository's, and one ``clear_cache()`` drops everything a swap must;
-* **one path** — a single ``.apply(`` call site under ``storage/`` and no
-  scheduler or cache-policy parameter in any signature.
+* **one path** — a single ``.apply(`` call site under ``storage/``, no
+  scheduler or cache-policy parameter in any signature, and no process
+  pool anywhere under ``src/repro``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,10 @@ def item_facts(item) -> tuple:
 @pytest.mark.parametrize("backend_kind", BACKENDS)
 @pytest.mark.parametrize("encoder_key", sorted(ENCODERS))
 @pytest.mark.parametrize("state", ["cold", "warm", "half-warm"])
-def test_single_checkout_is_a_batch_of_one(encoder_key, backend_kind, state, tmp_path):
+@pytest.mark.parametrize("max_workers", [1, 4])
+def test_single_checkout_is_a_batch_of_one(
+    max_workers, encoder_key, backend_kind, state, tmp_path
+):
     repo, vids = build_forked_repo(encoder_key, backend_spec(backend_kind, tmp_path))
     tip = repo.object_id_of(vids[7])
     warmup = {"cold": None, "warm": vids[7], "half-warm": vids[3]}[state]
@@ -85,7 +89,9 @@ def test_single_checkout_is_a_batch_of_one(encoder_key, backend_kind, state, tmp
     gets = _CallCounter(repo.store.backend, "get")
 
     def run(call) -> tuple:
-        engine = BatchMaterializer(repo.store, repo.encoder, cache_size=64)
+        engine = BatchMaterializer(
+            repo.store, repo.encoder, cache_size=64, max_workers=max_workers
+        )
         if warmup is not None:
             engine.materialize(repo.object_id_of(warmup))
         applies.calls = gets.calls = 0
@@ -105,25 +111,6 @@ def test_single_checkout_is_a_batch_of_one(encoder_key, backend_kind, state, tmp
     elif chain_length:  # "command" deltas never beat a full copy here
         assert 0 < deltas < chain_length and fetched == deltas
         assert 0.0 < paid < predicted
-
-
-@pytest.mark.slow
-def test_single_checkout_is_a_batch_of_one_in_the_process_model(tmp_path):
-    repo, vids = build_forked_repo("line", f"file://{tmp_path}/objects")
-    tip = repo.object_id_of(vids[7])
-
-    def run(call) -> tuple:
-        with BatchMaterializer(
-            repo.store, repo.encoder, max_workers=1, worker_model="process"
-        ) as engine:
-            assert engine.worker_model == "process"
-            return item_facts(call(engine))
-
-    single = run(lambda engine: engine.materialize(tip))
-    batch = run(lambda engine: engine.materialize_many([tip]).items[tip])
-    assert single == batch
-    assert single[0] == repo.checkout(vids[7], record_stats=False).payload
-    assert single[2] == single[4] == 7  # cold worker: the whole chain replayed
 
 
 # --------------------------------------------------------------------- #
@@ -194,6 +181,21 @@ def test_exactly_one_apply_call_site_in_storage():
     ]
     assert len(sites) == 1 and sites[0].startswith("batch.py:"), sites
     assert not (SRC / "storage" / "materializer.py").exists()
+
+
+def test_replay_never_leaves_the_serving_process():
+    """No process pool under ``src/repro``: more cores means more serving
+    processes (the ``--frontend-procs`` acceptors ``os.fork``), never
+    replay shipped elsewhere."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if "multiprocessing" in line or "ProcessPoolExecutor" in line
+    ]
+    assert offenders == []
+    for gone in ("storage/replay_worker.py", "delta/simulated.py", "delta/registry.py"):
+        assert not (SRC / gone).exists()
 
 
 def test_no_scheduler_or_cache_policy_parameter_in_any_signature():
