@@ -95,17 +95,13 @@ def open_workload_log(
     lives in the catalog itself (one transactional home for all metadata,
     shared by every process on the store) instead of a sidecar file.
     """
+    options = {} if half_life is None else {"half_life": half_life}
     catalog = getattr(repo, "catalog", None) if repo is not None else None
     if catalog is not None:
         from .storage.catalog import CatalogWorkloadLog
 
-        if half_life is not None:
-            return CatalogWorkloadLog(catalog, half_life=half_life)
-        return CatalogWorkloadLog(catalog)
-    path = os.path.join(directory, _WORKLOAD_FILE)
-    if half_life is not None:
-        return WorkloadLog(path, half_life=half_life)
-    return WorkloadLog(path)
+        return CatalogWorkloadLog(catalog, **options)
+    return WorkloadLog(os.path.join(directory, _WORKLOAD_FILE), **options)
 
 
 def _resolve_backend_spec(spec: str, directory: str) -> str:
@@ -538,7 +534,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     repo = load_repository(args.repository)
     instance = repo.problem_instance(hop_limit=args.hop_limit)
-    threshold = _resolve_threshold(args, instance)
+    threshold = default_threshold(
+        instance, args.problem, threshold=args.threshold, factor=args.threshold_factor
+    )
     result = solve(instance, args.problem, threshold=threshold)
     print(
         format_table(
@@ -575,73 +573,40 @@ def _flatten_report(report: dict, prefix: str = "") -> list[list[str]]:
 
 
 def _cmd_repack(args: argparse.Namespace) -> int:
+    """Repack through ``VersionStoreService.repack`` — a running server's
+    over HTTP, or an in-process one over the repository directory — so
+    both report the same table and land in the same decision log."""
+    options = {
+        "problem": args.problem,
+        "threshold": args.threshold,
+        "threshold_factor": args.threshold_factor,
+        "hop_limit": args.hop_limit,
+        "half_life": args.half_life,
+        "dry_run": args.dry_run,
+    }
+    use_workload = args.workload or args.half_life is not None
     if _is_remote(args.repository):
         from .server.remote import ServiceClient
 
-        options: dict = {
-            "problem": args.problem,
-            "hop_limit": args.hop_limit,
-            "workload": args.workload or args.half_life is not None,
-            "dry_run": args.dry_run,
-        }
-        if args.threshold is not None:
-            options["threshold"] = args.threshold
-        if args.threshold_factor is not None:
-            options["threshold_factor"] = args.threshold_factor
-        if args.half_life is not None:
-            options["half_life"] = args.half_life
-        report = ServiceClient(args.repository).repack(**options)
-        print(format_table(["metric", "value"], _flatten_report(report)))
-        return 0
+        report = ServiceClient(args.repository).repack(workload=use_workload, **options)
+    else:
+        from .server.service import VersionStoreService
 
-    repo = load_repository(args.repository)
-    frequencies: dict = {}
-    if args.workload or args.half_life is not None:
-        log = open_workload_log(args.repository, half_life=args.half_life, repo=repo)
-        if args.half_life is not None:
-            # The decaying view: recent traffic outweighs all-time counts.
-            frequencies = log.decayed_frequencies(repo.graph.version_ids)
-        else:
-            frequencies = log.frequencies(repo.graph.version_ids)
-        if not frequencies:
-            print("workload log is empty; planning against a uniform workload")
-    instance = repo.problem_instance(
-        access_frequencies=frequencies or None, hop_limit=args.hop_limit
-    )
-    threshold = _resolve_threshold(args, instance)
-    result = solve(instance, args.problem, threshold=threshold)
-    if args.dry_run:
-        metrics = result.metrics
-        print(
-            format_table(
-                ["metric", "value"],
-                [
-                    ["problem", args.problem],
-                    ["algorithm", result.algorithm],
-                    ["workload aware", str(bool(frequencies))],
-                    ["storage cost", f"{metrics.storage_cost:.1f}"],
-                    ["sum recreation", f"{metrics.sum_recreation:.1f}"],
-                    ["weighted recreation", f"{metrics.weighted_recreation:.1f}"],
-                    ["materialized versions", metrics.num_materialized],
-                ],
-            )
+        repo = load_repository(args.repository)
+        service = VersionStoreService(
+            repo,
+            on_commit=lambda repository: save_repository(repository, args.repository),
+            # Opened at the requested half-life: a catalog-backed log can
+            # only serve the decayed view it maintains.
+            workload_log=open_workload_log(
+                args.repository, half_life=args.half_life, repo=repo
+            ),
         )
-        print("dry run: plan not applied")
-        return 0
-    from .storage.repack import OnlineRepacker, expected_workload_cost
-
-    expected_before = expected_workload_cost(repo, frequencies or None)
-    report = OnlineRepacker(repo).repack(result.plan)
-    expected_after = expected_workload_cost(repo, frequencies or None)
-    save_repository(repo, args.repository)
-    report["expected_cost_before"] = expected_before["per_request"]
-    report["expected_cost_after"] = expected_after["per_request"]
-    print(
-        format_table(
-            ["metric", "value"],
-            [[key, f"{value:.1f}"] for key, value in report.items()],
-        )
-    )
+        try:
+            report = service.repack(use_workload=use_workload, **options)
+        finally:
+            service.close()
+    print(format_table(["metric", "value"], _flatten_report(report)))
     return 0
 
 
@@ -778,10 +743,6 @@ def _serve_once(
     from .server.httpd import serve
     from .server.service import VersionStoreService
 
-    if args.adaptive_repack and args.repack_budget is not None:
-        raise ReproError(
-            "--adaptive-repack replaces --repack-budget; arm one policy, not both"
-        )
     repo = load_repository(args.repository)
     log_sink = None
     if getattr(args, "log_json", None):
@@ -814,7 +775,6 @@ def _serve_once(
         # workload survives restarts and feeds `repro repack --workload`.
         workload_log=open_workload_log(args.repository, repo=repo),
         max_workers=args.workers,
-        repack_budget=args.repack_budget,
         auto_repack_interval=args.repack_interval,
         adaptive_repack=args.adaptive_repack,
         repack_horizon=args.repack_horizon,
@@ -850,16 +810,6 @@ def _serve_once(
                 file=sys.stderr,
             )
     return 0
-
-
-def _resolve_threshold(args: argparse.Namespace, instance) -> float | None:
-    """Turn --threshold / --threshold-factor into an absolute bound."""
-    return default_threshold(
-        instance,
-        args.problem,
-        threshold=getattr(args, "threshold", None),
-        factor=getattr(args, "threshold_factor", None),
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -1003,19 +953,12 @@ def build_parser() -> argparse.ArgumentParser:
         "own caches and worker pool; default: 1)",
     )
     serve.add_argument(
-        "--repack-budget",
-        type=float,
-        default=None,
-        help="auto-repack when the expected recreation cost per request "
-        "(priced from the incremental cost index) exceeds this budget",
-    )
-    serve.add_argument(
         "--adaptive-repack",
         action="store_true",
-        help="replace the fixed budget with the adaptive controller: "
-        "repack when the warm decayed expected cost leaves the hysteresis "
-        "band around the learned baseline AND the staging cost is recouped "
-        "within --repack-horizon requests",
+        help="arm the adaptive repack controller: repack when the warm "
+        "decayed expected cost leaves the hysteresis band around the "
+        "learned baseline AND the staging cost is recouped within "
+        "--repack-horizon requests",
     )
     serve.add_argument(
         "--repack-horizon",

@@ -76,7 +76,7 @@ from urllib.parse import parse_qs, urlparse
 
 from ..exceptions import LeaseError, ReproError, VersionNotFoundError
 from ..obs import Trace
-from .service import VersionStoreService
+from .service import PLAN_OPTIONS, VersionStoreService
 
 __all__ = [
     "VersionStoreHTTPServer",
@@ -89,6 +89,11 @@ __all__ = [
 #: Maximum accepted request body (64 MiB) — a plain guard against a
 #: misbehaving client exhausting server memory with one request.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+def _plan_options(body: dict[str, Any]) -> dict[str, Any]:
+    """The plan knobs a body sets, passed on unconverted: the service checks
+    them before any scan and answers a malformed one with a 400."""
+    return {key: body[key] for key in PLAN_OPTIONS if key in body}
 
 
 class VersionStoreHTTPServer(ThreadingHTTPServer):
@@ -383,13 +388,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return True
             if parts == ["plan"]:
                 body = self._read_json()
-                report = self.service.plan(
-                    problem=int(body.get("problem", 3)),
-                    threshold=body.get("threshold"),
-                    threshold_factor=body.get("threshold_factor"),
-                    hop_limit=int(body.get("hop_limit", 2)),
-                    algorithm=body.get("algorithm", "auto"),
-                )
+                report = self.service.plan(**_plan_options(body))
                 self._send_json(200, report)
                 return True
             if parts == ["repack"]:
@@ -409,26 +408,12 @@ class _Handler(BaseHTTPRequestHandler):
                             "combine 'dry_run' with a plain repack, or read "
                             "the controller state from /stats"
                         )
-                    options: dict[str, Any] = {}
-                    if "problem" in body:
-                        options["problem"] = int(body["problem"])
-                    if "hop_limit" in body:
-                        options["hop_limit"] = int(body["hop_limit"])
-                    for key in ("threshold", "threshold_factor"):
-                        if body.get(key) is not None:
-                            options[key] = float(body[key])
-                    if "algorithm" in body:
-                        options["algorithm"] = str(body["algorithm"])
-                    report = self.service.adaptive_repack_cycle(**options)
+                    report = self.service.adaptive_repack_cycle(**_plan_options(body))
                     self._send_json(200, report)
                     return True
                 half_life = body.get("half_life")
                 report = self.service.repack(
-                    problem=int(body.get("problem", 3)),
-                    threshold=body.get("threshold"),
-                    threshold_factor=body.get("threshold_factor"),
-                    hop_limit=int(body.get("hop_limit", 2)),
-                    algorithm=body.get("algorithm", "auto"),
+                    **_plan_options(body),
                     use_workload=bool(body.get("workload", True)),
                     half_life=float(half_life) if half_life is not None else None,
                     dry_run=bool(body.get("dry_run", False)),

@@ -34,20 +34,20 @@ that process's core, independent of any transport:
   the coordinator entirely (raw ``/objects`` writers are the operator's
   responsibility during a repack).  Only the swap takes the exclusive
   barrier, and the swap prices everything from the store's incremental
-  cost index, so the write pause is the swap window alone;
-* an optional **auto-repack policy** (``repack_budget``): when the
-  index-priced ``expected_recreation_cost`` per request drifts above the
-  budget, a background repack is triggered automatically — the first step
-  toward a self-optimizing store;
+  cost index, so the write pause is the swap window alone.  Every repack —
+  ``POST /repack``, the local ``repro repack DIR`` and the controller's —
+  runs through that one method;
 * a **warm cost model**: the same per-chain ``ChainStats`` that price
   repacks are combined with the live cache contents, so
   ``stats()['workload']['expected_recreation_cost']['warm']`` reports the
   Σf·Φ each request will *actually* pay right now, and the serving
   cache evicts by that marginal-cost metric instead of raw LRU;
-* an **adaptive repack controller** (``adaptive_repack=True``) replacing
-  the fixed budget: hysteresis band around a learned baseline, decayed
+* an **adaptive repack controller** (``adaptive_repack=True``), the one
+  automatic trigger: hysteresis band around a learned baseline, decayed
   workload trend, and an amortization horizon — the store repacks itself
-  exactly when a repack pays for itself, and stands down otherwise.
+  exactly when a repack pays for itself, and stands down otherwise.  An
+  absolute recreation ceiling is a plan constraint (Problem 6 with a
+  ``threshold``), not a trigger.
 
 The HTTP transport lives in :mod:`repro.server.httpd`; this class is also
 usable directly in-process (the serving benchmark does exactly that).
@@ -61,7 +61,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from ..core.problems import default_threshold, solve
+from ..core.problems import Algorithm, ProblemKind, default_threshold, solve
 from ..core.version import VersionID
 from ..exceptions import (
     LeaseFencedError,
@@ -95,6 +95,46 @@ def default_worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
+
+
+def _non_negative(number: Any) -> Any:
+    if not number >= 0:  # NaN fails the comparison too
+        raise ValueError(number)
+    return number
+
+
+_PLAN_OPTION_CHECKS: dict[str, Callable[[Any], Any]] = {
+    "problem": lambda value: int(ProblemKind(int(value))),
+    "threshold": lambda value: _non_negative(float(value)),
+    "threshold_factor": lambda value: _non_negative(float(value)),
+    "hop_limit": lambda value: _non_negative(int(value)),
+    "algorithm": lambda value: Algorithm(value).value,
+}
+
+#: The plan knobs of :meth:`VersionStoreService.plan`, ``repack`` and
+#: ``adaptive_repack_cycle`` — the keys the HTTP layer forwards from a body.
+PLAN_OPTIONS = tuple(_PLAN_OPTION_CHECKS)
+
+
+def _check_plan_options(**options: Any) -> dict[str, Any]:
+    """The plan knobs, converted, or a :class:`ReproError` (HTTP 400, CLI
+    exit 1) for a malformed one.
+
+    Measuring the cost model is a full payload scan, and a repack holds the
+    write gate through it, so the knobs are checked before any scan instead
+    of by the solver afterwards.  An unset threshold stays ``None``: it is
+    resolved from the instance at solve time.
+    """
+    checked: dict[str, Any] = {}
+    for name, value in options.items():
+        if value is None and name in ("threshold", "threshold_factor"):
+            checked[name] = None
+            continue
+        try:
+            checked[name] = _PLAN_OPTION_CHECKS[name](value)
+        except (TypeError, ValueError):
+            raise ReproError(f"invalid plan option {name}={value!r}") from None
+    return checked
 
 
 @dataclass(frozen=True)
@@ -224,24 +264,16 @@ class VersionStoreService:
     but slow callbacks stall requests for their duration; the CLI uses it
     to persist the repository state file.
 
-    ``repack_budget`` arms the auto-repack policy: every
-    ``auto_repack_interval`` checkouts the service prices the logged
-    workload against the current encoding via the store's cost index, and
-    when the expected recreation cost per request exceeds the budget it
-    triggers a workload-aware repack on a background thread.  If even the
-    fresh epoch cannot meet the budget, the policy stands down until the
-    next commit changes the store.
-
-    ``adaptive_repack`` replaces that fixed budget with an
-    :class:`~repro.storage.repack.AdaptiveRepackController`: evaluations
-    (same ``auto_repack_interval`` cadence, on a background thread) price
-    the *warm decayed* expected cost — what requests actually pay given
-    the live cache, weighted toward recent traffic — against a baseline
-    the controller learns from its own repacks, with a hysteresis band
-    against thrash and an amortization gate (``repack_horizon`` requests)
-    against repacks that cost more than they save.  The two policies are
-    mutually exclusive.  :meth:`adaptive_repack_cycle` runs one evaluation
-    synchronously (the ``POST /repack {"adaptive": true}`` surface).
+    ``adaptive_repack`` arms the background repack policy, an
+    :class:`~repro.storage.repack.AdaptiveRepackController`: every
+    ``auto_repack_interval`` checkouts an evaluation on a background thread
+    prices the *warm decayed* expected cost — what requests actually pay
+    given the live cache, weighted toward recent traffic — against a
+    baseline the controller learns from its own repacks, with a hysteresis
+    band against thrash and an amortization gate (``repack_horizon``
+    requests) against repacks that cost more than they save.
+    :meth:`adaptive_repack_cycle` runs one evaluation synchronously (the
+    ``POST /repack {"adaptive": true}`` surface).
     """
 
     def __init__(
@@ -253,7 +285,6 @@ class VersionStoreService:
         workload_log: WorkloadLog | None = None,
         max_workers: int | None = None,
         lock_stripes: int = 64,
-        repack_budget: float | None = None,
         auto_repack_interval: int = 32,
         adaptive_repack: bool = False,
         repack_horizon: float = 1000.0,
@@ -265,10 +296,6 @@ class VersionStoreService:
         lease_ttl: float = 10.0,
         lease_renew: float | None = None,
     ) -> None:
-        if adaptive_repack and repack_budget is not None:
-            raise ValueError(
-                "adaptive_repack replaces repack_budget; arm one policy, not both"
-            )
         if replica_id is not None and getattr(repository, "catalog", None) is None:
             raise ValueError(
                 "replica groups need a shared metadata catalog: serve the "
@@ -317,13 +344,12 @@ class VersionStoreService:
         self._write_gate = threading.Lock()
         self._inflight: dict[VersionID, _Inflight] = {}
         # Auto-repack policy state (all guarded by _state_lock).
-        self.repack_budget = repack_budget
         self.auto_repack_interval = max(1, int(auto_repack_interval))
         self.repack_horizon = float(repack_horizon)
         # _adaptive_armed gates the *background* policy: a controller
         # created lazily by an operator's synchronous cycle must not start
-        # firing repacks from the request path (nor displace a configured
-        # fixed-budget policy) — only the constructor flag arms that.
+        # firing repacks from the request path — only the constructor flag
+        # arms that.  _closed is set once by close() and never cleared.
         self._adaptive_armed = bool(adaptive_repack)
         self.controller = (
             AdaptiveRepackController(horizon=self.repack_horizon)
@@ -332,7 +358,7 @@ class VersionStoreService:
         )
         self._auto_last_check = 0
         self._auto_repack_running = False
-        self._auto_repack_suppressed = False
+        self._closed = False
         self._auto_repack_error: str | None = None
         # A catalog remembers the controller's learned baseline across
         # restarts: what the store's cost structure looks like is a
@@ -581,9 +607,6 @@ class VersionStoreService:
                     self._on_commit(self.repository)
                 with self._state_lock:
                     self.stats_counters.commits += 1
-                    # The store changed shape: give the auto-repack policy
-                    # another shot even if the last epoch missed the budget.
-                    self._auto_repack_suppressed = False
                 if self.controller is not None:
                     self.controller.note_commit()
                     self._persist_controller_state()
@@ -829,7 +852,6 @@ class VersionStoreService:
             }
             repack = {
                 "epoch": self.repacker.epoch,
-                "budget": self.repack_budget,
                 "horizon": self.repack_horizon,
                 "auto_repacks": serving["auto_repacks"],
                 "auto_repack_error": auto_error,
@@ -880,16 +902,29 @@ class VersionStoreService:
         the duration.  The plan is *not* applied; use :meth:`repack` to
         apply one online.
         """
+        options = _check_plan_options(
+            problem=problem,
+            threshold=threshold,
+            threshold_factor=threshold_factor,
+            hop_limit=hop_limit,
+            algorithm=algorithm,
+        )
         if len(self.repository) == 0:
             raise ReproError("cannot plan over an empty repository")
+        problem = options["problem"]
         with self.coordinator.shared():
-            instance = self.repository.problem_instance(hop_limit=hop_limit)
+            instance = self.repository.problem_instance(hop_limit=options["hop_limit"])
         resolved = default_threshold(
-            instance, problem, threshold=threshold, factor=threshold_factor
+            instance,
+            problem,
+            threshold=options["threshold"],
+            factor=options["threshold_factor"],
         )
-        result = solve(instance, problem, threshold=resolved, algorithm=algorithm)
+        result = solve(
+            instance, problem, threshold=resolved, algorithm=options["algorithm"]
+        )
         return {
-            "problem": int(problem),
+            "problem": problem,
             "algorithm": result.algorithm,
             "threshold": resolved,
             "metrics": {
@@ -950,21 +985,25 @@ class VersionStoreService:
         expensive plan is solved exactly once per decision).  Returns a
         JSON-ready report either way; ``"applied"`` records whether the
         store was actually re-encoded.  ``mode`` only labels the decision
-        record (``manual`` / ``budget`` / ``adaptive``).
+        record (``manual`` / ``adaptive``).  The plan knobs are checked
+        before anything else, so a malformed one costs no scan.
 
         In a replica group, only the planner-lease holder may repack (dry
         runs are read-only and stay allowed everywhere); everyone else
         gets :class:`~repro.exceptions.NotLeaseHolderError` (HTTP 409)
         and should retry against the holder named in ``/stats``.
         """
-        if not dry_run:
-            self._require_lease_holder("repack")
-        report = self._repack_locked(
+        options = _check_plan_options(
             problem=problem,
             threshold=threshold,
             threshold_factor=threshold_factor,
             hop_limit=hop_limit,
             algorithm=algorithm,
+        )
+        if not dry_run:
+            self._require_lease_holder("repack")
+        report = self._repack_locked(
+            **options,
             use_workload=use_workload,
             half_life=half_life,
             dry_run=dry_run,
@@ -1249,7 +1288,7 @@ class VersionStoreService:
         its own ``on_commit`` persists consistent state when it completes.
         """
         with self._state_lock:
-            self._auto_repack_suppressed = True
+            self._closed = True
         # Release the planner lease first: a clean shutdown should hand
         # planning to a peer immediately instead of making the group wait
         # a TTL for the dead holder to expire.
@@ -1295,6 +1334,7 @@ class VersionStoreService:
         a cycle; other replicas raise
         :class:`~repro.exceptions.NotLeaseHolderError`.
         """
+        plan_options = _check_plan_options(**plan_options)
         self._require_lease_holder("adaptive repack cycle")
         with self._state_lock:
             if self.controller is None:
@@ -1445,90 +1485,39 @@ class VersionStoreService:
     # auto-repack policy
     # ------------------------------------------------------------------ #
     def _maybe_auto_repack(self) -> None:
-        """Trigger a background repack when the armed policy says so.
+        """Start a background adaptive evaluation when one is due.
 
         Called at the end of every served request, outside all locks, and
-        rate-limited to once every ``auto_repack_interval`` requests.  With
-        a fixed ``repack_budget`` the check prices the logged workload from
-        the cost index inline; with the adaptive controller the whole
-        evaluation (it may solve a plan) runs on a background thread.  A
-        failing policy check must never fail the request that triggered it
-        (the checkout already succeeded), so every error is swallowed into
-        the stats instead of raised.
+        rate-limited to once every ``auto_repack_interval`` requests; the
+        evaluation itself (it may solve a plan) runs on a background
+        thread.  A worker that fails to start must never fail the request
+        that triggered it (the checkout already succeeded), so that error
+        is recorded in the stats instead of raised.
         """
-        if self.repack_budget is None and not self._adaptive_armed:
+        if not self._adaptive_armed:
             return
         # Replica groups: the background policy runs only on the lease
         # holder.  Non-holders keep serving (and keep folding traffic into
         # the shared workload log, which the holder plans against).
         if self.lease is not None and not self.lease.is_holder:
             return
-        try:
-            with self._state_lock:
-                total = self.stats_counters.checkout_requests
-                if total - self._auto_last_check < self.auto_repack_interval:
-                    return
-                self._auto_last_check = total
-                if self._auto_repack_running or self._auto_repack_suppressed:
-                    return
-                if self._adaptive_armed:
-                    self._auto_repack_running = True
-        except Exception as error:  # pragma: no cover - defensive
-            self._note_policy_error("auto_repack_check", error)
-            return
-        if self._adaptive_armed:
-            self._start_policy_worker(
-                self._adaptive_repack_worker, "repro-adaptive-repack"
-            )
-            return
-        try:
-            with self.coordinator.shared():
-                if len(self.repository) == 0:
-                    return
-                frequencies = self.workload_log.frequencies(
-                    self.repository.graph.version_ids
-                )
-                expected = expected_workload_cost(
-                    self.repository, frequencies or None
-                )
-            if expected["per_request"] <= self.repack_budget:
+        with self._state_lock:
+            total = self.stats_counters.checkout_requests
+            if total - self._auto_last_check < self.auto_repack_interval:
                 return
-            with self._state_lock:
-                if self._auto_repack_running or self._auto_repack_suppressed:
-                    return
-                self._auto_repack_running = True
-        except Exception as error:
-            self._note_policy_error("budget_check", error)
-            return
-        self._start_policy_worker(self._auto_repack_worker, "repro-auto-repack")
-
-    def _start_policy_worker(self, target: Callable[[], None], name: str) -> None:
-        """Spawn a policy worker; a failed start must release the running
-        flag (set by the caller under the state lock) or the policy would
-        be wedged off for the rest of the process."""
+            self._auto_last_check = total
+            if self._auto_repack_running or self._closed:
+                return
+            self._auto_repack_running = True
         try:
-            threading.Thread(target=target, name=name, daemon=True).start()
+            threading.Thread(
+                target=self._adaptive_repack_worker,
+                name="repro-adaptive-repack",
+                daemon=True,
+            ).start()
         except Exception as error:  # pragma: no cover - resource exhaustion
+            # A failed start must release the running flag, or the policy
+            # would be wedged off for the rest of the process.
             with self._state_lock:
                 self._auto_repack_running = False
             self._note_policy_error("policy_worker_start", error)
-
-    def _auto_repack_worker(self) -> None:
-        try:
-            report = self.repack(use_workload=True, mode="budget")
-            after = report.get("expected_cost_after", {}).get("per_request", 0.0)
-            with self._state_lock:
-                self.stats_counters.auto_repacks += 1
-                self._auto_repack_error = None
-                if after > self.repack_budget:
-                    # Even the fresh epoch misses the budget: stand down
-                    # until a commit changes the store, else every interval
-                    # would trigger another futile repack.
-                    self._auto_repack_suppressed = True
-        except Exception as error:  # pragma: no cover - defensive
-            with self._state_lock:
-                self._auto_repack_suppressed = True
-            self._note_policy_error("budget_worker", error)
-        finally:
-            with self._state_lock:
-                self._auto_repack_running = False

@@ -34,14 +34,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
 from ..core.instance import ROOT
-from ..core.problems import SolveResult, default_threshold, solve
 from ..core.storage_plan import StoragePlan
 from ..core.version import VersionID
 from ..exceptions import (
     InvalidStoragePlanError,
     LeaseFencedError,
     ObjectNotFoundError,
-    ReproError,
     SnapshotConflictError,
 )
 from .batch import BatchMaterializer
@@ -301,9 +299,8 @@ class StagingCostCalibration:
 class AdaptiveRepackController:
     """Decides *when* an online repack is worth firing — and when it isn't.
 
-    The fixed-budget policy repacks whenever expected cost exceeds a
-    number the operator guessed up front.  This controller tunes itself to
-    traffic instead, judging the *warm decayed* expected cost per request
+    The controller tunes itself to traffic rather than to a number guessed
+    up front, judging the *warm decayed* expected cost per request
     (what requests actually pay given the live cache, weighted toward
     recent traffic) against a baseline it learns:
 
@@ -690,11 +687,11 @@ class StagedRepack:
 class OnlineRepacker:
     """Re-encodes a repository according to a storage plan, epoch by epoch.
 
-    One instance owns the repack lifecycle of one repository: it computes
-    plans (optionally workload-aware), stages new encodings concurrently
-    with readers, and performs the exclusive swap.  ``lock`` serializes
-    whole repacks — hold it across a ``rebuild``/``swap`` pair so two
-    operators cannot interleave epochs.
+    One instance owns the repack lifecycle of one repository: given a plan
+    (solved by :meth:`~repro.server.service.VersionStoreService.repack`),
+    it stages the new encoding concurrently with readers and performs the
+    exclusive swap.  ``lock`` serializes whole repacks — hold it across a
+    ``rebuild``/``swap`` pair so two operators cannot interleave epochs.
     """
 
     def __init__(self, repository: "Repository", *, payload_cache_size: int = 64) -> None:
@@ -712,36 +709,6 @@ class OnlineRepacker:
         between processes.
         """
         return self.repository.epoch
-
-    # ------------------------------------------------------------------ #
-    # planning
-    # ------------------------------------------------------------------ #
-    def compute_plan(
-        self,
-        *,
-        problem: int = 3,
-        threshold: float | None = None,
-        threshold_factor: float | None = None,
-        hop_limit: int = 2,
-        algorithm: str = "auto",
-        frequencies: Mapping[VersionID, float] | None = None,
-    ) -> SolveResult:
-        """Solve for a new storage plan over the repository's live payloads.
-
-        ``frequencies`` makes the plan workload-aware: the optimizers weight
-        each version's recreation cost by its observed access frequency
-        (Figure 16), so hot versions end up materialized or on short chains.
-        """
-        if len(self.repository) == 0:
-            raise ReproError("cannot repack an empty repository")
-        instance = self.repository.problem_instance(
-            access_frequencies=dict(frequencies) if frequencies else None,
-            hop_limit=hop_limit,
-        )
-        resolved = default_threshold(
-            instance, problem, threshold=threshold, factor=threshold_factor
-        )
-        return solve(instance, problem, threshold=resolved, algorithm=algorithm)
 
     # ------------------------------------------------------------------ #
     # phase 1: concurrent-reader-safe staging

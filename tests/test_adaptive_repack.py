@@ -301,11 +301,6 @@ class TestAdaptiveServiceLoop:
         assert service.repacker.epoch == 1
         service.close()
 
-    def test_adaptive_and_budget_policies_are_mutually_exclusive(self):
-        repo, _ = build_independent_chains(num_chains=2, chain_length=3)
-        with pytest.raises(ValueError, match="one policy"):
-            VersionStoreService(repo, adaptive_repack=True, repack_budget=100.0)
-
     def test_cycle_is_reentrant_safe(self):
         service, repo, chains = build_service()
         with service._state_lock:
@@ -437,18 +432,3 @@ class TestCLIKnobs:
         assert args.adaptive_repack is False
         assert args.repack_horizon == 1000.0
         assert args.repack_interval == 32
-
-    def test_both_policies_rejected(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "serve",
-                str(tmp_path),
-                "--adaptive-repack",
-                "--repack-budget",
-                "100",
-            ]
-        )
-        assert code == 1
-        assert "one policy" in capsys.readouterr().err

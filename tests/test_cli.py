@@ -292,6 +292,7 @@ class TestServeSurface:
             ["--strategy", "dfs"],
             ["--cache-admission", "cost"],
             ["--worker-model", "process"],
+            ["--repack-budget", "1"],
         ],
     )
     def test_removed_flags_are_rejected(self, removed, capsys):
@@ -315,7 +316,7 @@ class TestServeSurface:
             ),
             (
                 lambda **kw: VersionStoreService(repo, **kw),
-                ("strategy", "cache_admission", "worker_model"),
+                ("strategy", "cache_admission", "worker_model", "repack_budget"),
             ),
             (lambda **kw: LRUPayloadCache(4, **kw), ("admission",)),
         ]:

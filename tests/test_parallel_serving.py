@@ -15,11 +15,10 @@ Covers the acceptance properties of the per-chain concurrency refactor:
 * **repack during parallel serving** — concurrent readers across
   independent chains never observe a wrong byte while epochs swap under
   them;
-* **auto-repack policy** — `repack_budget` triggers a background
-  workload-aware repack when the index-priced expected recreation cost
-  exceeds the budget;
-* **knob plumbing** — `repro serve --workers/--repack-budget` and the
-  batched union-tree replay over a remote backend.
+* **no policy unless armed** — a service without `adaptive_repack` never
+  repacks on its own;
+* **knob plumbing** — `repro serve --workers` and the batched union-tree
+  replay over a remote backend.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ import time
 import pytest
 
 from repro.cli import build_parser
+from repro.core.problems import solve
 from repro.delta.cell_diff import CellDiffEncoder
 from repro.delta.command_delta import CommandDeltaEncoder
 from repro.delta.compression import CompressedEncoder
@@ -343,8 +343,7 @@ class TestCostIndexParity:
 
     def test_index_survives_repack(self, encoder_key, backend_kind, tmp_path):
         repo, vids = self._build(encoder_key, backend_kind, tmp_path)
-        repacker = OnlineRepacker(repo)
-        repacker.repack(repacker.compute_plan(problem=1).plan)
+        OnlineRepacker(repo).repack(solve(repo.problem_instance(), 1).plan)
         for vid in vids:
             stats = repo.chain_stats(vid)
             phi, deltas = self._full_scan_cost(repo, vid)
@@ -528,57 +527,36 @@ class TestRepackDuringParallelServing:
 # auto-repack policy
 # --------------------------------------------------------------------- #
 class TestAutoRepack:
-    def test_budget_triggers_background_repack(self):
-        repo, chains = build_independent_chains(num_chains=1, chain_length=20)
-        vids = chains[0]
-        # Tiny budget + per-request checks: the first expensive checkout
-        # stream must push expected cost over the line and trigger a
-        # workload-aware repack in the background.
-        service = VersionStoreService(
-            repo,
-            cache_size=0,
-            repack_budget=1.0,
-            auto_repack_interval=1,
-        )
-        deadline = time.monotonic() + 30
-        while service.repacker.epoch == 0 and time.monotonic() < deadline:
-            service.checkout(vids[-1])
-            time.sleep(0.01)
-        assert service.repacker.epoch >= 1
-        # Wait for the worker to finish recording before asserting stats.
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            repack_stats = service.stats()["repack"]
-            if repack_stats["auto_repacks"] >= 1:
-                break
-            time.sleep(0.01)
-        assert repack_stats["auto_repacks"] >= 1
-        assert repack_stats["budget"] == 1.0
-        assert repack_stats["auto_repack_error"] is None
-        # Serving is still byte-identical after the policy fired.
-        expected = repo.checkout(vids[-1], record_stats=False).payload
-        assert service.checkout(vids[-1]).payload == expected
-
-    def test_no_budget_means_no_policy(self):
+    def test_unarmed_service_never_repacks(self):
         repo, chains = build_independent_chains(num_chains=1, chain_length=6)
-        service = VersionStoreService(repo, cache_size=0)
+        service = VersionStoreService(repo, cache_size=0, auto_repack_interval=1)
         for _ in range(5):
             service.checkout(chains[0][-1])
         assert service.repacker.epoch == 0
-        assert service.stats()["repack"]["budget"] is None
+        assert service.stats()["serving"]["auto_repacks"] == 0
+
+    def test_a_commit_after_close_does_not_rearm_the_policy(self):
+        repo, chains = build_independent_chains(num_chains=2, chain_length=6)
+        service = VersionStoreService(
+            repo, cache_size=1, adaptive_repack=True, auto_repack_interval=1
+        )
+        assert service.close() is True
+        before = service.controller.evaluations
+        service.commit(["after", "close"])
+        for step in range(40):
+            service.checkout(chains[step % 2][-1])
+        time.sleep(0.2)  # a background evaluation, had one started, runs now
+        assert service.controller.evaluations == before
+        assert service.repacker.epoch == 0
 
 
 # --------------------------------------------------------------------- #
 # knob plumbing
 # --------------------------------------------------------------------- #
 class TestKnobs:
-    def test_serve_parser_accepts_workers_and_budget(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["serve", "repo", "--workers", "4", "--repack-budget", "1500"]
-        )
+    def test_serve_parser_accepts_workers(self):
+        args = build_parser().parse_args(["serve", "repo", "--workers", "4"])
         assert args.workers == 4
-        assert args.repack_budget == 1500.0
 
     def test_repack_parser_accepts_half_life(self):
         parser = build_parser()

@@ -10,18 +10,29 @@ Covers the acceptance properties of the workload-aware online repack:
   land safely afterwards;
 * **effectiveness** — on a Zipf workload over the LC scenario, the
   deltas applied per request drop measurably (≥ 20%) after a
-  workload-aware repack versus the pre-repack parent-delta plan.
+  workload-aware repack versus the pre-repack parent-delta plan;
+* **one path** — a local ``repro repack DIR`` runs the same
+  ``VersionStoreService.repack`` as ``POST /repack``: it lands in the
+  decision log and the staging calibration, and both print the same
+  metrics;
+* **checked before scanned** — a malformed plan option is rejected before
+  the cost-model scan, in-process, over HTTP (400) and from the CLI.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.bench.batch_bench import build_repository_from_graph
-from repro.cli import main
+from repro.bench.serve_bench import build_independent_chains
+from repro.cli import load_repository, main, open_workload_log, save_repository
+from repro.core.problems import default_threshold, solve
 from repro.datagen.scenarios import linear_chain
 from repro.datagen.workload import sample_accesses, zipfian_workload
 from repro.delta.cell_diff import CellDiffEncoder
@@ -30,6 +41,8 @@ from repro.delta.compression import CompressedEncoder
 from repro.delta.line_diff import LineDiffEncoder, TwoWayLineDiffEncoder
 from repro.delta.xor_diff import XorDeltaEncoder
 from repro.exceptions import ReproError
+from repro.obs import DecisionLog
+from repro.server.httpd import serve_in_thread
 from repro.server.service import VersionStoreService
 from repro.storage.repack import OnlineRepacker, expected_workload_cost
 from repro.storage.repository import Repository
@@ -133,11 +146,9 @@ class TestRepackByteIdentity:
         }
 
         frequencies = zipfian_workload(vids, exponent=2.0, seed=13)
-        repacker = OnlineRepacker(repo)
-        result = repacker.compute_plan(
-            problem=3, threshold_factor=1.5, frequencies=frequencies
-        )
-        report = repacker.repack(result.plan)
+        instance = repo.problem_instance(access_frequencies=frequencies)
+        threshold = default_threshold(instance, 3, factor=1.5)
+        report = OnlineRepacker(repo).repack(solve(instance, 3, threshold).plan)
 
         assert report["epoch"] == 1.0
         for vid in vids:
@@ -163,8 +174,8 @@ class TestRepackByteIdentity:
         repacker = OnlineRepacker(repo)
         # Epoch 1: storage-optimal; epoch 2: recreation-optimal — two very
         # different plans over re-encoded (not original) inputs.
-        repacker.repack(repacker.compute_plan(problem=1).plan)
-        repacker.repack(repacker.compute_plan(problem=2).plan)
+        repacker.repack(solve(repo.problem_instance(), 1).plan)
+        repacker.repack(solve(repo.problem_instance(), 2).plan)
         assert repacker.epoch == 2
         for vid in vids:
             assert repo.checkout(vid, record_stats=False).payload == expected[vid]
@@ -408,8 +419,6 @@ class TestWorkloadAwareEffectiveness:
     def test_ilp_problem5_respects_weighted_threshold(self):
         """The exact solver and LMG optimize the same weighted quantity on
         workload instances, so the θ default_threshold prices fits both."""
-        from repro.core.problems import default_threshold, solve
-
         repo = Repository(cache_size=0)
         payload = [f"row,{i},{i * i}" for i in range(30)]
         vids = [repo.commit(payload)]
@@ -443,7 +452,7 @@ class TestWorkloadAwareEffectiveness:
         }
 
         repacker = OnlineRepacker(repo)
-        plan = repacker.compute_plan(problem=1).plan  # delta-heavy plan
+        plan = solve(repo.problem_instance(), 1).plan  # delta-heavy plan
 
         original_diff = repo.encoder.diff
         calls = {"n": 0}
@@ -489,10 +498,31 @@ class TestWorkloadAwareEffectiveness:
 # --------------------------------------------------------------------- #
 # CLI surfaces
 # --------------------------------------------------------------------- #
+def report_rows(output: str) -> dict[str, str]:
+    """``repro repack``'s two-column metric table as ``{metric: value}``."""
+    lines = output.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["metric", "value"])
+    return dict(line.rstrip().split(None, 1) for line in lines[start + 2 :] if line.strip())
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Count ``Repository.problem_instance`` calls (the cost-model scan)."""
+    calls: list[int] = []
+    original = Repository.problem_instance
+
+    def counting(self, **kwargs):
+        calls.append(1)
+        return original(self, **kwargs)
+
+    monkeypatch.setattr(Repository, "problem_instance", counting)
+    return calls
+
+
 class TestRepackCLI:
-    def _init_repo(self, tmp_path, num_versions: int = 8) -> str:
+    def _init_repo(self, tmp_path, num_versions: int = 8, *init_flags: str) -> str:
         repo_dir = str(tmp_path / "repo")
-        assert main(["init", repo_dir]) == 0
+        assert main(["init", repo_dir, *init_flags]) == 0
         data = tmp_path / "data.txt"
         lines = [f"row,{i}" for i in range(20)]
         for step in range(num_versions):
@@ -515,9 +545,9 @@ class TestRepackCLI:
         main(["checkout", repo_dir, "v7", "-o", str(tmp_path / "o.txt")])
         capsys.readouterr()
         assert main(["repack", repo_dir, "--workload", "--dry-run"]) == 0
-        output = capsys.readouterr().out
-        assert "dry run: plan not applied" in output
-        assert "workload aware" in output
+        rows = report_rows(capsys.readouterr().out)
+        assert rows["dry_run"] == "True" and rows["applied"] == "False"
+        assert rows["workload_aware"] == "True"
         # Dry run applied nothing: the store still checks out and a second,
         # real repack still sees the original encoding.
         assert main(["repack", repo_dir, "--workload"]) == 0
@@ -537,4 +567,135 @@ class TestRepackCLI:
     def test_repack_empty_workload_falls_back_to_uniform(self, tmp_path, capsys):
         repo_dir = self._init_repo(tmp_path, num_versions=3)
         assert main(["repack", repo_dir, "--workload"]) == 0
-        assert "uniform workload" in capsys.readouterr().out
+        assert report_rows(capsys.readouterr().out)["workload_aware"] == "False"
+
+    def test_local_repack_is_recorded_like_a_served_one(self, tmp_path, capsys):
+        """The local command runs VersionStoreService.repack: on a sqlite://
+        store its repack is in the catalog's decision log and calibration."""
+        repo_dir = self._init_repo(tmp_path, 6, "--backend", "sqlite://catalog.db")
+        assert main(["checkout", repo_dir, "v5", "v1", "--batch"]) == 0
+        capsys.readouterr()
+        assert main(["repack", repo_dir, "--workload"]) == 0
+        rows = report_rows(capsys.readouterr().out)
+        assert rows["applied"] == "True" and rows["epoch"] == "1"
+
+        repo = load_repository(repo_dir)
+        records = [
+            record
+            for record in DecisionLog(catalog=repo.catalog).tail()
+            if record["event"] == "repack"
+        ]
+        assert len(records) == 1
+        assert records[0]["mode"] == "manual" and records[0]["applied"] is True
+        assert records[0]["workload_aware"] is True
+        assert repo.catalog.load_staging_calibration()["observations"] == 1
+        assert repo.epoch == 1
+
+    @pytest.mark.parametrize("backend", ["sqlite://catalog.db", "file://objects"])
+    def test_local_repack_with_half_life(self, tmp_path, capsys, backend):
+        """``--half-life N`` plans on the decayed view at N on either store;
+        a catalog-backed log only serves the half-life it was opened with."""
+        repo_dir = self._init_repo(tmp_path, 6, "--backend", backend)
+        assert main(["checkout", repo_dir, "v5", "v1", "--batch"]) == 0
+        capsys.readouterr()
+        assert main(["repack", repo_dir, "--half-life", "100"]) == 0
+        rows = report_rows(capsys.readouterr().out)
+        assert rows["workload_aware"] == "True" and rows["half_life"] == "100.0"
+        assert rows["applied"] == "True"
+
+    def test_local_and_remote_tables_name_the_same_metrics(self, tmp_path, capsys):
+        repo_dir = self._init_repo(tmp_path, 6)
+        assert main(["checkout", repo_dir, "v5", "v1", "--batch"]) == 0
+        capsys.readouterr()
+        local = {}
+        for flags in (["--dry-run"], []):
+            assert main(["repack", repo_dir, "--workload", *flags]) == 0
+            local[bool(flags)] = report_rows(capsys.readouterr().out)
+
+        repo = load_repository(repo_dir)
+        service = VersionStoreService(
+            repo,
+            on_commit=lambda repository: save_repository(repository, repo_dir),
+            workload_log=open_workload_log(repo_dir, repo=repo),
+        )
+        server, _thread = serve_in_thread(service)
+        try:
+            remote = {}
+            for flags in (["--dry-run"], []):
+                assert main(["repack", server.url, "--workload", *flags]) == 0
+                remote[bool(flags)] = report_rows(capsys.readouterr().out)
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        for dry_run in (True, False):
+            assert set(local[dry_run]) == set(remote[dry_run])
+        assert local[False]["epoch"] == "1" and remote[False]["epoch"] == "2"
+        assert "expected_cost_after.per_request" in local[False]
+
+    def test_bad_option_errors_out_without_a_scan(self, tmp_path, capsys, scans):
+        repo_dir = self._init_repo(tmp_path, 3)
+        capsys.readouterr()
+        assert main(["repack", repo_dir, "--threshold", "-5"]) == 1
+        assert "plan option threshold" in capsys.readouterr().err
+        assert scans == []
+
+
+# --------------------------------------------------------------------- #
+# plan options are checked before the cost-model scan
+# --------------------------------------------------------------------- #
+BAD_OPTIONS = [
+    {"algorithm": "nope"},
+    {"problem": 9},
+    {"problem": None},
+    {"threshold": "abc"},
+    {"threshold": float("nan")},
+    {"threshold_factor": -1.0},
+    {"hop_limit": "two"},
+    {"hop_limit": -1},
+]
+
+
+class TestPlanOptionsCheckedBeforeTheScan:
+    @pytest.mark.parametrize("bad", BAD_OPTIONS, ids=repr)
+    def test_service_rejects_without_a_scan(self, bad, scans):
+        repo, _ = build_independent_chains(num_chains=1, chain_length=4)
+        service = VersionStoreService(repo)
+        for call in (service.repack, service.plan, service.adaptive_repack_cycle):
+            with pytest.raises(ReproError, match="plan option"):
+                call(**bad)
+        assert scans == []
+        assert service.repacker.epoch == 0
+        assert service.decision_log.tail() == []
+        service.close()
+
+    def test_http_answers_400_without_a_scan(self, scans):
+        repo, _ = build_independent_chains(num_chains=1, chain_length=4)
+        service = VersionStoreService(repo)
+        server, _thread = serve_in_thread(service)
+        try:
+            for path, body in [
+                ("/repack", {"algorithm": "nope"}),
+                ("/repack", {"adaptive": True, "problem": 9}),
+                ("/plan", {"threshold": "abc"}),
+                ("/plan", {"hop_limit": None}),
+            ]:
+                request = urllib.request.Request(
+                    server.url + path, data=json.dumps(body).encode(), method="POST"
+                )
+                with pytest.raises(urllib.error.HTTPError) as error:
+                    urllib.request.urlopen(request, timeout=30)
+                assert error.value.code == 400, (path, body)
+                assert "plan option" in json.loads(error.value.read())["error"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert scans == []
+
+    def test_well_formed_strings_are_accepted(self):
+        repo, _ = build_independent_chains(num_chains=1, chain_length=4)
+        service = VersionStoreService(repo)
+        report = service.plan(problem="6", threshold_factor="2", hop_limit="1")
+        assert report["problem"] == 6 and report["threshold"] > 0
+        service.close()
