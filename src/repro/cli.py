@@ -107,8 +107,7 @@ def open_workload_log(
 def _resolve_backend_spec(spec: str, directory: str) -> str:
     """Anchor relative ``file://`` / ``zip://`` paths inside the repository.
 
-    Composite ``shard://N/CHILDSPEC`` specs anchor their *child* spec;
-    remote ``http://`` specs carry no filesystem path and pass through.
+    Composite ``shard://N/CHILDSPEC`` specs anchor their *child* spec.
     """
     if "://" not in spec:
         spec = f"file://{spec}"
@@ -118,8 +117,6 @@ def _resolve_backend_spec(spec: str, directory: str) -> str:
         if sep and child:
             return f"{scheme}://{count}/{_resolve_backend_spec(child, directory)}"
         return spec  # malformed — open_backend reports the proper error
-    if scheme in ("http", "https"):
-        return spec
     if path and not os.path.isabs(path):
         path = os.path.join(directory, path)
     return f"{scheme}://{path}"
@@ -144,7 +141,7 @@ def _absolutize_spec(spec: str) -> str:
                 "persist this repository"
             )
         return f"{scheme}://{count}/{_absolutize_spec(child)}"
-    if scheme in ("http", "https", "memory"):
+    if scheme == "memory":
         return spec
     if path and not os.path.isabs(path):
         path = os.path.abspath(path)
@@ -610,136 +607,21 @@ def _cmd_repack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _frontend_backend_spec(directory: str) -> str:
-    """The repository's backend spec, read without opening the repository.
-
-    The multi-process front-end must validate (and fork) *before* any
-    sqlite connection or thread exists, so it peeks at the state file
-    directly instead of calling :func:`load_repository`.
-    """
-    state_path = os.path.join(directory, _STATE_FILE)
-    if not os.path.exists(state_path):
-        raise ReproError(
-            f"{directory!r} is not a repro repository (missing {_STATE_FILE}); "
-            "run 'repro init' first"
-        )
-    with open(state_path, "r", encoding="utf-8") as handle:
-        state = json.load(handle)
-    return str(state.get("backend", _DEFAULT_BACKEND))
-
-
-def _pick_reuseport_port(host: str) -> int:
-    """Resolve ``--port 0`` to a concrete port for an SO_REUSEPORT group.
-
-    Every acceptor process must bind the *same* number, so an ephemeral
-    port has to be chosen once up front.  The probe socket is closed again
-    before the acceptors bind — a tiny window in which another process
-    could take the port, acceptable for the ephemeral-port convenience
-    path (deployments pass an explicit --port).
-    """
-    import socket
-
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        probe.bind((host, 0))
-        return int(probe.getsockname()[1])
-
-
-def _raise_keyboard_interrupt(signum, frame) -> None:
-    """SIGTERM handler for forked acceptors: reuse the ctrl-c path."""
-    raise KeyboardInterrupt
+def _cache_tier_dir(args: argparse.Namespace) -> str | None:
+    """Where this serving process spills its warm cache (``None``: nowhere)."""
+    directory = args.cache_tier_dir
+    if directory is None and args.cache_tier_bytes > 0:
+        directory = os.path.join(args.repository, "cache-tier")
+    return directory
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run a repository as an HTTP version-store service.
 
-    With ``--frontend-procs N > 1`` (and SO_REUSEPORT available), forks N
-    acceptor processes that each bind the same port; the kernel balances
-    connections across them.  Every acceptor builds its *own* repository
-    handle, service, caches and worker pools — the ``sqlite://`` catalog
-    is the single source of truth they share, exactly like N independent
-    ``repro serve`` processes on one store.  The fork happens before any
-    repository (and hence sqlite connection or thread) exists, so nothing
-    unsafe crosses it.
+    More cores are used by starting more ``repro serve`` processes over one
+    ``sqlite://`` catalog, each on its own port (``--join`` elects one
+    repack planner among them).
     """
-    procs = max(1, int(getattr(args, "frontend_procs", 1) or 1))
-    if procs == 1:
-        return _serve_once(args)
-    from .server.httpd import reuse_port_supported
-
-    if not reuse_port_supported():
-        print(
-            "warning: SO_REUSEPORT is unavailable on this platform; "
-            f"--frontend-procs {procs} falls back to one acceptor process",
-            file=sys.stderr,
-        )
-        return _serve_once(args)
-    backend_spec = _frontend_backend_spec(args.repository)
-    if not backend_spec.startswith("sqlite://"):
-        raise ReproError(
-            f"--frontend-procs {procs} requires a sqlite:// metadata catalog "
-            f"(this repository uses {backend_spec!r}): only the catalog lets "
-            "several processes share commits, workload counters and epoch "
-            "swaps safely; re-init with "
-            "'repro init REPO --backend sqlite://catalog.db'"
-        )
-    if args.port == 0:
-        args.port = _pick_reuseport_port(args.host)
-
-    import signal
-
-    children: list[int] = []
-    for index in range(1, procs):
-        pid = os.fork()
-        if pid == 0:
-            signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
-            code = 1
-            try:
-                code = _serve_once(args, reuse_port=True, proc_index=index)
-            except KeyboardInterrupt:
-                code = 0
-            finally:
-                sys.stdout.flush()
-                sys.stderr.flush()
-                os._exit(code)
-        children.append(pid)
-    # The parent is acceptor 0; route SIGTERM through the ctrl-c path so
-    # `kill` on it still reaches the child-cleanup block below.
-    signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
-    try:
-        return _serve_once(args, reuse_port=True, proc_index=0)
-    finally:
-        for pid in children:
-            try:
-                os.kill(pid, signal.SIGTERM)
-            except ProcessLookupError:
-                pass
-        for pid in children:
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass
-
-
-def _cache_tier_dir(args: argparse.Namespace, acceptor: int | None) -> str | None:
-    """Where this serving process spills its warm cache (``None``: nowhere).
-
-    A spill tier scrubs its directory on open and unlinks what it evicts,
-    so ``--frontend-procs`` acceptors, which share nothing else, each get
-    their own ``fe<i>`` subdirectory.
-    """
-    directory = args.cache_tier_dir
-    if directory is None and args.cache_tier_bytes > 0:
-        directory = os.path.join(args.repository, "cache-tier")
-    if directory is not None and acceptor is not None:
-        directory = os.path.join(directory, f"fe{acceptor}")
-    return directory
-
-
-def _serve_once(
-    args: argparse.Namespace, *, reuse_port: bool = False, proc_index: int = 0
-) -> int:
-    """Run one acceptor process of the version-store service."""
     from .server.httpd import serve
     from .server.service import VersionStoreService
 
@@ -760,13 +642,10 @@ def _serve_once(
         replica_id = getattr(args, "replica_id", None) or (
             f"replica-{socket.gethostname()}-{os.getpid()}"
         )
-        if reuse_port and proc_index:
-            # Each --frontend-procs acceptor is its own lease competitor.
-            replica_id = f"{replica_id}-fe{proc_index}"
     service = VersionStoreService(
         repo,
         cache_size=args.cache_size,
-        cache_tier_dir=_cache_tier_dir(args, proc_index if reuse_port else None),
+        cache_tier_dir=_cache_tier_dir(args),
         cache_tier_bytes=args.cache_tier_bytes,
         # Persist the state file after every commit so a crash never loses
         # acknowledged versions (objects are already on disk by then).
@@ -783,14 +662,12 @@ def _serve_once(
         lease_ttl=getattr(args, "lease_ttl", 10.0),
         lease_renew=getattr(args, "lease_renew", None),
     )
-    server = serve(service, host=args.host, port=args.port, reuse_port=reuse_port)
+    server = serve(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
-    acceptor = f"; acceptor {proc_index}" if reuse_port else ""
     replica = f"; replica {replica_id}" if replica_id else ""
     print(
         f"serving {args.repository} on http://{host}:{port} "
-        f"({service.max_workers} workers"
-        f"{acceptor}{replica}; ctrl-c to stop)"
+        f"({service.max_workers} workers{replica}; ctrl-c to stop)"
     )
     try:
         server.serve_forever()
@@ -942,15 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker threads for replaying the independent root trees of "
         "one batch in parallel (default: the cores this process may use)",
-    )
-    serve.add_argument(
-        "--frontend-procs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fork N acceptor processes sharing the port via SO_REUSEPORT "
-        "(requires a sqlite:// catalog backend; each acceptor keeps its "
-        "own caches and worker pool; default: 1)",
     )
     serve.add_argument(
         "--adaptive-repack",

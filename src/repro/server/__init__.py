@@ -6,22 +6,20 @@ materialization cache and request coalescing.  This package provides:
 
 * :mod:`~repro.server.service` — :class:`VersionStoreService`, the
   transport-agnostic core (warm batch cache, coalescing, serving stats);
-* :mod:`~repro.server.httpd` — the stdlib HTTP/JSON transport plus the
-  pickled ``/objects`` endpoints that expose the raw object store;
-* :mod:`~repro.server.remote` — clients: :class:`RemoteBackend` (mount
-  another process's store via ``open_backend("http://HOST:PORT")``) and
-  :class:`ServiceClient` (JSON API).
+* :mod:`~repro.server.httpd` — the stdlib HTTP/JSON transport;
+* :mod:`~repro.server.remote` — :class:`ServiceClient`, the JSON client.
 
-Start one from the CLI with ``repro serve REPO --port 8750``.
+Start one from the CLI with ``repro serve REPO --port 8750``.  Several
+processes share one store through a ``sqlite://`` catalog: run one
+``repro serve`` each (``--join`` elects the repack planner).
 """
 
 from .httpd import VersionStoreHTTPServer, serve, serve_in_thread
-from .remote import RemoteBackend, RemoteServiceError, ServiceClient
+from .remote import RemoteServiceError, ServiceClient
 from .service import CheckoutResponse, ServiceStats, VersionStoreService
 
 __all__ = [
     "CheckoutResponse",
-    "RemoteBackend",
     "RemoteServiceError",
     "ServiceClient",
     "ServiceStats",

@@ -2,9 +2,8 @@
 
 Everything is plain standard library (``http.server.ThreadingHTTPServer``)
 so running a version store behind a port needs no dependencies beyond the
-package itself.  Two API surfaces share the socket:
-
-**JSON service API** (for clients and the remote-aware CLI)
+package itself.  The socket carries one JSON service API (for clients and
+the remote-aware CLI):
 
 ========  ======================  =============================================
 Method    Path                    Body / response
@@ -48,26 +47,16 @@ POST      ``/prune``              drop dead/failed epochs and sweep
 
 Payloads travel as JSON values, so the service API handles any
 JSON-representable version content (the CLI's line-oriented files become
-lists of strings).
-
-**Object-store API** (for :class:`~repro.server.remote.RemoteBackend`)
-
-``GET /objects`` lists keys; ``GET/PUT/DELETE /objects/KEY`` move single
-objects as pickled bytes (``application/octet-stream``);
-``POST /objects/multiget`` (JSON ``{"keys": [...], "follow_bases"?: bool}``)
-returns many objects — optionally whole delta chains — in one round trip
-as one pickled dict.  This is what lets
-one repro process mount another as its storage backend via an
-``http://HOST:PORT`` spec.  Pickle implies *trusted peers only* — exactly
-like the ``file://``/``zip://`` backends trust their directory — so bind
-the server to interfaces you control.
+lists of strings).  Only ``GET`` and ``POST`` are answered: the stdlib
+replies 501 with ``Connection: close`` to any other verb, so no route ever
+accepts raw object bytes from the network.  Several processes share one
+store by each serving it over a ``sqlite://`` catalog, not through this
+transport.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
-import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -78,13 +67,7 @@ from ..exceptions import LeaseError, ReproError, VersionNotFoundError
 from ..obs import Trace
 from .service import PLAN_OPTIONS, VersionStoreService
 
-__all__ = [
-    "VersionStoreHTTPServer",
-    "ReusePortHTTPServer",
-    "reuse_port_supported",
-    "serve",
-    "serve_in_thread",
-]
+__all__ = ["VersionStoreHTTPServer", "serve", "serve_in_thread"]
 
 #: Maximum accepted request body (64 MiB) — a plain guard against a
 #: misbehaving client exhausting server memory with one request.
@@ -126,28 +109,6 @@ class VersionStoreHTTPServer(ThreadingHTTPServer):
         """Base URL the server answers on (real port, even when bound to 0)."""
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
-
-
-def reuse_port_supported() -> bool:
-    """True when this platform exposes ``SO_REUSEPORT`` (Linux, BSDs)."""
-    return hasattr(socket, "SO_REUSEPORT")
-
-
-class ReusePortHTTPServer(VersionStoreHTTPServer):
-    """A :class:`VersionStoreHTTPServer` that joins an ``SO_REUSEPORT`` group.
-
-    Several acceptor *processes* each bind their own socket to the same
-    ``(host, port)`` with ``SO_REUSEPORT`` set before ``bind``; the kernel
-    then load-balances incoming connections across all listening group
-    members — the multi-process front-end of ``repro serve
-    --frontend-procs N``.  Raises ``OSError`` on platforms without the
-    option; callers check :func:`reuse_port_supported` first and fall back
-    to the single-process server.
-    """
-
-    def server_bind(self) -> None:
-        self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        super().server_bind()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -195,18 +156,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
-
-    def _send_bytes(self, status: int, data: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_empty(self, status: int = 204) -> None:
-        self.send_response(status)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
 
     def _read_body(self) -> bytes:
         self._body_consumed = True
@@ -266,10 +215,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
         else:
             if not handled:
-                if method == "HEAD":  # HEAD responses must carry no body
-                    self._send_empty(404)
-                else:
-                    self._send_json(404, {"error": f"no route for {method} {parsed.path}"})
+                self._send_json(404, {"error": f"no route for {method} {parsed.path}"})
         finally:
             # The flag only affects what happens after the response is
             # flushed: the socket is dropped instead of being reused.
@@ -312,8 +258,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routing -------------------------------------------------------- #
     def _route(self, method: str, parts: list[str], query: dict[str, list[str]]) -> bool:
-        if parts and parts[0] == "objects":
-            return self._route_objects(method, parts)
         if method == "GET":
             if parts == ["healthz"]:
                 self._send_json(200, {"status": "ok"})
@@ -411,11 +355,10 @@ class _Handler(BaseHTTPRequestHandler):
                     report = self.service.adaptive_repack_cycle(**_plan_options(body))
                     self._send_json(200, report)
                     return True
-                half_life = body.get("half_life")
                 report = self.service.repack(
                     **_plan_options(body),
                     use_workload=bool(body.get("workload", True)),
-                    half_life=float(half_life) if half_life is not None else None,
+                    half_life=body.get("half_life"),
                     dry_run=bool(body.get("dry_run", False)),
                 )
                 self._send_json(200, report)
@@ -427,80 +370,6 @@ class _Handler(BaseHTTPRequestHandler):
             return False
         return False
 
-    def _route_objects(self, method: str, parts: list[str]) -> bool:
-        # Raw backend reads run under the service coordinator's *shared*
-        # mode (they parallelize with checkouts); a peer's PUT or DELETE
-        # takes the *exclusive* barrier — landing mid-chain-replay it would
-        # otherwise yank objects from under the materializer (or read a
-        # half-written file on the non-atomic filesystem backends).
-        backend = self.service.repository.store.backend
-        coordinator = self.service.coordinator
-        if method == "GET" and len(parts) == 1:
-            with coordinator.shared():
-                keys = sorted(backend.keys())
-            self._send_json(200, {"keys": keys})
-            return True
-        if method == "POST" and parts == ["objects", "multiget"]:
-            # Batched fetch: many keys — optionally with every object their
-            # delta chains transitively reference — in one exchange, so a
-            # remote peer replays a chain segment in one round trip instead
-            # of one request per object.  Absent keys are omitted.
-            body = self._read_json()
-            keys = body.get("keys")
-            if not isinstance(keys, list):
-                raise ReproError("multiget requires a 'keys' list")
-            follow_bases = bool(body.get("follow_bases", False))
-            found: dict[str, Any] = {}
-            with coordinator.shared():
-                pending = list(keys)
-                while pending:
-                    key = pending.pop()
-                    if key in found:
-                        continue
-                    try:
-                        value = backend.get(key)
-                    except KeyError:
-                        continue
-                    found[key] = value
-                    if follow_bases:
-                        base_id = getattr(value, "base_id", None)
-                        if base_id is not None and base_id not in found:
-                            pending.append(base_id)
-            self._send_bytes(
-                200, pickle.dumps(found, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            return True
-        if len(parts) != 2:
-            return False
-        key = parts[1]
-        if method == "HEAD":
-            # Existence probe: lets RemoteBackend answer `in` without
-            # downloading the object payload.
-            with coordinator.shared():
-                present = key in backend
-            self._send_empty(200 if present else 404)
-            return True
-        if method == "GET":
-            with coordinator.shared():
-                value = backend.get(key)  # KeyError -> 404 via _dispatch
-            self._send_bytes(200, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-            return True
-        if method == "PUT":
-            value = pickle.loads(self._read_body())
-            with coordinator.exclusive():
-                backend.put(key, value)
-            self._send_empty()
-            return True
-        if method == "DELETE":
-            with coordinator.exclusive():
-                # Through the store, not the raw backend: the cost index
-                # must drop the object's entries or chain resolution would
-                # keep routing through the dead id without probing disk.
-                self.service.repository.store.remove(key)
-            self._send_empty()
-            return True
-        return False
-
     # -- HTTP verbs ------------------------------------------------------ #
     def do_GET(self) -> None:  # noqa: N802
         self._dispatch("GET")
@@ -508,32 +377,16 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         self._dispatch("POST")
 
-    def do_HEAD(self) -> None:  # noqa: N802
-        self._dispatch("HEAD")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._dispatch("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
-
 
 def serve(
-    service: VersionStoreService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    reuse_port: bool = False,
+    service: VersionStoreService, host: str = "127.0.0.1", port: int = 0
 ) -> VersionStoreHTTPServer:
     """Bind a server for ``service`` (``port=0`` picks an ephemeral port).
 
-    ``reuse_port=True`` binds with ``SO_REUSEPORT`` so several acceptor
-    processes can share the port (see :class:`ReusePortHTTPServer`).  The
-    caller drives the loop: ``serve_forever()`` to block, or
+    The caller drives the loop: ``serve_forever()`` to block, or
     :func:`serve_in_thread` for tests and embedding.
     """
-    server_cls = ReusePortHTTPServer if reuse_port else VersionStoreHTTPServer
-    return server_cls((host, port), service)
+    return VersionStoreHTTPServer((host, port), service)
 
 
 def serve_in_thread(

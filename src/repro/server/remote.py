@@ -1,39 +1,25 @@
-"""Clients for a remote ``repro serve`` process.
+"""Client for a remote ``repro serve`` process.
 
-Two ways to consume a running :mod:`repro.server.httpd` server:
-
-* :class:`RemoteBackend` — a :class:`~repro.storage.backends.StorageBackend`
-  speaking the server's ``/objects`` endpoints, so one repro process can
-  mount another's object store (``open_backend("http://HOST:PORT")``).
-  Object bytes travel pickled, exactly as the filesystem backends store
-  them on disk — which makes this a *trusted-peer* protocol: only point it
-  at servers you run.
-* :class:`ServiceClient` — a thin JSON client for the service API
-  (commit / checkout / checkout_many / stats / plan), used by the
-  remote-aware CLI and handy in tests.
-
-Both are pure standard library (``urllib.request``).
+:class:`ServiceClient` is a thin JSON client for the service API of a
+running :mod:`repro.server.httpd` server (commit / checkout /
+checkout_many / stats / plan / repack), used by the remote-aware CLI and
+handy in tests.  Idempotent reads retry through transport failures;
+everything else is single-shot.  Pure standard library
+(``urllib.request``).
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import random
 import time
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 from urllib import error as urlerror
 from urllib import request as urlrequest
 
 from ..exceptions import RepositoryError
-from ..storage.backends import BackendSpecError, StorageBackend, register_backend
 
-__all__ = [
-    "RemoteBackend",
-    "SecureRemoteBackend",
-    "ServiceClient",
-    "RemoteServiceError",
-]
+__all__ = ["ServiceClient", "RemoteServiceError"]
 
 #: Total attempts (first try included) for idempotent exchanges.
 _RETRY_ATTEMPTS = 3
@@ -109,175 +95,6 @@ def _http_idempotent(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-class RemoteBackend(StorageBackend):
-    """Keyed blob store backed by another repro process's ``/objects`` API.
-
-    Raises :class:`KeyError` on missing keys like every other backend, so
-    the object store's error translation works unchanged over the network.
-    Connection-level failures surface as :class:`RemoteServiceError` rather
-    than ``KeyError`` — a dead server must not masquerade as an empty one.
-    """
-
-    scheme = "http"
-
-    #: The server walks delta-chain base links server-side, so the object
-    #: store can fetch a whole chain segment in one ``multiget`` round trip.
-    follows_chains = True
-
-    def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
-        if not base_url:
-            raise BackendSpecError("http:// backend requires HOST:PORT")
-        if "://" not in base_url:
-            base_url = f"http://{base_url}"
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        #: Transport-level retries performed on idempotent reads.
-        self.retries = 0
-        self._m_retries: Any = None
-
-    @classmethod
-    def from_spec(cls, path: str) -> "RemoteBackend":
-        """Open ``http://HOST:PORT`` (the part after ``http://``)."""
-        return cls(path)
-
-    def bind_metrics(self, registry: Any) -> None:
-        """Attach the retry counter (the object store forwards its registry)."""
-        self._m_retries = registry.counter(
-            "repro_remote_retries_total",
-            "Transport-level retries of idempotent remote requests, by client.",
-            ("client",),
-        ).labels("backend")
-
-    def _note_retry(self) -> None:
-        self.retries += 1
-        if self._m_retries is not None:
-            self._m_retries.inc()
-
-    # -- StorageBackend -------------------------------------------------- #
-    def put(self, key: str, value: Any) -> None:
-        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        self._exchange("PUT", key, data=data)
-
-    def get(self, key: str) -> Any:
-        return pickle.loads(self._exchange("GET", key))
-
-    def delete(self, key: str) -> None:
-        self._exchange("DELETE", key)
-
-    def get_many(
-        self, keys: Sequence[str], *, follow_bases: bool = False
-    ) -> dict[str, Any]:
-        """Fetch many objects in one ``POST /objects/multiget`` round trip.
-
-        Absent keys are omitted from the result (mirroring the base-class
-        contract).  With ``follow_bases`` the server also includes every
-        object transitively reachable through delta base links — the whole
-        chain of each requested key in a single exchange, which is what cuts
-        remote chain replay from one round trip per object to one per chain
-        segment.
-        """
-        if not keys:
-            return {}
-        url = f"{self.base_url}/objects/multiget"
-        body = json.dumps(
-            {"keys": list(keys), "follow_bases": bool(follow_bases)}
-        ).encode("utf-8")
-        try:
-            # POST by shape, read by semantics: multiget mutates nothing,
-            # so it retries like the GET paths.
-            raw = _http_idempotent(
-                "POST",
-                url,
-                data=body,
-                content_type="application/json",
-                timeout=self.timeout,
-                on_retry=self._note_retry,
-            )
-        except urlerror.HTTPError as error:
-            raise RemoteServiceError(
-                f"POST {url} failed: HTTP {error.code} {error.reason}"
-            ) from error
-        except urlerror.URLError as error:
-            raise RemoteServiceError(
-                f"cannot reach object store at {self.base_url}: {error.reason}"
-            ) from error
-        return pickle.loads(raw)
-
-    def keys(self) -> Iterator[str]:
-        raw = self._exchange("GET", None)
-        return iter(json.loads(raw.decode("utf-8"))["keys"])
-
-    def __contains__(self, key: str) -> bool:
-        # HEAD probe instead of the base class's get(): the object store
-        # tests existence before every write, and downloading (and
-        # unpickling) the full payload just to answer `in` would make each
-        # commit over http:// transfer entire objects.
-        try:
-            self._exchange("HEAD", key)
-        except KeyError:
-            return False
-        return True
-
-    def spec(self) -> str:
-        return self.base_url
-
-    # -- internals ------------------------------------------------------- #
-    def _exchange(self, method: str, key: str | None, data: bytes | None = None) -> bytes:
-        url = f"{self.base_url}/objects"
-        if key is not None:
-            url = f"{url}/{key}"
-        try:
-            # Reads (GET/HEAD) retry through transport failures; writes
-            # (PUT/DELETE) stay single-shot — a repeated write that half
-            # landed the first time is the caller's call to make.
-            if method in ("GET", "HEAD"):
-                return _http_idempotent(
-                    method,
-                    url,
-                    data=data,
-                    content_type=(
-                        "application/octet-stream" if data is not None else None
-                    ),
-                    timeout=self.timeout,
-                    on_retry=self._note_retry,
-                )
-            return _http(
-                method,
-                url,
-                data=data,
-                content_type="application/octet-stream" if data is not None else None,
-                timeout=self.timeout,
-            )
-        except urlerror.HTTPError as error:
-            if error.code == 404 and key is not None:
-                raise KeyError(key) from None
-            raise RemoteServiceError(
-                f"{method} {url} failed: HTTP {error.code} {error.reason}"
-            ) from error
-        except urlerror.URLError as error:
-            raise RemoteServiceError(
-                f"cannot reach object store at {self.base_url}: {error.reason}"
-            ) from error
-
-
-class SecureRemoteBackend(RemoteBackend):
-    """:class:`RemoteBackend` over TLS (``https://`` specs).
-
-    The stdlib server in :mod:`repro.server.httpd` speaks plain HTTP; this
-    scheme exists for deployments that front it with a TLS terminator.
-    """
-
-    scheme = "https"
-
-    @classmethod
-    def from_spec(cls, path: str) -> "SecureRemoteBackend":
-        return cls(f"https://{path}")
-
-
-register_backend(RemoteBackend)
-register_backend(SecureRemoteBackend)
-
-
 class ServiceClient:
     """JSON client for the version-store service API."""
 
@@ -288,20 +105,9 @@ class ServiceClient:
         self.timeout = timeout
         #: Transport-level retries performed on idempotent reads.
         self.retries = 0
-        self._m_retries: Any = None
-
-    def bind_metrics(self, registry: Any) -> None:
-        """Attach the retry counter to *registry*."""
-        self._m_retries = registry.counter(
-            "repro_remote_retries_total",
-            "Transport-level retries of idempotent remote requests, by client.",
-            ("client",),
-        ).labels("service")
 
     def _note_retry(self) -> None:
         self.retries += 1
-        if self._m_retries is not None:
-            self._m_retries.inc()
 
     # -- service calls --------------------------------------------------- #
     def healthz(self) -> dict[str, Any]:

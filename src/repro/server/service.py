@@ -31,8 +31,7 @@ that process's core, independent of any transport:
   expensive parts run while checkouts keep flowing: the cost model is
   measured under *shared* access, and staging writes only brand-new
   content-addressed keys, so it runs concurrently with readers outside
-  the coordinator entirely (raw ``/objects`` writers are the operator's
-  responsibility during a repack).  Only the swap takes the exclusive
+  the coordinator entirely.  Only the swap takes the exclusive
   barrier, and the swap prices everything from the store's incremental
   cost index, so the write pause is the swap window alone.  Every repack —
   ``POST /repack``, the local ``repro repack DIR`` and the controller's —
@@ -55,6 +54,7 @@ usable directly in-process (the serving benchmark does exactly that).
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -103,6 +103,12 @@ def _non_negative(number: Any) -> Any:
     return number
 
 
+def _positive_finite(number: float) -> float:
+    if not 0 < number < math.inf:  # NaN fails the comparison too
+        raise ValueError(number)
+    return number
+
+
 _PLAN_OPTION_CHECKS: dict[str, Callable[[Any], Any]] = {
     "problem": lambda value: int(ProblemKind(int(value))),
     "threshold": lambda value: _non_negative(float(value)),
@@ -115,6 +121,15 @@ _PLAN_OPTION_CHECKS: dict[str, Callable[[Any], Any]] = {
 #: ``adaptive_repack_cycle`` — the keys the HTTP layer forwards from a body.
 PLAN_OPTIONS = tuple(_PLAN_OPTION_CHECKS)
 
+#: ``repack`` also takes the half-life of its decayed workload view.
+_OPTION_CHECKS = {
+    **_PLAN_OPTION_CHECKS,
+    "half_life": lambda value: _positive_finite(float(value)),
+}
+
+#: Options whose ``None`` means "not set" rather than a malformed value.
+_UNSET_ALLOWED = ("threshold", "threshold_factor", "half_life")
+
 
 def _check_plan_options(**options: Any) -> dict[str, Any]:
     """The plan knobs, converted, or a :class:`ReproError` (HTTP 400, CLI
@@ -123,15 +138,16 @@ def _check_plan_options(**options: Any) -> dict[str, Any]:
     Measuring the cost model is a full payload scan, and a repack holds the
     write gate through it, so the knobs are checked before any scan instead
     of by the solver afterwards.  An unset threshold stays ``None``: it is
-    resolved from the instance at solve time.
+    resolved from the instance at solve time, and an unset half-life
+    means the raw (undecayed) workload view.
     """
     checked: dict[str, Any] = {}
     for name, value in options.items():
-        if value is None and name in ("threshold", "threshold_factor"):
+        if value is None and name in _UNSET_ALLOWED:
             checked[name] = None
             continue
         try:
-            checked[name] = _PLAN_OPTION_CHECKS[name](value)
+            checked[name] = _OPTION_CHECKS[name](value)
         except (TypeError, ValueError):
             raise ReproError(f"invalid plan option {name}={value!r}") from None
     return checked
@@ -244,19 +260,18 @@ class VersionStoreService:
     **Concurrency model.**  Reads (checkouts, batches, stats, planning,
     the repack's measurement and staging phases) hold the
     :class:`~repro.storage.concurrency.EpochCoordinator` in shared mode and
-    run in parallel; structural mutations — commits, the repack swap, raw
-    backend writes from the ``/objects`` transport — take its brief
-    exclusive barrier.  Within shared mode, each materialization holds the
-    striped lock of its chain's **subtree stripe key** (``lock_stripes``
-    stripes) — the node below the deepest fork point, which degenerates to
-    the chain root on linear histories — so independent chains *and
-    disjoint subtrees of one fork-heavy root* replay concurrently while
-    same-subtree requests serialize into the warm cache.  Replay runs on
-    the thread that asked for it; ``max_workers`` (default: the cores this
-    process may run on) additionally fans the independent root trees of one
-    ``checkout_many`` batch out across worker threads.  Setting
-    ``lock_stripes=1`` with ``max_workers=1`` reproduces the old
-    single-lock server — the benchmark's baseline.
+    run in parallel; structural mutations — commits and the repack swap —
+    take its brief exclusive barrier.  Within shared mode, each
+    materialization holds the striped lock of its chain's **subtree stripe
+    key** (``lock_stripes`` stripes) — the node below the deepest fork
+    point, which degenerates to the chain root on linear histories — so
+    independent chains *and disjoint subtrees of one fork-heavy root*
+    replay concurrently while same-subtree requests serialize into the warm
+    cache.  Replay runs on the thread that asked for it; ``max_workers``
+    (default: the cores this process may run on) additionally fans the
+    independent root trees of one ``checkout_many`` batch out across worker
+    threads.  Setting ``lock_stripes=1`` with ``max_workers=1`` reproduces
+    the old single-lock server — the benchmark's baseline.
 
     ``on_commit`` is called after every successful commit — and after the
     swap phase of an online :meth:`repack` — while the exclusive barrier is
@@ -969,8 +984,7 @@ class VersionStoreService:
         3. the new encoding is staged next to the old one while readers
            continue against the old epoch (content-addressed keys are
            never overwritten, so this is invisible to them; staging holds
-           no coordinator mode — do not mix raw ``/objects`` deletes with
-           a running repack);
+           no coordinator mode);
         4. the exclusive barrier — the only moment reads pause — repoints
            versions, collects dead objects, drops the warm cache and bumps the
            epoch, all priced from the store's cost index: no payload is
@@ -985,8 +999,9 @@ class VersionStoreService:
         expensive plan is solved exactly once per decision).  Returns a
         JSON-ready report either way; ``"applied"`` records whether the
         store was actually re-encoded.  ``mode`` only labels the decision
-        record (``manual`` / ``adaptive``).  The plan knobs are checked
-        before anything else, so a malformed one costs no scan.
+        record (``manual`` / ``adaptive``).  The plan knobs and
+        ``half_life`` (a positive finite number) are checked before
+        anything else, so a malformed one costs no scan.
 
         In a replica group, only the planner-lease holder may repack (dry
         runs are read-only and stay allowed everywhere); everyone else
@@ -999,13 +1014,13 @@ class VersionStoreService:
             threshold_factor=threshold_factor,
             hop_limit=hop_limit,
             algorithm=algorithm,
+            half_life=half_life,
         )
         if not dry_run:
             self._require_lease_holder("repack")
         report = self._repack_locked(
             **options,
             use_workload=use_workload,
-            half_life=half_life,
             dry_run=dry_run,
             gate=gate,
         )

@@ -1,7 +1,7 @@
 """The prototype version-management system (DataHub-style).
 
 * :mod:`~repro.storage.backends` — pluggable keyed blob stores
-  (``memory://``, ``file://``, ``zip://``, ``shard://``, remote ``http://``)
+  (``memory://``, ``file://``, ``zip://``, ``shard://``, ``sqlite://``)
   the object store delegates to;
 * :mod:`~repro.storage.objects` — content-addressed store for full objects
   and deltas, with an incremental cost index (per-chain Φ totals and delta

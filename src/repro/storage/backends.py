@@ -18,9 +18,6 @@ Five implementations are selectable with a URI-style spec understood by
 * ``shard://N/CHILDSPEC`` — :class:`ShardedBackend`, keys routed across
   ``N`` child backends by key hash (``shard://4/file:///data/objects``
   opens four ``FilesystemBackend`` shards under ``/data/objects``);
-* ``http://HOST:PORT`` — a remote object store served by another repro
-  process running ``repro serve`` (provided by
-  :mod:`repro.server.remote`, registered lazily on first use);
 * ``sqlite://PATH`` — objects *and* the transactional metadata catalog in
   one SQLite database (provided by :mod:`repro.storage.catalog`,
   registered lazily on first use) — the backend that lets several
@@ -98,8 +95,8 @@ class StorageBackend(abc.ABC):
     def get_many(self, keys: Sequence[str]) -> dict[str, Any]:
         """Fetch several keys at once; absent keys are omitted, not errors.
 
-        The default loops over :meth:`get`; network-backed implementations
-        override it with a single batched exchange.
+        The default loops over :meth:`get`; the ``sqlite://`` backend
+        overrides it with one query.
         """
         found: dict[str, Any] = {}
         for key in keys:
@@ -180,9 +177,9 @@ class FilesystemBackend(StorageBackend):
     # -- StorageBackend ------------------------------------------------- #
     def put(self, key: str, value: Any) -> None:
         # Write-then-rename: a concurrent reader of the same key (e.g. a
-        # checkout racing a peer's /objects PUT, or any future writer that
-        # bypasses the object store's existence check) sees either the old
-        # complete file or the new complete file, never a truncated one.
+        # checkout racing another process's commit on a shared directory)
+        # sees either the old complete file or the new complete file,
+        # never a truncated one.
         path = self._path(key)
         tmp_path = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
         with open(tmp_path, "wb") as handle:
@@ -307,15 +304,6 @@ class ShardedBackend(StorageBackend):
         child_scheme, _, child_path = child_spec.partition("://")
         if child_scheme == cls.scheme:
             raise BackendSpecError("shard:// children cannot themselves be shard://")
-        if child_scheme in ("http", "https"):
-            # A remote server exposes one /objects namespace, not one per
-            # shard; appending shard suffixes would produce URLs it never
-            # serves.  Shard on the serving side instead (point the server's
-            # own repository at a shard:// backend).
-            raise BackendSpecError(
-                "http(s):// children cannot be sharded client-side; run the "
-                "remote server itself on a shard:// backend"
-            )
         shards = []
         for index in range(count):
             if child_path:
@@ -364,13 +352,11 @@ _BACKENDS: dict[str, type[StorageBackend]] = {
     ShardedBackend.scheme: ShardedBackend,
 }
 
-# Schemes provided by modules that must not be imported eagerly (the server
-# package imports the storage layer, so registering its RemoteBackend here
+# Schemes provided by modules that must not be imported eagerly (the
+# catalog module imports this one, so registering its SQLiteBackend here
 # would be a cycle).  open_backend imports the module on first use, whose
 # import-time register_backend() call fills _BACKENDS.
 _LAZY_BACKEND_MODULES: dict[str, str] = {
-    "http": "repro.server.remote",
-    "https": "repro.server.remote",
     "sqlite": "repro.storage.catalog",
 }
 
@@ -391,8 +377,6 @@ def open_backend(spec: str | StorageBackend | None) -> StorageBackend:
     * ``"file://PATH"`` — a :class:`FilesystemBackend` rooted at ``PATH``;
     * ``"zip://PATH"`` — a :class:`CompressedFilesystemBackend` at ``PATH``;
     * ``"shard://N/CHILDSPEC"`` — a :class:`ShardedBackend` over N children;
-    * ``"http://HOST:PORT"`` — a ``RemoteBackend`` speaking to another repro
-      process's object-store endpoints (see :mod:`repro.server`);
     * ``"sqlite://PATH"`` — a ``SQLiteBackend`` whose database also carries
       the metadata catalog (see :mod:`repro.storage.catalog`);
     * a bare path — treated as ``file://PATH`` for convenience.

@@ -30,8 +30,9 @@ optional ``lock_manager`` (a
 :class:`~repro.storage.concurrency.StripedLockManager`) serializes work
 per chain root, so concurrent batches touching the same tree cooperate
 through the warm cache instead of duplicating the replay.  More cores are
-used by running more serving processes over one catalog (``repro serve
---frontend-procs`` / ``--join``), never by shipping replay elsewhere.
+used by running more ``repro serve`` processes over one ``sqlite://``
+catalog, never by shipping replay elsewhere.  Every object the walk
+replays is read through :meth:`~repro.storage.objects.ObjectStore.get`.
 
 The result reports, per version and in aggregate, the recreation cost
 *actually paid* next to the chain cost the storage plan *predicts* (the Φ
@@ -47,14 +48,14 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Sequence
 
 from ..delta.base import DeltaEncoder
 from ..exceptions import ObjectNotFoundError
 from ..obs.metrics import NULL_INSTRUMENT
 from .cache_tiers import LRUPayloadCache, TieredPayloadCache
 from .concurrency import StripedLockManager
-from .objects import ObjectStore, StoredObject
+from .objects import ObjectStore
 
 __all__ = [
     "BatchMaterializer",
@@ -348,17 +349,13 @@ class BatchMaterializer:
             for request in requests
         ]
 
-        # Resolve every distinct chain up front from the store's cost
-        # index.  On a chain-following remote backend every unresolved tip
-        # is primed — chains *and* their objects — in one multiget round
-        # trip, and the fetched objects feed the replay below directly.
+        # Resolve every distinct chain up front from the store's cost index.
         distinct = list(dict.fromkeys(object_id for _, object_id in normalized))
-        prefetched = self.store.prime_chains(distinct)
         chains: dict[str, tuple[str, ...]] = {
             object_id: self.store.chain_ids(object_id) for object_id in distinct
         }
 
-        materialized = self._materialize_forest(chains, prefetched)
+        materialized = self._materialize_forest(chains)
 
         # Distinct keys can resolve to the same object (content addressing
         # deduplicates identical payloads): the single materialization's cost
@@ -390,18 +387,13 @@ class BatchMaterializer:
         """Materialize a single object: the batch of one.
 
         The same union-tree walk :meth:`materialize_many` runs, over the
-        one chain, through the same warm cache.  On a chain-following
-        remote backend the uncached part of the chain arrives in one round
-        trip and is replayed from that response, instead of one HTTP
-        exchange per object — and warm repeats (chain metadata indexed,
-        payloads cached) perform no exchange at all.
+        one chain, through the same warm cache.
 
         Unlike a batch, this takes no stripe lock: callers that serialize
         per subtree (the serving layer) already hold their stripe, and a
         second, differently keyed one taken inside it would invert the
         lock order across hashed stripes.
         """
-        prefetched = self.store.prime_chains([object_id])
         predicted = None
         if self._metrics_on:
             # Price the chain against the current cache *before* the replay
@@ -411,7 +403,7 @@ class BatchMaterializer:
             except ObjectNotFoundError:
                 predicted = None
         chains = {object_id: self.store.chain_ids(object_id)}
-        item = self._materialize_union_tree(chains, prefetched)[object_id]
+        item = self._materialize_union_tree(chains)[object_id]
         if predicted is not None:
             actual = item.recreation_cost
             self._m_warm_error.observe(
@@ -528,23 +520,8 @@ class BatchMaterializer:
             return nullcontext()
         return self.lock_manager.holding(root_id)
 
-    def _fetcher(
-        self, prefetched: Mapping[str, StoredObject]
-    ) -> Callable[[str], StoredObject]:
-        """A fetch hook that consumes prefetched objects before the store."""
-        if not prefetched:
-            return self.store.get
-
-        def fetch(oid: str) -> StoredObject:
-            obj = prefetched.get(oid)
-            return obj if obj is not None else self.store.get(oid)
-
-        return fetch
-
     def _materialize_forest(
-        self,
-        chains: dict[str, tuple[str, ...]],
-        prefetched: Mapping[str, StoredObject],
+        self, chains: dict[str, tuple[str, ...]]
     ) -> dict[str, BatchItem]:
         """Replay the union forest, one group per chain *root*.
 
@@ -562,7 +539,7 @@ class BatchMaterializer:
         def run_group(key: str) -> dict[str, BatchItem]:
             with self._chain_guard(key):
                 self._m_pool_tasks.inc()
-                return self._materialize_union_tree(groups[key], prefetched)
+                return self._materialize_union_tree(groups[key])
 
         materialized: dict[str, BatchItem] = {}
         if self.max_workers > 1 and len(groups) > 1:
@@ -595,9 +572,7 @@ class BatchMaterializer:
             return executor
 
     def _materialize_union_tree(
-        self,
-        chains: dict[str, tuple[str, ...]],
-        prefetched: Mapping[str, StoredObject],
+        self, chains: dict[str, tuple[str, ...]]
     ) -> dict[str, BatchItem]:
         """Materialize every requested chain via one DFS over their union.
 
@@ -649,22 +624,6 @@ class BatchMaterializer:
         for kids in children.values():
             kids.sort()
 
-        # On a remote backend, fetch every node the traversal may need in
-        # one batched exchange up front (the union-tree half of the
-        # multiget story): without it the DFS below would cost one round
-        # trip per uncached node.
-        if getattr(self.store.backend, "follows_chains", False):
-            needed = [
-                oid
-                for oid in in_tree
-                if oid not in prefetched
-                and oid not in captured
-                and oid not in self.cache
-            ]
-            if needed:
-                prefetched = {**prefetched, **self.store.get_many(needed)}
-        fetch = self._fetcher(prefetched)
-
         requested = set(chains)
         payloads: dict[str, Any] = {}
         node_cost: dict[str, float] = {}
@@ -680,7 +639,7 @@ class BatchMaterializer:
                 node_cache_hit[oid] = True
             else:
                 started = time.perf_counter()
-                obj = fetch(oid)
+                obj = self.store.get(oid)
                 if not obj.is_delta:
                     payload = obj.payload
                     node_cost[oid] = obj.storage_cost()

@@ -37,7 +37,7 @@ import hashlib
 import pickle
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from ..delta.base import Delta, payload_size
 from ..exceptions import ObjectNotFoundError
@@ -190,11 +190,6 @@ class ObjectStore:
             "Backend read/write errors (misses excluded) by scheme.",
             ("scheme",),
         ).labels(scheme)
-        # Backends with their own instruments (e.g. the remote client's
-        # retry counter) bind to the same registry.
-        binder = getattr(self.backend, "bind_metrics", None)
-        if binder is not None:
-            binder(registry)
 
     # ------------------------------------------------------------------ #
     # writing
@@ -319,26 +314,19 @@ class ObjectStore:
             )
 
     def get_many(self, object_ids: list[str]) -> dict[str, StoredObject]:
-        """Fetch several objects at once; absent ids are simply omitted.
-
-        Local backends loop over single gets; a chain-following remote
-        backend answers the whole request in one round trip.
-        """
+        """Fetch several objects at once; absent ids are simply omitted."""
         self._op_get_many.inc()
         found = self.backend.get_many(object_ids)
-        self.note_objects(found.values())
+        for obj in found.values():
+            self._note(obj)
         return found
 
     def delta_chain(self, object_id: str) -> list[StoredObject]:
         """The chain of objects needed to materialize ``object_id``.
 
         The returned list starts at a full object and ends at the requested
-        object; a full object's chain is just itself.  On a chain-following
-        remote backend the whole chain is fetched in a single round trip
-        (the server walks the base links) instead of one request per object.
+        object; a full object's chain is just itself.
         """
-        if getattr(self.backend, "follows_chains", False):
-            return self._remote_delta_chain(object_id)
         chain: list[StoredObject] = []
         current = self.get(object_id)
         seen: set[str] = set()
@@ -355,40 +343,9 @@ class ObjectStore:
         chain.reverse()
         return chain
 
-    def _remote_delta_chain(self, object_id: str) -> list[StoredObject]:
-        """One-round-trip chain fetch against a chain-following backend."""
-        objects = self.backend.get_many([object_id], follow_bases=True)
-        self.note_objects(objects.values())
-        chain: list[StoredObject] = []
-        seen: set[str] = set()
-        current_id: str | None = object_id
-        while current_id is not None:
-            obj = objects.get(current_id)
-            if obj is None:
-                # The server's response was incomplete (or the tip object is
-                # absent); fall back to a single fetch so the error surfaces
-                # with the store's usual translation.
-                obj = self.get(current_id)
-            chain.append(obj)
-            if not obj.is_delta:
-                break
-            if obj.object_id in seen:
-                raise ObjectNotFoundError(
-                    f"delta chain of {object_id!r} contains a cycle"
-                )
-            seen.add(obj.object_id)
-            current_id = obj.base_id
-        chain.reverse()
-        return chain
-
     # ------------------------------------------------------------------ #
     # the incremental cost index
     # ------------------------------------------------------------------ #
-    def note_objects(self, objects: Iterable[StoredObject]) -> None:
-        """Record index entries for objects fetched through other paths."""
-        for obj in objects:
-            self._note(obj)
-
     def cached_chain_ids(self, object_id: str) -> tuple[str, ...] | None:
         """The root-first chain of ``object_id`` if the index can answer it
         without any backend read; ``None`` when some link is unknown."""
@@ -407,11 +364,9 @@ class ObjectStore:
     def chain_ids(self, object_id: str) -> tuple[str, ...]:
         """The root-first id chain of ``object_id``, from the index.
 
-        Unknown links are backfilled by reading the object (one multiget
-        for the whole remaining segment on a chain-following remote
-        backend); links already indexed cost a dictionary lookup only.
+        Unknown links are backfilled by reading the object; links already
+        indexed cost a dictionary lookup only.
         """
-        follows = getattr(self.backend, "follows_chains", False)
         reversed_chain: list[str] = []
         seen: set[str] = set()
         current_id: str | None = object_id
@@ -419,17 +374,9 @@ class ObjectStore:
             with self._index_lock:
                 meta = self._meta.get(current_id)
             if meta is None:
-                if follows:
-                    # One round trip resolves the whole remaining segment.
-                    self.note_objects(
-                        self.backend.get_many([current_id], follow_bases=True).values()
-                    )
-                    with self._index_lock:
-                        meta = self._meta.get(current_id)
-                if meta is None:
-                    self.get(current_id)  # raises ObjectNotFoundError if absent
-                    with self._index_lock:
-                        meta = self._meta[current_id]
+                self.get(current_id)  # raises ObjectNotFoundError if absent
+                with self._index_lock:
+                    meta = self._meta[current_id]
             if current_id in seen:
                 raise ObjectNotFoundError(
                     f"delta chain of {object_id!r} contains a cycle"
@@ -649,24 +596,6 @@ class ObjectStore:
                 if children is not None and len(children) >= 2:
                     key = chain[index + 1]
         return key
-
-    def prime_chains(self, object_ids: Sequence[str]) -> dict[str, StoredObject]:
-        """Resolve many chains in one exchange on a remote backend.
-
-        For a chain-following backend, every tip the index cannot already
-        resolve is fetched — whole chains included — in a single
-        ``multiget`` round trip; the fetched objects are returned so a
-        batch replay can consume them without re-fetching.  Local backends
-        return ``{}`` (per-object reads are already as cheap as it gets).
-        """
-        if not getattr(self.backend, "follows_chains", False):
-            return {}
-        unknown = [oid for oid in object_ids if self.cached_chain_ids(oid) is None]
-        if not unknown:
-            return {}
-        objects = self.backend.get_many(unknown, follow_bases=True)
-        self.note_objects(objects.values())
-        return objects
 
     # ------------------------------------------------------------------ #
     # internals

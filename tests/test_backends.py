@@ -134,6 +134,13 @@ class TestOpenBackend:
         with pytest.raises(BackendSpecError):
             open_backend("s3://bucket/prefix")
 
+    @pytest.mark.parametrize("spec", ["http://h:1", "https://h:1"])
+    def test_http_schemes_are_not_backends(self, spec):
+        with pytest.raises(BackendSpecError) as error:
+            open_backend(spec)
+        known = str(error.value).partition("known: ")[2]
+        assert known and "http" not in known
+
     def test_memory_with_path_rejected(self):
         with pytest.raises(BackendSpecError):
             open_backend("memory://with-a-path")

@@ -184,21 +184,15 @@ def test_spill_tier_scrubs_previous_process_leftovers(tmp_path):
     assert not torn_tmp.exists()
 
 
-def test_frontend_acceptors_do_not_scrub_each_others_spills(tmp_path):
-    """``--frontend-procs`` acceptors each spill into their own directory:
-    opening the second tier must not unlink what the first has indexed."""
+def test_cache_tier_defaults_into_the_repository(tmp_path):
+    """``--cache-tier-bytes`` without ``--cache-tier-dir`` spills into
+    ``REPOSITORY/cache-tier``."""
     from repro.cli import _cache_tier_dir, build_parser
 
     args = build_parser().parse_args(
         ["serve", str(tmp_path / "repo"), "--cache-tier-bytes", str(1 << 20)]
     )
-    assert _cache_tier_dir(args, None) == str(tmp_path / "repo" / "cache-tier")
-    first = SpillTier(_cache_tier_dir(args, 0), args.cache_tier_bytes)
-    first.put("key", ["payload"] * 50)
-    second = SpillTier(_cache_tier_dir(args, 1), args.cache_tier_bytes)
-    assert first.directory != second.directory
-    assert first.get("key") == ["payload"] * 50
-    assert LRUPayloadCache.is_miss(second.get("key"))
+    assert _cache_tier_dir(args) == str(tmp_path / "repo" / "cache-tier")
 
 
 def test_serving_with_torn_spills_recomputes_not_errors(tmp_path):

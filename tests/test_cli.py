@@ -162,6 +162,10 @@ class TestBackendsAndBatch:
         assert main(["init", str(tmp_path / "mem"), "--backend", "memory://"]) == 1
         assert "memory://" in capsys.readouterr().err
 
+    def test_init_rejects_http_backend(self, tmp_path, capsys):
+        assert main(["init", str(tmp_path / "net"), "--backend", "http://h:1"]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_state_records_backend_spec(self, tmp_path):
         directory = str(tmp_path / "zipped")
         main(["init", directory, "--backend", "zip://objects"])
@@ -293,6 +297,7 @@ class TestServeSurface:
             ["--cache-admission", "cost"],
             ["--worker-model", "process"],
             ["--repack-budget", "1"],
+            ["--frontend-procs", "2"],
         ],
     )
     def test_removed_flags_are_rejected(self, removed, capsys):

@@ -45,6 +45,27 @@ class TestObjectStore:
         assert [obj.object_id for obj in chain] == [base_id, mid_id, leaf_id]
         assert store.delta_chain(base_id) == [store.get(base_id)]
 
+    def test_get_many_omits_missing_ids(self):
+        store = ObjectStore()
+        first = store.put_full(["one"])
+        second = store.put_full(["two"])
+        found = store.get_many([first, "missing", second])
+        assert set(found) == {first, second}
+        assert found[first].payload == ["one"]
+        assert found[second].payload == ["two"]
+        assert store.get_many([]) == {}
+
+    def test_get_many_indexes_what_it_reads(self, tmp_path):
+        directory = str(tmp_path / "objects")
+        writer = ObjectStore(directory=directory)
+        encoder = LineDiffEncoder()
+        base_id = writer.put_full(["a", "b"])
+        leaf_id = writer.put_delta(base_id, encoder.diff(["a", "b"], ["a", "c"]))
+        reader = ObjectStore(directory=directory)
+        assert reader.cached_chain_ids(leaf_id) is None
+        reader.get_many([base_id, leaf_id])
+        assert reader.cached_chain_ids(leaf_id) == (base_id, leaf_id)
+
     def test_get_missing_raises(self):
         with pytest.raises(ObjectNotFoundError):
             ObjectStore().get("nope")

@@ -1,8 +1,8 @@
 """Remote-client retry policy and HTTP error-body reporting.
 
-The bugfix satellites: transport-level failures on *idempotent* reads
-retry with bounded exponential backoff (counted, never for writes, never
-for HTTP status errors), and an HTTP error response whose body is not
+Transport-level failures on *idempotent* reads retry with bounded
+exponential backoff (counted, never for writes, never for HTTP status
+errors), and an HTTP error response whose body is not
 the service's JSON shape surfaces a truncated snippet of the raw body
 instead of being silently discarded.
 """
@@ -16,8 +16,7 @@ from urllib import error as urlerror
 import pytest
 
 import repro.server.remote as remote
-from repro.obs.metrics import MetricsRegistry
-from repro.server.remote import RemoteBackend, RemoteServiceError, ServiceClient
+from repro.server.remote import RemoteServiceError, ServiceClient
 
 
 def _url_error() -> urlerror.URLError:
@@ -26,7 +25,7 @@ def _url_error() -> urlerror.URLError:
 
 def _http_error(code: int, body: bytes) -> urlerror.HTTPError:
     return urlerror.HTTPError(
-        "http://example/objects/k", code, "boom", hdrs=None, fp=io.BytesIO(body)
+        "http://example/stats", code, "boom", hdrs=None, fp=io.BytesIO(body)
     )
 
 
@@ -53,72 +52,6 @@ def no_sleep(monkeypatch):
     return slept
 
 
-class TestBackendRetry:
-    def test_get_retries_transport_failures(self, monkeypatch, no_sleep):
-        import pickle
-
-        transport = FlakyTransport(2, pickle.dumps({"v": 1}))
-        monkeypatch.setattr(remote, "_http", transport)
-        backend = RemoteBackend("http://127.0.0.1:1")
-        assert backend.get("k") == {"v": 1}
-        assert len(transport.calls) == 3
-        assert backend.retries == 2
-        assert len(no_sleep) == 2
-        assert no_sleep[0] < no_sleep[1]  # exponential backoff
-
-    def test_get_gives_up_after_bounded_attempts(self, monkeypatch, no_sleep):
-        transport = FlakyTransport(99)
-        monkeypatch.setattr(remote, "_http", transport)
-        backend = RemoteBackend("http://127.0.0.1:1")
-        with pytest.raises(RemoteServiceError):
-            backend.get("k")
-        assert len(transport.calls) == remote._RETRY_ATTEMPTS
-        assert backend.retries == remote._RETRY_ATTEMPTS - 1
-
-    def test_http_status_errors_are_never_retried(self, monkeypatch, no_sleep):
-        transport = FlakyTransport(99, error=_http_error(500, b"oops"))
-        monkeypatch.setattr(remote, "_http", transport)
-        backend = RemoteBackend("http://127.0.0.1:1")
-        with pytest.raises(RemoteServiceError):
-            backend.get("k")
-        assert len(transport.calls) == 1
-        assert backend.retries == 0
-
-    def test_writes_are_single_shot(self, monkeypatch, no_sleep):
-        transport = FlakyTransport(99)
-        monkeypatch.setattr(remote, "_http", transport)
-        backend = RemoteBackend("http://127.0.0.1:1")
-        with pytest.raises(RemoteServiceError):
-            backend.put("k", [1, 2, 3])
-        assert len(transport.calls) == 1
-        with pytest.raises(RemoteServiceError):
-            backend.delete("k")
-        assert len(transport.calls) == 2
-        assert backend.retries == 0
-
-    def test_multiget_retries_like_a_read(self, monkeypatch, no_sleep):
-        import pickle
-
-        transport = FlakyTransport(1, pickle.dumps({"a": 1}))
-        monkeypatch.setattr(remote, "_http", transport)
-        backend = RemoteBackend("http://127.0.0.1:1")
-        assert backend.get_many(["a"]) == {"a": 1}
-        assert backend.retries == 1
-
-    def test_retries_count_on_the_metrics_registry(self, monkeypatch, no_sleep):
-        import pickle
-
-        transport = FlakyTransport(2, pickle.dumps(1))
-        monkeypatch.setattr(remote, "_http", transport)
-        backend = RemoteBackend("http://127.0.0.1:1")
-        registry = MetricsRegistry()
-        backend.bind_metrics(registry)
-        backend.get("k")
-        text = registry.render_prometheus()
-        assert "repro_remote_retries_total" in text
-        assert 'client="backend"' in text
-
-
 class TestServiceClientRetry:
     def test_get_retries_posts_do_not(self, monkeypatch, no_sleep):
         transport = FlakyTransport(1, json.dumps({"ok": True}).encode())
@@ -139,6 +72,57 @@ class TestServiceClientRetry:
         client = ServiceClient("http://127.0.0.1:1")
         assert client.metrics_text() == "# HELP x\n"
         assert client.retries == 2
+
+    def test_get_retries_transport_failures(self, monkeypatch, no_sleep):
+        transport = FlakyTransport(2, json.dumps({"version": "v1"}).encode())
+        monkeypatch.setattr(remote, "_http", transport)
+        client = ServiceClient("http://127.0.0.1:1")
+        assert client.checkout("v1") == {"version": "v1"}
+        assert len(transport.calls) == 3
+        assert client.retries == 2
+        assert len(no_sleep) == 2
+        assert no_sleep[0] < no_sleep[1]  # exponential backoff
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda client: client.commit(["a"], message="m"),
+            lambda client: client.plan(threshold=1.0),
+            lambda client: client.repack(dry_run=True),
+            lambda client: client.prune(),
+        ],
+        ids=["commit", "plan", "repack", "prune"],
+    )
+    def test_writes_are_single_shot(self, monkeypatch, no_sleep, call):
+        transport = FlakyTransport(99)
+        monkeypatch.setattr(remote, "_http", transport)
+        client = ServiceClient("http://127.0.0.1:1")
+        with pytest.raises(RemoteServiceError) as excinfo:
+            call(client)
+        assert excinfo.value.status is None
+        assert [method for method, _ in transport.calls] == ["POST"]
+        assert client.retries == 0
+        assert no_sleep == []
+
+    def test_get_gives_up_after_bounded_attempts(self, monkeypatch, no_sleep):
+        transport = FlakyTransport(99)
+        monkeypatch.setattr(remote, "_http", transport)
+        client = ServiceClient("http://127.0.0.1:1")
+        with pytest.raises(RemoteServiceError):
+            client.stats()
+        assert len(transport.calls) == remote._RETRY_ATTEMPTS
+        assert client.retries == remote._RETRY_ATTEMPTS - 1
+        assert len(no_sleep) == remote._RETRY_ATTEMPTS - 1
+        assert no_sleep[0] < no_sleep[1]  # exponential backoff
+
+    def test_http_status_errors_are_never_retried(self, monkeypatch, no_sleep):
+        transport = FlakyTransport(99, error=_http_error(500, b"oops"))
+        monkeypatch.setattr(remote, "_http", transport)
+        client = ServiceClient("http://127.0.0.1:1")
+        with pytest.raises(RemoteServiceError):
+            client.stats()
+        assert len(transport.calls) == 1
+        assert client.retries == 0
 
 
 class TestErrorBodyReporting:

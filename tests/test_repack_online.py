@@ -655,6 +655,9 @@ BAD_OPTIONS = [
     {"hop_limit": -1},
 ]
 
+#: ``half_life`` must be a positive finite number; ``None`` means unset.
+BAD_HALF_LIVES = [[1], "nan", "inf", 0, -1]
+
 
 class TestPlanOptionsCheckedBeforeTheScan:
     @pytest.mark.parametrize("bad", BAD_OPTIONS, ids=repr)
@@ -679,6 +682,8 @@ class TestPlanOptionsCheckedBeforeTheScan:
                 ("/repack", {"adaptive": True, "problem": 9}),
                 ("/plan", {"threshold": "abc"}),
                 ("/plan", {"hop_limit": None}),
+                ("/repack", {"half_life": [1]}),
+                ("/repack", {"half_life": "nan", "dry_run": True}),
             ]:
                 request = urllib.request.Request(
                     server.url + path, data=json.dumps(body).encode(), method="POST"
@@ -692,6 +697,36 @@ class TestPlanOptionsCheckedBeforeTheScan:
             server.server_close()
             service.close()
         assert scans == []
+
+    @pytest.mark.parametrize("half_life", BAD_HALF_LIVES, ids=repr)
+    def test_bad_half_life_rejected_without_a_scan(self, half_life, scans):
+        repo, _ = build_independent_chains(num_chains=1, chain_length=4)
+        service = VersionStoreService(repo)
+        for dry_run in (True, False):
+            with pytest.raises(ReproError, match="plan option half_life"):
+                service.repack(half_life=half_life, dry_run=dry_run)
+        assert scans == []
+        assert service.repacker.epoch == 0
+        assert service.decision_log.tail() == []
+        service.close()
+
+    def test_null_half_life_means_unset(self):
+        repo, _ = build_independent_chains(num_chains=1, chain_length=4)
+        service = VersionStoreService(repo)
+        server, _thread = serve_in_thread(service)
+        try:
+            request = urllib.request.Request(
+                server.url + "/repack",
+                data=json.dumps({"half_life": None, "dry_run": True}).encode(),
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                report = json.loads(response.read())
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert report["half_life"] is None and report["dry_run"] is True
 
     def test_well_formed_strings_are_accepted(self):
         repo, _ = build_independent_chains(num_chains=1, chain_length=4)

@@ -4,9 +4,8 @@ Covers the acceptance scenario of the serve subsystem: a service on an
 ephemeral port, 20 committed versions, 50 mixed checkout requests (with
 concurrent duplicates), byte-identical payloads vs direct repository
 checkouts, and warm-cache delta applications strictly below the sequential
-cold count the stats endpoint reports.  Also exercises the ``/objects``
-endpoints through ``RemoteBackend`` (one repro process mounting another's
-object store) and the remote-aware CLI.
+cold count the stats endpoint reports.  Also checks that no route takes
+raw object bytes, and exercises the remote-aware CLI.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import pytest
 
 from repro.cli import main
 from repro.server.httpd import serve_in_thread
-from repro.server.remote import RemoteBackend, RemoteServiceError, ServiceClient
+from repro.server.remote import ServiceClient
 from repro.server.service import VersionStoreService
-from repro.storage.backends import open_backend
-from repro.storage.objects import ObjectStore
 from repro.storage.repository import Repository
 
 
@@ -198,202 +195,61 @@ class TestEndToEnd:
         assert report["metrics"]["storage_cost"] > 0
 
 
-class TestRemoteBackend:
-    def test_round_trip_via_objects_api(self, served_repo):
+class TestNoObjectRoutes:
+    """The server speaks JSON only: no route accepts or returns pickles."""
+
+    def test_no_server_module_imports_pickle(self):
+        import ast
+        import pathlib
+
+        import repro.server
+
+        package = pathlib.Path(repro.server.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert modules
+        for module in modules:
+            tree = ast.parse(module.read_text(encoding="utf-8"))
+            imported = {
+                alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for alias in node.names
+            } | {
+                (node.module or "").split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+            }
+            assert "pickle" not in imported, module.name
+
+    def test_pickled_put_is_refused_and_stores_nothing(self, served_repo):
+        import http.client
+        import pickle
+
+        server, service, repo, vids = served_repo
+        backend = repo.store.backend
+        before = len(backend)
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request(
+                "PUT",
+                "/objects/k",
+                body=pickle.dumps({"rows": [1, 2, 3]}),
+                headers={"Content-Type": "application/octet-stream"},
+            )
+            response = connection.getresponse()
+            response.read()
+        finally:
+            connection.close()
+        assert not 200 <= response.status < 300
+        assert len(backend) == before
+        assert "k" not in backend
+
+    def test_objects_path_is_not_routed(self, served_repo):
         server, *_ = served_repo
-        backend = open_backend(server.url)
-        assert isinstance(backend, RemoteBackend)
-        backend.put("cafe01", {"rows": [1, 2, 3]})
-        assert backend.get("cafe01") == {"rows": [1, 2, 3]}
-        assert "cafe01" in list(backend.keys())
-        assert "cafe01" in backend
-        backend.delete("cafe01")
-        with pytest.raises(KeyError):
-            backend.get("cafe01")
-
-    def test_repository_mounted_on_remote_store(self, served_repo):
-        """One repro process using another as its object store."""
-        server, service, remote_repo, vids = served_repo
-        local = Repository(backend=server.url)
-        payload = [f"local,{i}" for i in range(10)]
-        local_vids = [local.commit(payload)]
-        local_vids.append(local.commit(payload + ["one more line"]))
-        for vid in local_vids:
-            assert local.checkout(vid, record_stats=False).payload is not None
-        # The object bytes genuinely live in the serving process's store.
-        local_oids = {local.object_id_of(vid) for vid in local_vids}
-        assert local_oids <= set(remote_repo.store.object_ids())
-
-    def test_second_store_view_sees_remote_objects(self, served_repo):
-        server, service, remote_repo, vids = served_repo
-        store = ObjectStore(backend=open_backend(server.url))
-        oid = remote_repo.object_id_of(vids[0])
-        assert store.get(oid).payload == remote_repo.checkout(
-            vids[0], record_stats=False
-        ).payload
-
-    def test_dead_server_raises_service_error_not_keyerror(self):
-        backend = RemoteBackend("http://127.0.0.1:9", timeout=0.5)
-        with pytest.raises(RemoteServiceError):
-            backend.get("anything")
-
-
-class TestMultiget:
-    def test_multiget_round_trip(self, served_repo):
-        server, service, repo, vids = served_repo
-        backend = open_backend(server.url)
-        oids = [repo.object_id_of(vids[0]), repo.object_id_of(vids[1])]
-        found = backend.get_many(oids)
-        assert set(found) == set(oids)
-        assert found[oids[0]].payload == repo.checkout(
-            vids[0], record_stats=False
-        ).payload
-
-    def test_multiget_omits_missing_keys(self, served_repo):
-        server, service, repo, vids = served_repo
-        backend = open_backend(server.url)
-        oid = repo.object_id_of(vids[0])
-        assert set(backend.get_many([oid, "feedbeef"])) == {oid}
-        assert backend.get_many([]) == {}
-
-    def test_follow_bases_returns_whole_chain(self, served_repo):
-        server, service, repo, vids = served_repo
-        backend = open_backend(server.url)
-        tip = repo.object_id_of(vids[-1])
-        chain = repo.store.delta_chain(tip)
-        found = backend.get_many([tip], follow_bases=True)
-        assert set(found) == {obj.object_id for obj in chain}
-
-    def test_bad_multiget_body_rejected(self, served_repo):
-        server, *_ = served_repo
-        request = urllib.request.Request(
-            f"{server.url}/objects/multiget",
-            data=json.dumps({"keys": "not-a-list"}).encode(),
-            method="POST",
-        )
         with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(request)
-        assert err.value.code == 400
-
-    def test_chain_replay_is_one_round_trip_per_segment(self, served_repo, monkeypatch):
-        """A checkout through a remote-mounted store costs O(1) HTTP
-        exchanges per chain segment, not one per chain object."""
-        import repro.server.remote as remote_module
-
-        server, service, repo, vids = served_repo
-        store = ObjectStore(backend=open_backend(server.url))
-        tip = repo.object_id_of(vids[-1])
-        chain_length = len(repo.store.delta_chain(tip))
-        assert chain_length >= 10  # the fixture builds a 20-deep lineage
-
-        calls: list = []
-        original_http = remote_module._http
-
-        def counting_http(method, url, **kwargs):
-            calls.append((method, url))
-            return original_http(method, url, **kwargs)
-
-        monkeypatch.setattr(remote_module, "_http", counting_http)
-        fetched = store.delta_chain(tip)
-        assert [obj.object_id for obj in fetched] == [
-            obj.object_id for obj in repo.store.delta_chain(tip)
-        ]
-        assert len(calls) == 1  # the whole segment arrived in one multiget
-
-    def test_remote_batch_materializer_uses_segment_fetches(
-        self, served_repo, monkeypatch
-    ):
-        import repro.server.remote as remote_module
-        from repro.storage.batch import BatchMaterializer
-
-        server, service, repo, vids = served_repo
-        store = ObjectStore(backend=open_backend(server.url))
-        materializer = BatchMaterializer(store, repo.encoder, cache_size=0)
-        tip = repo.object_id_of(vids[-1])
-        chain_length = len(repo.store.delta_chain(tip))
-
-        calls: list = []
-        original_http = remote_module._http
-
-        def counting_http(method, url, **kwargs):
-            calls.append(url)
-            return original_http(method, url, **kwargs)
-
-        monkeypatch.setattr(remote_module, "_http", counting_http)
-        item = materializer.materialize(tip)
-        assert item.payload == repo.checkout(vids[-1], record_stats=False).payload
-        # One multiget resolves and replays the whole chain; without it the
-        # replay alone would cost `chain_length` GET round trips.
-        assert len(calls) < chain_length
-        assert len(calls) <= 2
-
-    def test_warm_remote_repeat_costs_no_round_trips(self, served_repo, monkeypatch):
-        import repro.server.remote as remote_module
-        from repro.storage.batch import BatchMaterializer
-
-        server, service, repo, vids = served_repo
-        store = ObjectStore(backend=open_backend(server.url))
-        materializer = BatchMaterializer(store, repo.encoder, cache_size=64)
-        tip = repo.object_id_of(vids[-1])
-        first = materializer.materialize(tip)
-
-        calls: list = []
-        original_http = remote_module._http
-
-        def counting_http(method, url, **kwargs):
-            calls.append(url)
-            return original_http(method, url, **kwargs)
-
-        monkeypatch.setattr(remote_module, "_http", counting_http)
-        repeat = materializer.materialize(tip)
-        assert repeat.payload == first.payload
-        assert calls == []  # chain metadata memoized + payload cached
-
-        # A mid-chain request against the warm cache also needs at most one
-        # batched exchange for its uncached suffix.
-        mid = repo.object_id_of(vids[len(vids) // 2])
-        materializer.materialize(mid)
-        assert len(calls) <= 1
-
-    def test_remote_union_tree_batch_is_segment_fetched(
-        self, served_repo, monkeypatch
-    ):
-        """checkout_many over a remote backend replays its whole union tree
-        in O(1) exchanges — never one round trip per tree node."""
-        import repro.server.remote as remote_module
-        from repro.storage.batch import BatchMaterializer
-
-        server, service, repo, vids = served_repo
-        store = ObjectStore(backend=open_backend(server.url))
-        materializer = BatchMaterializer(store, repo.encoder, cache_size=0)
-        requests = [(vid, repo.object_id_of(vid)) for vid in vids]
-        naive_round_trips = sum(
-            len(repo.store.delta_chain(oid)) for _, oid in requests
-        )
-        assert naive_round_trips >= 20
-
-        calls: list = []
-        original_http = remote_module._http
-
-        def counting_http(method, url, **kwargs):
-            calls.append(url)
-            return original_http(method, url, **kwargs)
-
-        monkeypatch.setattr(remote_module, "_http", counting_http)
-        result = materializer.materialize_many(requests)
-        for vid in vids:
-            expected = repo.checkout(vid, record_stats=False).payload
-            assert result.items[vid].payload == expected
-        # One multiget primes every chain (metadata + objects); with the
-        # cache disabled the union-tree walk may need one more batched
-        # fetch — but never per-object exchanges.
-        assert len(calls) <= 2, calls
-
-        # A warm repeat with cache disabled still batches: the chains are
-        # indexed now, so only the payload objects travel — in one exchange.
-        calls.clear()
-        materializer.materialize_many(requests)
-        assert len(calls) <= 1, calls
+            urllib.request.urlopen(f"{server.url}/objects")
+        assert err.value.code == 404
 
 
 class TestRepackOverHTTP:

@@ -7,7 +7,6 @@
   materializes to exactly the bytes a sequential checkout produces,
   batched and one at a time, whatever the pool width, and a batch fetches
   each union-tree node exactly once;
-* **plumbing** — the CLI parser threads ``--frontend-procs`` through;
 * **executor lifecycle** — ``BatchMaterializer`` works as a context
   manager and its ``weakref.finalize`` fallback shuts the pool down when
   the materializer is dropped without ``close()``.
@@ -19,7 +18,6 @@ import gc
 
 import pytest
 
-from repro.cli import build_parser
 from repro.storage.backends import FilesystemBackend
 from repro.storage.batch import BatchMaterializer
 from repro.storage.repository import Repository
@@ -127,16 +125,6 @@ class TestForkFanByteIdentity:
             for vid in vids:
                 item = materializer.materialize(repo.object_id_of(vid))
                 assert item.payload == expected[vid], vid
-
-
-# --------------------------------------------------------------------- #
-# plumbing
-# --------------------------------------------------------------------- #
-def test_serve_parser_accepts_frontend_procs():
-    parser = build_parser()
-    args = parser.parse_args(["serve", "repo", "--frontend-procs", "2"])
-    assert args.frontend_procs == 2
-    assert parser.parse_args(["serve", "repo"]).frontend_procs == 1
 
 
 # --------------------------------------------------------------------- #
