@@ -107,16 +107,15 @@ def test_serve_warm_vs_cold():
         assert row["warm_seconds"] <= 3 * row["cold_seconds"] + 0.05
 
 
-def test_concurrent_checkouts_scale_with_workers():
+def test_concurrent_checkouts_scale_with_stripes():
     """Acceptance: ≥4 independent chains served by 4 clients improve ≥2×
-    with per-chain striped locks + 4 workers over the single-lock baseline,
+    with per-chain striped locks over the single-lock baseline,
     byte-identically, on an I/O-latency store (fetch sleeps release the GIL
     exactly like disk/remote reads do)."""
     rows = concurrent_serving_benchmark(
         num_chains=4,
         chain_length=12,
         requests_per_chain=6,
-        workers=4,
         storage_latency=0.003,
         seed=11,
     )
@@ -145,5 +144,5 @@ def test_concurrent_checkouts_scale_with_workers():
     # configuration matched the direct repository checkout byte for byte.
     assert all(not row["errors"] for row in rows), [row["errors"] for row in rows]
     assert all(row["byte_identical"] for row in rows)
-    # The acceptance bar: ≥2× concurrent throughput with 4 workers.
+    # The acceptance bar: ≥2× concurrent throughput with 4 client threads.
     assert speedup >= 2.0, f"expected ≥2x, measured {speedup:.2f}x"

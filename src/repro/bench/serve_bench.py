@@ -22,13 +22,12 @@ Three experiments:
 * :func:`concurrent_serving_benchmark` — the per-chain concurrency
   experiment: N client threads hammer N *independent* delta chains through
   one service, once with the old single-lock configuration
-  (``lock_stripes=1, max_workers=1``) and once with striped per-chain
-  locks and a worker pool.  The store sits behind
-  :class:`SimulatedLatencyBackend`, which charges a fixed per-fetch
-  latency — modelling the disk/remote stores where recreation time is
-  I/O-bound, which is where lock striping pays (pure in-memory CPU replay
-  is GIL-serialized in CPython either way; both raw configurations are
-  reported).  Byte parity against direct repository checkouts is verified
+  (``lock_stripes=1``) and once with 64 striped per-chain locks.  The
+  store sits behind :class:`SimulatedLatencyBackend`, which charges a
+  fixed per-fetch latency — modelling the disk/remote stores where
+  recreation time is I/O-bound, which is where lock striping pays (pure
+  in-memory CPU replay is GIL-serialized in CPython either way; both raw
+  configurations are reported).  Byte parity against direct repository checkouts is verified
   for every served payload.
 
 Both drivers run in-process (no HTTP) so the numbers isolate the
@@ -410,7 +409,6 @@ def concurrent_serving_benchmark(
     num_chains: int = 4,
     chain_length: int = 12,
     requests_per_chain: int = 6,
-    workers: int = 4,
     storage_latency: float = 0.002,
     seed: int = 0,
 ) -> list[dict[str, float | str | bool]]:
@@ -422,20 +420,16 @@ def concurrent_serving_benchmark(
     latency-charged store).  Two service configurations serve the identical
     request schedule over byte-identical repositories:
 
-    * ``single-lock`` — ``lock_stripes=1, max_workers=1``: the pre-refactor
-      server, every materialization serialized;
-    * ``striped`` — per-chain striped locks plus a ``workers``-wide pool.
+    * ``single-lock`` — ``lock_stripes=1``: the pre-refactor server, every
+      materialization serialized;
+    * ``striped`` — ``lock_stripes=64``: per-chain striped locks.
 
     Returns one row per configuration (wall seconds, requests/s, fetches,
     byte parity against direct repository checkouts) plus a ``speedup``
     summary row.
     """
-    configs = [
-        ("single-lock", 1, 1),
-        (f"striped-{workers}w", 64, workers),
-    ]
     rows: list[dict[str, float | str | bool]] = []
-    for label, stripes, max_workers in configs:
+    for label, stripes in (("single-lock", 1), ("striped", 64)):
         backend = SimulatedLatencyBackend(MemoryBackend(), storage_latency)
         repo, chains = build_independent_chains(
             num_chains=num_chains,
@@ -451,7 +445,6 @@ def concurrent_serving_benchmark(
         service = VersionStoreService(
             repo,
             cache_size=0,  # every request replays: isolates lock concurrency
-            max_workers=max_workers,
             lock_stripes=stripes,
         )
         # Warm the cost index (chain roots) outside the measured window so

@@ -653,7 +653,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Persist observed access frequencies inside the repository, so the
         # workload survives restarts and feeds `repro repack --workload`.
         workload_log=open_workload_log(args.repository, repo=repo),
-        max_workers=args.workers,
         auto_repack_interval=args.repack_interval,
         adaptive_repack=args.adaptive_repack,
         repack_horizon=args.repack_horizon,
@@ -664,10 +663,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     server = serve(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
-    replica = f"; replica {replica_id}" if replica_id else ""
+    replica = f"replica {replica_id}; " if replica_id else ""
     print(
         f"serving {args.repository} on http://{host}:{port} "
-        f"({service.max_workers} workers{replica}; ctrl-c to stop)"
+        f"({replica}ctrl-c to stop)"
     )
     try:
         server.serve_forever()
@@ -812,13 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the on-disk cache tier (default: "
         "REPOSITORY/cache-tier when --cache-tier-bytes is set); scrubbed "
         "on startup, safe to delete at rest",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads for replaying the independent root trees of "
-        "one batch in parallel (default: the cores this process may use)",
     )
     serve.add_argument(
         "--adaptive-repack",

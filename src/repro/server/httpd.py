@@ -73,6 +73,24 @@ __all__ = ["VersionStoreHTTPServer", "serve", "serve_in_thread"]
 #: misbehaving client exhausting server memory with one request.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+
+def _field(body: dict[str, Any], name: str, kind: type) -> Any:
+    """``body[name]`` when it is a ``kind``, ``None`` when absent or null,
+    and a 400 for anything else — before the service sees the request."""
+    value = body.get(name)
+    if value is not None and not isinstance(value, kind):
+        raise ReproError(f"{name!r} must be a {kind.__name__}")
+    return value
+
+
+def _string_list(body: dict[str, Any], name: str) -> list[str] | None:
+    """``_field(body, name, list)`` whose every item is a string."""
+    values = _field(body, name, list)
+    if values is not None and not all(isinstance(item, str) for item in values):
+        raise ReproError(f"every item of {name!r} must be a str")
+    return values
+
+
 def _plan_options(body: dict[str, Any]) -> dict[str, Any]:
     """The plan knobs a body sets, passed on unconverted: the service checks
     them before any scan and answers a malformed one with a 400."""
@@ -289,16 +307,17 @@ class _Handler(BaseHTTPRequestHandler):
         if method == "POST":
             if parts == ["checkout"]:
                 body = self._read_json()
-                if "version" not in body:
+                version = _field(body, "version", str)
+                if version is None:
                     raise ReproError("checkout requires a 'version' field")
                 trace = Trace() if self._trace_requested(query, body) else None
-                response = self.service.checkout(body["version"], trace=trace)
+                response = self.service.checkout(version, trace=trace)
                 self._send_traced(response.to_dict(), trace)
                 return True
             if parts == ["checkout_many"]:
                 body = self._read_json()
-                versions = body.get("versions")
-                if not isinstance(versions, list):
+                versions = _string_list(body, "versions")
+                if versions is None:
                     raise ReproError("checkout_many requires a 'versions' list")
                 trace = Trace() if self._trace_requested(query, body) else None
                 result = self.service.checkout_many(versions, trace=trace)
@@ -324,9 +343,9 @@ class _Handler(BaseHTTPRequestHandler):
                     raise ReproError("commit requires a 'payload' field")
                 version_id = self.service.commit(
                     body["payload"],
-                    parents=body.get("parents"),
-                    message=body.get("message", ""),
-                    branch=body.get("branch"),
+                    parents=_string_list(body, "parents"),
+                    message=_field(body, "message", str) or "",
+                    branch=_field(body, "branch", str),
                 )
                 self._send_json(200, {"version": version_id})
                 return True

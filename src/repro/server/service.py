@@ -55,7 +55,6 @@ usable directly in-process (the serving benchmark does exactly that).
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -87,14 +86,6 @@ from ..storage.repository import Repository
 from ..storage.workload_log import WorkloadLog
 
 __all__ = ["VersionStoreService", "CheckoutResponse", "ServiceStats"]
-
-
-def default_worker_count() -> int:
-    """Worker-pool size when the operator does not pass one: the cores
-    this process may run on (a pinned server cannot use the others)."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return max(1, os.cpu_count() or 1)
 
 
 def _non_negative(number: Any) -> Any:
@@ -252,8 +243,8 @@ class VersionStoreService:
     """Serve commits and checkouts from one repository, warm and thread-safe.
 
     The service builds the process's one :class:`BatchMaterializer` —
-    warm cache sized by ``cache_size``, worker pool, stripe locks, optional
-    spill tier — and installs it as ``repository.materializer``: served
+    warm cache sized by ``cache_size``, stripe locks, optional spill
+    tier — and installs it as ``repository.materializer``: served
     checkouts, a commit's parent read, the repack swap's cache drop and
     ``sync()``'s epoch drop all act on that one cache.
 
@@ -267,10 +258,9 @@ class VersionStoreService:
     point, which degenerates to the chain root on linear histories — so
     independent chains *and disjoint subtrees of one fork-heavy root*
     replay concurrently while same-subtree requests serialize into the warm
-    cache.  Replay runs on the thread that asked for it; ``max_workers``
-    (default: the cores this process may run on) additionally fans the
-    independent root trees of one ``checkout_many`` batch out across worker
-    threads.  Setting ``lock_stripes=1`` with ``max_workers=1`` reproduces
+    cache.  A ``checkout_many`` batch replays its root trees one after
+    another, each under its **chain-root** stripe.  Replay always runs on
+    the thread that asked for it.  Setting ``lock_stripes=1`` reproduces
     the old single-lock server — the benchmark's baseline.
 
     ``on_commit`` is called after every successful commit — and after the
@@ -298,7 +288,6 @@ class VersionStoreService:
         cache_size: int = 256,
         on_commit: Callable[[Repository], None] | None = None,
         workload_log: WorkloadLog | None = None,
-        max_workers: int | None = None,
         lock_stripes: int = 64,
         auto_repack_interval: int = 32,
         adaptive_repack: bool = False,
@@ -317,20 +306,15 @@ class VersionStoreService:
                 "store over a sqlite:// backend to use --join"
             )
         self.repository = repository
-        self.max_workers = (
-            max(1, int(max_workers)) if max_workers else default_worker_count()
-        )
         self.chain_locks = StripedLockManager(lock_stripes)
         self.materializer = BatchMaterializer(
             repository.store,
             repository.encoder,
             cache_size=cache_size,
-            max_workers=self.max_workers,
             lock_manager=self.chain_locks,
             spill_dir=cache_tier_dir,
             spill_bytes=cache_tier_bytes,
         )
-        repository.materializer.close()
         repository.materializer = self.materializer
         self.stats_counters = ServiceStats()
         self._on_commit = on_commit
@@ -609,14 +593,11 @@ class VersionStoreService:
                 # Adopt peer-process state (new versions, branch heads, a
                 # swapped epoch) before judging branches and parents.
                 self.repository.sync()
-                if branch is not None:
-                    if branch not in self.repository.branches:
-                        self.repository.branch(branch)
-                    self.repository.switch(branch)
                 version_id = self.repository.commit(
                     payload,
                     parents=tuple(parents) if parents is not None else None,
                     message=message,
+                    branch=branch,
                 )
                 if self._on_commit is not None:
                     self._on_commit(self.repository)
@@ -765,10 +746,11 @@ class VersionStoreService:
     ) -> BatchResult:
         """Serve a whole batch through the warm cache (union-tree replay).
 
-        Independent union trees of the batch replay in parallel on the
-        materializer's worker pool (``max_workers``); each tree holds its
-        chain's stripe lock, so concurrent batches and single checkouts on
-        the same chain cooperate instead of racing.
+        The batch's union trees replay one after another on this thread,
+        each under its chain *root*'s stripe lock, so concurrent batches on
+        the same root tree cooperate through the warm cache instead of
+        racing.  A single checkout stripes by its *subtree* key instead, which
+        is the root only on a linear history.
         """
         trace = trace if trace is not None else NULL_TRACE
         started = time.perf_counter() if self._metrics_on else 0.0
@@ -885,7 +867,6 @@ class VersionStoreService:
                 "lease": self.lease.state() if self.lease is not None else None,
             }
             concurrency = {
-                "max_workers": self.max_workers,
                 "lock_stripes": self.chain_locks.num_stripes,
                 "exclusive_epochs": self.coordinator.exclusive_epochs,
             }
@@ -1293,7 +1274,7 @@ class VersionStoreService:
 
     def close(self, timeout: float = 60.0) -> bool:
         """Quiesce the service: stand the auto-repack policy down, wait for
-        in-flight repacks to finish, release the worker pool.
+        in-flight repacks to finish, close the log sink.
 
         Idempotent.  Returns ``True`` when the service quiesced within
         ``timeout`` — only then may a shutdown path persist the repository
@@ -1323,7 +1304,6 @@ class VersionStoreService:
         )
         if quiesced:
             self._write_gate.release()
-        self.materializer.close()
         if self.log_sink is not None:
             self.log_sink.close()
         return quiesced

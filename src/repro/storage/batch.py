@@ -23,16 +23,15 @@ repeat requests without replaying anything.
 payload cache is atomic, and chain metadata lives in the object store's
 incremental cost index (immutable under content addressing, guarded by the
 store's index lock) instead of a private memo.  Replay runs on the thread
-that asked for it, through the one union-tree DFS; the only fan-out is
-across *independent root trees* of one batch, which with ``max_workers >
-1`` replay on a thread pool (fetches that sleep release the GIL).  An
-optional ``lock_manager`` (a
-:class:`~repro.storage.concurrency.StripedLockManager`) serializes work
-per chain root, so concurrent batches touching the same tree cooperate
-through the warm cache instead of duplicating the replay.  More cores are
-used by running more ``repro serve`` processes over one ``sqlite://``
-catalog, never by shipping replay elsewhere.  Every object the walk
-replays is read through :meth:`~repro.storage.objects.ObjectStore.get`.
+that asked for it, through the one union-tree DFS, one root tree after
+another.  An optional ``lock_manager`` (a
+:class:`~repro.storage.concurrency.StripedLockManager`) serializes a
+batch's work per chain root, so concurrent batches touching the same tree
+cooperate through the warm cache instead of duplicating the replay.  More
+cores are used by running more ``repro serve`` processes over one
+``sqlite://`` catalog, never by shipping replay elsewhere.  Every object
+the walk replays is read through
+:meth:`~repro.storage.objects.ObjectStore.get`.
 
 The result reports, per version and in aggregate, the recreation cost
 *actually paid* next to the chain cost the storage plan *predicts* (the Φ
@@ -42,10 +41,7 @@ model the optimizers plan against.
 
 from __future__ import annotations
 
-import threading
 import time
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Sequence
@@ -160,19 +156,6 @@ class BatchResult:
         }
 
 
-def _shutdown_executor_holder(holder: dict) -> None:
-    """Shut down every executor in ``holder`` (the weakref.finalize hook).
-
-    Module-level on purpose: a ``weakref.finalize`` callback must not hold
-    a reference to the materializer it cleans up after, or the finalizer
-    itself would keep the object alive.
-    """
-    executors = list(holder.values())
-    holder.clear()
-    for executor in executors:
-        executor.shutdown(wait=False, cancel_futures=True)
-
-
 class BatchMaterializer:
     """Materializes many objects at once, replaying shared prefixes once.
 
@@ -181,18 +164,11 @@ class BatchMaterializer:
     victim and at the door; recency is the fallback for entries the cost
     index cannot price.
 
-    ``max_workers`` bounds the worker pool that replays *independent* union
-    trees of one batch in parallel (1 keeps everything on the calling
-    thread); ``lock_manager`` optionally serializes work per chain root
+    ``lock_manager`` optionally serializes a batch's work per chain root
     across concurrent callers.  The cache persists across
     :meth:`materialize_many` calls, so a serving loop keeps benefiting from
     earlier batches; call :meth:`clear_cache` between measurements that
     must start cold.
-
-    The materializer is a context manager (``with BatchMaterializer(...)
-    as m:`` closes its pool on exit) and registers a ``weakref.finalize``
-    fallback, so one-shot CLI paths that forget :meth:`close` cannot leak
-    idle worker threads for the life of the process.
     """
 
     def __init__(
@@ -201,7 +177,6 @@ class BatchMaterializer:
         encoder: DeltaEncoder,
         *,
         cache_size: int = 64,
-        max_workers: int | None = None,
         lock_manager: StripedLockManager | None = None,
         spill_dir: str | None = None,
         spill_bytes: int = 0,
@@ -221,22 +196,12 @@ class BatchMaterializer:
             self.cache = LRUPayloadCache(
                 cache_size, victim_cost=self._marginal_payload_cost
             )
-        self.max_workers = max(1, int(max_workers)) if max_workers else 1
         self.lock_manager = lock_manager
-        # The pool lives in a holder dict shared with the finalizer:
-        # whichever of close()/__exit__/GC runs first empties it, and the
-        # others become no-ops.
-        self._executors: dict[str, ThreadPoolExecutor] = {}
-        self._executor_lock = threading.Lock()
-        self._finalizer = weakref.finalize(
-            self, _shutdown_executor_holder, self._executors
-        )
         # Live instruments replace these no-ops when bind_metrics() runs.
         self._metrics_on = False
         self._m_deltas = NULL_INSTRUMENT
         self._m_bytes = NULL_INSTRUMENT
         self._m_warm_error = NULL_INSTRUMENT
-        self._m_pool_tasks = NULL_INSTRUMENT
 
     def bind_metrics(self, registry) -> None:
         """Attach materializer counters and scrape-time cache gauges.
@@ -261,11 +226,6 @@ class BatchMaterializer:
             "/ max(predicted, actual, 1) per single checkout.",
             buckets=(0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0),
         )
-        self._m_pool_tasks = registry.counter(
-            "repro_replay_pool_tasks_total",
-            "Root groups of batches replayed.",
-            ("model",),
-        ).labels("thread")
         hits = registry.gauge("repro_cache_hits", "Payload cache hits (lifetime).")
         misses = registry.gauge(
             "repro_cache_misses", "Payload cache misses (lifetime)."
@@ -489,28 +449,6 @@ class BatchMaterializer:
         """
         self.cache.clear()
 
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; the materializer keeps
-        working afterwards — a later parallel batch simply recreates it).
-
-        Short-lived materializers do not *have* to call this: the
-        context-manager protocol closes on ``__exit__``, and a
-        ``weakref.finalize`` fallback shuts the pool down at garbage
-        collection, so a forgotten one-shot CLI path cannot accumulate
-        idle worker threads.
-        """
-        with self._executor_lock:
-            executors = dict(self._executors)
-            self._executors.clear()
-        for executor in executors.values():
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def __enter__(self) -> "BatchMaterializer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
@@ -523,53 +461,21 @@ class BatchMaterializer:
     def _materialize_forest(
         self, chains: dict[str, tuple[str, ...]]
     ) -> dict[str, BatchItem]:
-        """Replay the union forest, one group per chain *root*.
+        """Replay the union forest, one group per chain *root*, in turn.
 
         Each group is an exactly-once union-tree DFS (the batch guarantee:
-        no delta object replays twice, whatever the cache size).  With
-        ``max_workers > 1`` independent root groups fan out across worker
-        threads; a batch inside one root tree replays on the calling
-        thread.  Each group's replay optionally holds a stripe lock, so
-        concurrent batches cooperate on a tree instead of racing it.
+        no delta object replays twice, whatever the cache size) and holds
+        its root's stripe lock while it replays, so concurrent batches
+        cooperate on a tree instead of racing it.
         """
         groups: dict[str, dict[str, tuple[str, ...]]] = {}
         for object_id, chain_ids in chains.items():
             groups.setdefault(chain_ids[0], {})[object_id] = chain_ids
-
-        def run_group(key: str) -> dict[str, BatchItem]:
-            with self._chain_guard(key):
-                self._m_pool_tasks.inc()
-                return self._materialize_union_tree(groups[key])
-
         materialized: dict[str, BatchItem] = {}
-        if self.max_workers > 1 and len(groups) > 1:
-            futures = [self._get_executor().submit(run_group, key) for key in groups]
-            # Drain every future before propagating any failure: an
-            # abandoned sibling would keep reading the store after the
-            # caller released its locks (and its error would vanish).
-            errors: list[BaseException] = []
-            for future in futures:
-                try:
-                    materialized.update(future.result())
-                except BaseException as error:
-                    errors.append(error)
-            if errors:
-                raise errors[0]
-        else:
-            for key in groups:
-                materialized.update(run_group(key))
+        for root_id, group in groups.items():
+            with self._chain_guard(root_id):
+                materialized.update(self._materialize_union_tree(group))
         return materialized
-
-    def _get_executor(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            executor = self._executors.get("thread")
-            if executor is None:
-                executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-materialize",
-                )
-                self._executors["thread"] = executor
-            return executor
 
     def _materialize_union_tree(
         self, chains: dict[str, tuple[str, ...]]

@@ -64,9 +64,8 @@ class LRUPayloadCache:
     all (counted in ``admission_rejections``) — the entries it would
     displace are worth more than it is.
 
-    Every operation is atomic behind an internal lock: the batch engine's
-    union-tree workers and concurrently served checkouts all read and warm
-    one shared cache, so ``move_to_end``/eviction must never interleave
+    Every operation is atomic behind an internal lock: concurrently served
+    checkouts and batches all read and warm one shared cache, so ``move_to_end``/eviction must never interleave
     mid-flight.  Payload *values* are shared by reference and treated as
     immutable by every caller, exactly as before.
     """
@@ -116,7 +115,7 @@ class LRUPayloadCache:
                 return
         # Cost-ranked eviction prices candidates *outside* the lock: each
         # victim_cost call walks chain metadata, and serializing every
-        # over-capacity put of all replay workers behind those walks would
+        # over-capacity put of all request threads behind those walks would
         # undo the per-chain parallelism the cache serves.
         self._evict_by_cost()
 

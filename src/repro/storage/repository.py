@@ -248,17 +248,23 @@ class Repository:
         parents: Iterable[VersionID] | None = None,
         message: str = "",
         version_id: VersionID | None = None,
+        branch: str | None = None,
     ) -> VersionID:
         """Register a new version of the dataset.
 
-        When ``parents`` is omitted the current branch head is used (a root
-        commit when the branch is empty).  The payload is stored as a delta
-        against the first parent whenever that delta is smaller than the
-        payload itself; otherwise it is stored in full.
+        The commit lands on ``branch`` (default: the current branch); a new
+        name starts at the current head.  The branch is created and made
+        current only once the commit has succeeded, so a failed commit
+        leaves the branches as they were.  When ``parents`` is omitted the
+        branch head is used (a root commit when the branch is empty).  The
+        payload is stored as a delta against the first parent whenever
+        that delta is smaller than the payload itself; otherwise it is
+        stored in full.
         """
+        target = self._current_branch if branch is None else branch
         parent_ids = tuple(parents) if parents is not None else ()
         if not parent_ids:
-            head = self._branches[self._current_branch]
+            head = self._branches.get(target, self._branches[self._current_branch])
             parent_ids = (head,) if head is not None else ()
         for parent in parent_ids:
             if parent not in self.graph:
@@ -272,7 +278,12 @@ class Repository:
                     raise VersionNotFoundError(parent)
 
         if self._catalog is not None:
-            return self._commit_catalog(payload, parent_ids, message, version_id)
+            vid = self._commit_catalog(
+                payload, parent_ids, message, version_id, target
+            )
+            if branch is not None:
+                self.switch(branch)
+            return vid
 
         if version_id is not None and version_id in self.graph:
             raise DuplicateVersionError(version_id)
@@ -301,7 +312,8 @@ class Repository:
             )
         )
         self._object_of[vid] = object_id
-        self._branches[self._current_branch] = vid
+        self._branches[target] = vid
+        self._current_branch = target
         return vid
 
     def _commit_catalog(
@@ -310,6 +322,7 @@ class Repository:
         parent_ids: tuple[VersionID, ...],
         message: str,
         version_id: VersionID | None,
+        branch: str,
     ) -> VersionID:
         """Commit through the catalog's transaction, retrying stale deltas.
 
@@ -347,7 +360,7 @@ class Repository:
                     parents=parent_ids,
                     metadata={"message": message},
                     object_id=object_id,
-                    branch=self._current_branch,
+                    branch=branch,
                     base_version=delta_base,
                     base_object_id=base_object,
                 )
@@ -368,7 +381,7 @@ class Repository:
                 )
             )
         self._object_of[vid] = object_id
-        self._branches[self._current_branch] = vid
+        self._branches[branch] = vid
         if version_id is None:
             self._counter = max(self._counter, created_at + 1)
         return vid

@@ -32,7 +32,7 @@ def start_server(directory: str) -> tuple[subprocess.Popen, ServiceClient]:
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", directory, "--port", "0",
-         "--cache-size", "8", "--workers", "2"],
+         "--cache-size", "8"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,

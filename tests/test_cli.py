@@ -298,6 +298,7 @@ class TestServeSurface:
             ["--worker-model", "process"],
             ["--repack-budget", "1"],
             ["--frontend-procs", "2"],
+            ["--workers", "4"],
         ],
     )
     def test_removed_flags_are_rejected(self, removed, capsys):
@@ -317,11 +318,17 @@ class TestServeSurface:
             (lambda **kw: Repository(**kw), ("batch_cache_size", "batch_strategy")),
             (
                 lambda **kw: BatchMaterializer(repo.store, repo.encoder, **kw),
-                ("strategy", "eviction", "admission", "worker_model"),
+                ("strategy", "eviction", "admission", "worker_model", "max_workers"),
             ),
             (
                 lambda **kw: VersionStoreService(repo, **kw),
-                ("strategy", "cache_admission", "worker_model", "repack_budget"),
+                (
+                    "strategy",
+                    "cache_admission",
+                    "worker_model",
+                    "repack_budget",
+                    "max_workers",
+                ),
             ),
             (lambda **kw: LRUPayloadCache(4, **kw), ("admission",)),
         ]:

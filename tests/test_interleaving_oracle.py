@@ -68,7 +68,7 @@ def run_interleaving(
     """Run one seeded schedule; returns (checkouts_compared, repacks)."""
     repo = Repository(cache_size=0)
     service = VersionStoreService(
-        repo, cache_size=cache_size, lock_stripes=8, max_workers=2
+        repo, cache_size=cache_size, lock_stripes=8
     )
     oracle = Oracle()
     # Disjoint seed lineages so independent chains actually exist.
@@ -225,7 +225,6 @@ def run_multi_replica_interleaving(
             repo,
             cache_size=8,
             lock_stripes=8,
-            max_workers=2,
             replica_id=f"replica-{index}",
             lease_ttl=30.0,
         )

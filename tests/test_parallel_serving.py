@@ -17,13 +17,12 @@ Covers the acceptance properties of the per-chain concurrency refactor:
   them;
 * **no policy unless armed** — a service without `adaptive_repack` never
   repacks on its own;
-* **knob plumbing** — `repro serve --workers` and the batched union-tree
-  replay over a remote backend.
+* **knob plumbing** — `repro repack --half-life` and the single-stripe
+  baseline configuration.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -206,7 +205,7 @@ class TestParallelCheckout:
             for vids in chains.values()
             for vid in vids
         }
-        service = VersionStoreService(repo, cache_size=0, max_workers=4)
+        service = VersionStoreService(repo, cache_size=0)
         _parallel_stress(
             service,
             [list(vids) * 3 for vids in chains.values()],
@@ -224,7 +223,7 @@ class TestParallelCheckout:
         expected = {
             vid: repo.checkout(vid, record_stats=False).payload for vid in vids
         }
-        service = VersionStoreService(repo, cache_size=256, max_workers=4)
+        service = VersionStoreService(repo, cache_size=256)
         rng = random.Random(9)
         schedules = [
             [vids[rng.randrange(len(vids))] for _ in range(30)] for _ in range(6)
@@ -243,7 +242,7 @@ class TestParallelCheckout:
         expected = {
             vid: repo.checkout(vid, record_stats=False).payload for vid in all_vids
         }
-        service = VersionStoreService(repo, cache_size=128, max_workers=4)
+        service = VersionStoreService(repo, cache_size=128)
         errors: list = []
         barrier = threading.Barrier(4, timeout=10)
 
@@ -273,7 +272,7 @@ class TestParallelCheckout:
     def test_coalescing_still_single_replay(self):
         repo, chains = build_independent_chains(num_chains=1, chain_length=12)
         head = chains[0][-1]
-        service = VersionStoreService(repo, cache_size=256, max_workers=4)
+        service = VersionStoreService(repo, cache_size=256)
         barrier = threading.Barrier(8, timeout=10)
         responses: list = []
 
@@ -452,7 +451,7 @@ def _repack_under_parallel_load(
         for vids in chains.values()
         for vid in vids
     }
-    service = VersionStoreService(repo, cache_size=8, max_workers=4)
+    service = VersionStoreService(repo, cache_size=8)
     errors: list = []
     mismatches: list = []
     stop = threading.Event()
@@ -554,39 +553,15 @@ class TestAutoRepack:
 # knob plumbing
 # --------------------------------------------------------------------- #
 class TestKnobs:
-    def test_serve_parser_accepts_workers(self):
-        args = build_parser().parse_args(["serve", "repo", "--workers", "4"])
-        assert args.workers == 4
-
     def test_repack_parser_accepts_half_life(self):
         parser = build_parser()
         args = parser.parse_args(["repack", "repo", "--half-life", "100"])
         assert args.half_life == 100.0
 
-    def test_service_workers_threaded_through(self):
-        repo, _ = build_independent_chains(num_chains=1, chain_length=3)
-        service = VersionStoreService(repo, max_workers=3)
-        assert service.max_workers == 3
-        assert service.materializer.max_workers == 3
-        stats = service.stats()["concurrency"]
-        assert stats["max_workers"] == 3
-
-    def test_default_workers_count_the_cores_this_process_may_use(self, monkeypatch):
-        from repro.server import service as service_module
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        assert service_module.default_worker_count() == 1
-        repo, _ = build_independent_chains(num_chains=1, chain_length=2)
-        assert VersionStoreService(repo).max_workers == 1
-        # Platforms without affinity fall back to the machine's count.
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert service_module.default_worker_count() == 8
-
     def test_single_stripe_single_worker_is_the_baseline(self):
         repo, chains = build_independent_chains(num_chains=2, chain_length=5)
         service = VersionStoreService(
-            repo, cache_size=0, max_workers=1, lock_stripes=1
+            repo, cache_size=0, lock_stripes=1
         )
         expected = {
             vid: repo.checkout(vid, record_stats=False).payload

@@ -64,7 +64,7 @@ def start_replica(
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", directory, "--port", "0",
-         "--cache-size", "8", "--workers", "2",
+         "--cache-size", "8",
          "--join", "--replica-id", rid,
          "--lease-ttl", str(ttl), "--lease-renew", str(renew)],
         stdout=subprocess.PIPE,

@@ -141,6 +141,50 @@ class TestEndToEnd:
             urllib.request.urlopen(request)
         assert err.value.code == 400
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/checkout", {"version": [1]}),
+            ("/checkout", {"version": 5}),
+            ("/checkout_many", {"versions": [[1]]}),
+            ("/checkout_many", {"versions": "v1"}),
+            ("/commit", {"payload": ["x"], "parents": 5}),
+            ("/commit", {"payload": ["x"], "parents": "v1"}),
+            ("/commit", {"payload": ["x"], "parents": [1]}),
+            ("/commit", {"payload": ["x"], "branch": [1]}),
+            ("/commit", {"payload": ["x"], "branch": 5}),
+            ("/commit", {"payload": ["x"], "message": 5}),
+        ],
+    )
+    def test_malformed_identifiers_are_400_and_change_nothing(
+        self, served_repo, path, body
+    ):
+        import http.client
+
+        server, service, repo, vids = served_repo
+        branches = repo.branches
+        connection = http.client.HTTPConnection(*server.server_address[:2])
+        connection.request("POST", path, body=json.dumps(body).encode())
+        response = connection.getresponse()
+        assert response.status == 400, response.read()
+        assert "error" in json.loads(response.read())
+        assert len(repo) == len(vids)
+        assert (repo.branches, repo.current_branch) == (branches, "main")
+        assert service.stats()["serving"]["commits"] == 0
+
+    def test_null_identifiers_mean_not_set(self, served_repo):
+        server, service, repo, vids = served_repo
+        request = urllib.request.Request(
+            f"{server.url}/commit",
+            data=json.dumps(
+                {"payload": ["x"], "parents": None, "branch": None, "message": None}
+            ).encode(),
+            method="POST",
+        )
+        version = json.loads(urllib.request.urlopen(request).read())["version"]
+        assert repo.graph.version(version).parents == (vids[-1],)
+        assert repo.branches == {"main": version}
+
     def test_keepalive_survives_unconsumed_bodies(self, served_repo):
         """A POST whose body is never read (unmatched route) must not poison
         the connection stream for later requests."""

@@ -8,7 +8,10 @@ import pytest
 
 from repro.exceptions import ReproError, VersionNotFoundError
 from repro.server.service import VersionStoreService
+from repro.storage.backends import FilesystemBackend
+from repro.storage.catalog import SQLiteBackend
 from repro.storage.repository import Repository
+from repro.storage.testing import FlakyBackend, InjectedFault
 
 
 def build_service(
@@ -82,6 +85,15 @@ class TestCommit:
         vid = service.commit(["branched"], branch="experiments", parents=[vids[1]])
         assert service.repository.branches["experiments"] == vid
 
+    def test_commit_on_new_branch_starts_at_the_current_head(self):
+        service, vids = build_service(4)
+        vid = service.commit(["branched"], branch="experiments")
+        repo = service.repository
+        assert repo.graph.version(vid).parents == (vids[-1],)
+        assert repo.current_branch == "experiments"
+        assert repo.branches["main"] == vids[-1]
+        assert repo.graph.version(service.commit(["next"])).parents == (vid,)
+
     def test_on_commit_hook_fires(self):
         seen = []
         repo = Repository()
@@ -102,6 +114,42 @@ class TestCommit:
         assert report["metrics"]["storage_cost"] > 0
         assert report["plan"]["materialized"]
         assert len(report["plan"]["deltas"]) + len(report["plan"]["materialized"]) == 6
+
+
+def flaky_store(kind: str, tmp_path) -> FlakyBackend:
+    if kind == "file":
+        return FlakyBackend(FilesystemBackend(str(tmp_path / "objects")))
+    return FlakyBackend(SQLiteBackend(f"sqlite://{tmp_path}/cat.db"))
+
+
+class TestFailedCommitLeavesBranches:
+    """A commit that fails creates and switches no branch, in memory or in
+    the catalog, so the next plain commit still lands where it did."""
+
+    @pytest.mark.parametrize("kind", ["file", "sqlite"])
+    @pytest.mark.parametrize("failure", ["unknown-parent", "put-failure"])
+    def test_branches_are_unchanged(self, kind, failure, tmp_path):
+        backend = flaky_store(kind, tmp_path)
+        repo = Repository(backend=backend)
+        head = repo.commit(["row,1", "row,2"], message="base")
+        service = VersionStoreService(repo)
+        before = (repo.branches, repo.current_branch)
+        if failure == "unknown-parent":
+            parents, error = ["nope"], VersionNotFoundError
+        else:
+            backend.fail_puts_after = 0
+            parents, error = None, InjectedFault
+        with pytest.raises(error):
+            service.commit(["x"], parents=parents, branch="feat")
+        assert (repo.branches, repo.current_branch) == before
+        if kind == "sqlite":
+            reloaded = Repository(backend=SQLiteBackend(f"sqlite://{tmp_path}/cat.db"))
+            assert (reloaded.branches, reloaded.current_branch) == before
+        backend.heal()
+        vid = service.commit(["row,1", "row,2", "row,3"])
+        assert repo.branches == {"main": vid}
+        assert repo.graph.version(vid).parents == (head,)
+        service.close()
 
 
 class TestConcurrency:

@@ -4,14 +4,15 @@
   ``materialize(o)`` and ``materialize_many([o]).items[o]`` agree on the
   payload, the accounting and the number of ``encoder.apply`` /
   ``backend.get`` calls, across every encoder × backend, cold, warm and
-  half-warm, with a pool of 1 and of 4;
+  half-warm, on a bare engine (as ``Repository`` builds it) and on one
+  under stripe locks (as ``VersionStoreService`` builds it);
 * **flat commit cost** — a commit reads its parent through the warm
   engine, so the backend gets it pays do not grow with chain depth;
 * **one cache** — a serving process has one engine: the service's is the
   repository's, and one ``clear_cache()`` drops everything a swap must;
 * **one path** — a single ``.apply(`` call site under ``storage/``, no
   scheduler or cache-policy parameter in any signature, and no process
-  pool anywhere under ``src/repro``.
+  or thread pool anywhere under ``src/repro``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import repro
 from repro.server.service import VersionStoreService
 from repro.storage.backends import MemoryBackend
 from repro.storage.batch import BatchMaterializer
+from repro.storage.concurrency import StripedLockManager
 from repro.storage.repository import Repository
 from repro.storage.testing import FlakyBackend
 
@@ -78,9 +80,9 @@ def item_facts(item) -> tuple:
 @pytest.mark.parametrize("backend_kind", BACKENDS)
 @pytest.mark.parametrize("encoder_key", sorted(ENCODERS))
 @pytest.mark.parametrize("state", ["cold", "warm", "half-warm"])
-@pytest.mark.parametrize("max_workers", [1, 4])
+@pytest.mark.parametrize("lock_stripes", [None, 64])
 def test_single_checkout_is_a_batch_of_one(
-    max_workers, encoder_key, backend_kind, state, tmp_path
+    lock_stripes, encoder_key, backend_kind, state, tmp_path
 ):
     repo, vids = build_forked_repo(encoder_key, backend_spec(backend_kind, tmp_path))
     tip = repo.object_id_of(vids[7])
@@ -90,7 +92,10 @@ def test_single_checkout_is_a_batch_of_one(
 
     def run(call) -> tuple:
         engine = BatchMaterializer(
-            repo.store, repo.encoder, cache_size=64, max_workers=max_workers
+            repo.store,
+            repo.encoder,
+            cache_size=64,
+            lock_manager=lock_stripes and StripedLockManager(lock_stripes),
         )
         if warmup is not None:
             engine.materialize(repo.object_id_of(warmup))
@@ -184,9 +189,9 @@ def test_exactly_one_apply_call_site_in_storage():
 
 
 def test_replay_never_leaves_the_serving_process():
-    """No process pool under ``src/repro``: more cores means more serving
-    processes (the ``--frontend-procs`` acceptors ``os.fork``), never
-    replay shipped elsewhere."""
+    """No process pool under ``src/repro``: more cores means more
+    ``repro serve`` processes over one catalog, never replay shipped
+    elsewhere."""
     offenders = [
         f"{path.relative_to(SRC)}:{number}"
         for path in sorted(SRC.rglob("*.py"))
@@ -196,6 +201,28 @@ def test_replay_never_leaves_the_serving_process():
     assert offenders == []
     for gone in ("storage/replay_worker.py", "delta/simulated.py", "delta/registry.py"):
         assert not (SRC / gone).exists()
+
+
+def test_replay_runs_on_the_request_thread():
+    """Nothing under ``src/repro`` imports ``concurrent.futures``: a batch
+    replays its root trees one after another on the thread that asked."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if node.module == "concurrent":
+                    modules += [f"concurrent.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}:{node.lineno}"
+                for module in modules
+                if module.startswith("concurrent.futures")
+            ]
+    assert offenders == []
 
 
 def test_no_scheduler_or_cache_policy_parameter_in_any_signature():

@@ -1,20 +1,15 @@
-"""Tests for subtree striping and the replay engine's thread pool.
+"""Tests for subtree striping and fork-fan replay.
 
 * **stripe keys** — the store-global ``ObjectStore.subtree_stripe_key``
   keys a chain by the node below its deepest fork point (the chain root
   for linear chains), and the store's fork index survives object removal;
 * **fork-fan byte identity** — every version of a fork-heavy graph
   materializes to exactly the bytes a sequential checkout produces,
-  batched and one at a time, whatever the pool width, and a batch fetches
-  each union-tree node exactly once;
-* **executor lifecycle** — ``BatchMaterializer`` works as a context
-  manager and its ``weakref.finalize`` fallback shuts the pool down when
-  the materializer is dropped without ``close()``.
+  batched and one at a time, whether the batch spans one chain root or
+  two, and a batch fetches each union-tree node exactly once.
 """
 
 from __future__ import annotations
-
-import gc
 
 import pytest
 
@@ -100,40 +95,20 @@ class TestStripeKeys:
 
 
 # --------------------------------------------------------------------- #
-# fork-fan byte identity at every pool width
+# fork-fan byte identity for one root and for two
 # --------------------------------------------------------------------- #
-class TestForkFanByteIdentity:
-    @pytest.mark.parametrize("max_workers", [1, 4])
-    def test_batched_and_single_checkouts_match(self, tmp_path, max_workers):
-        backend = FlakyBackend(FilesystemBackend(str(tmp_path / "objects")))
-        repo, subtrees = build_fork_repo(backend=backend, num_subtrees=3, depth=3)
-        vids = all_version_ids(subtrees)
-        expected = expected_payloads(repo, vids)
-        with BatchMaterializer(
-            repo.store, repo.encoder, cache_size=0, max_workers=max_workers
-        ) as materializer:
-            before = backend.gets  # no fault armed: a get counter
-            batch = materializer.materialize_many(
-                [(vid, repo.object_id_of(vid)) for vid in vids]
-            )
-            # The union tree is the root plus one node per version below
-            # it, and each is fetched exactly once with the cache disabled.
-            assert backend.gets - before == len(vids) + 1
-            for vid in vids:
-                assert batch.items[vid].payload == expected[vid], vid
-            # Singles after the batch (cache disabled, so these re-replay).
-            for vid in vids:
-                item = materializer.materialize(repo.object_id_of(vid))
-                assert item.payload == expected[vid], vid
+def one_root_requests(backend) -> tuple[Repository, list]:
+    """Three delta subtrees forked off one root: one root group."""
+    repo, subtrees = build_fork_repo(backend=backend, num_subtrees=3, depth=3)
+    requests = [(vid, repo.object_id_of(vid)) for vid in all_version_ids(subtrees)]
+    assert len({repo.store.chain_ids(oid)[0] for _, oid in requests}) == 1
+    return repo, requests
 
 
-# --------------------------------------------------------------------- #
-# executor lifecycle
-# --------------------------------------------------------------------- #
-def two_root_requests(tmp_path) -> tuple[Repository, list]:
+def two_root_requests(backend) -> tuple[Repository, list]:
     """A fork repo plus an unrelated full object: two root groups, which
-    is what makes a batch start the pool."""
-    repo, subtrees = build_fork_repo(backend=f"file://{tmp_path}/objects", depth=2)
+    a batch replays one after the other."""
+    repo, subtrees = build_fork_repo(backend=backend, depth=2)
     other = repo.commit([f"unrelated,{i}" for i in range(60)], message="other root")
     vids = all_version_ids(subtrees) + [other]
     requests = [(vid, repo.object_id_of(vid)) for vid in vids]
@@ -141,25 +116,21 @@ def two_root_requests(tmp_path) -> tuple[Repository, list]:
     return repo, requests
 
 
-class TestExecutorLifecycle:
-    def test_context_manager_shuts_executors_down(self, tmp_path):
-        repo, requests = two_root_requests(tmp_path)
-        with BatchMaterializer(
-            repo.store, repo.encoder, max_workers=2
-        ) as materializer:
-            materializer.materialize_many(requests)
-            assert materializer._executors
-        assert not materializer._executors
-        materializer.close()  # idempotent
-
-    def test_finalizer_reaps_abandoned_executors(self, tmp_path):
-        repo, requests = two_root_requests(tmp_path)
-        materializer = BatchMaterializer(repo.store, repo.encoder, max_workers=2)
-        materializer.materialize_many(requests)
-        holder = materializer._executors
-        assert holder
-        finalizer = materializer._finalizer
-        del materializer
-        gc.collect()
-        assert not finalizer.alive
-        assert not holder
+class TestForkFanByteIdentity:
+    @pytest.mark.parametrize("shape", [one_root_requests, two_root_requests])
+    def test_batched_and_single_checkouts_match(self, tmp_path, shape):
+        backend = FlakyBackend(FilesystemBackend(str(tmp_path / "objects")))
+        repo, requests = shape(backend)
+        vids = [vid for vid, _ in requests]
+        expected = expected_payloads(repo, vids)
+        materializer = BatchMaterializer(repo.store, repo.encoder, cache_size=0)
+        before = backend.gets  # no fault armed: a get counter
+        batch = materializer.materialize_many(requests)
+        # The union tree is the fork root plus one node per requested
+        # version, and each is fetched exactly once with the cache disabled.
+        assert backend.gets - before == len(vids) + 1
+        for vid in vids:
+            assert batch.items[vid].payload == expected[vid], vid
+        # Singles after the batch (cache disabled, so these re-replay).
+        for vid, object_id in requests:
+            assert materializer.materialize(object_id).payload == expected[vid], vid
