@@ -1,9 +1,8 @@
-"""Benchmarks for the serving layer.
+"""In-process benchmarks for the serving layer.
 
-* warm-cache vs cold-cache serving latency (LC/DC/BF): a Zipf-skewed
-  checkout stream served twice through one long-lived
-  ``VersionStoreService``, quantifying what `repro serve` buys over
-  one-shot CLI checkouts;
+Warm Zipf serving latency is measured through the socket by ``bench/load``
+(``zipf_hot``); these two measure what the socket cannot see:
+
 * warm-cost pricing accuracy: per-request `warm_chain_cost` predictions
   vs the deltas/cost the service actually pays on the same stream — the
   acceptance experiment for the warm cost model (±15%);
@@ -16,11 +15,7 @@
 from __future__ import annotations
 
 from repro.bench.batch_bench import batch_benchmark_scenarios
-from repro.bench.serve_bench import (
-    concurrent_serving_benchmark,
-    serve_warm_vs_cold,
-    warm_pricing_benchmark,
-)
+from repro.bench.serve_bench import concurrent_serving_benchmark, warm_pricing_benchmark
 
 from benchmarks.conftest import bench_scale, print_series_table
 
@@ -62,49 +57,6 @@ def test_warm_pricing_accuracy():
         # Cold pricing misses warm serving by a wide margin — the gap the
         # warm model exists to close.
         assert row["cold_predicted_deltas"] >= 2 * row["measured_deltas"], row
-
-
-def test_serve_warm_vs_cold():
-    graphs = batch_benchmark_scenarios(scale=max(1.0, 4 * bench_scale()), seed=7)
-    rows = serve_warm_vs_cold(graphs, num_requests=300, cache_size=256, seed=7)
-
-    print_series_table(
-        "repro serve: warm vs cold Zipf stream",
-        [
-            "scenario",
-            "versions",
-            "requests",
-            "cold deltas",
-            "warm deltas",
-            "naive",
-            "cold ms/req",
-            "warm ms/req",
-        ],
-        [
-            [
-                row["scenario"],
-                int(row["num_versions"]),
-                int(row["num_requests"]),
-                int(row["cold_deltas"]),
-                int(row["warm_deltas"]),
-                int(row["naive_deltas"]),
-                f"{row['mean_cold_ms']:.3f}",
-                f"{row['mean_warm_ms']:.3f}",
-            ]
-            for row in rows
-        ],
-    )
-
-    assert {row["scenario"] for row in rows} == {"LC", "DC", "BF"}
-    for row in rows:
-        # The warm replay must not replay anything the cache already holds;
-        # with a cache larger than the version count it applies no deltas.
-        assert row["warm_deltas"] == 0
-        # The cold pass itself already amortizes across the skewed stream.
-        assert row["cold_deltas"] < row["naive_deltas"]
-        # Latency is reported, not asserted tightly (sub-ms noise at this
-        # scale); only guard against a pathological warm-path regression.
-        assert row["warm_seconds"] <= 3 * row["cold_seconds"] + 0.05
 
 
 def test_concurrent_checkouts_scale_with_stripes():

@@ -166,51 +166,3 @@ def batch_vs_sequential(
             }
         )
     return rows
-
-
-# --------------------------------------------------------------------- #
-# CLI entry point: the fast benches -> BENCH_batch.json (CI artifact)
-# --------------------------------------------------------------------- #
-def main(argv: "Sequence[str] | None" = None) -> int:
-    """Run the batch-engine benchmarks and emit a ``BENCH_batch.json``.
-
-    ``python -m repro.bench.batch_bench --output BENCH_batch.json`` — run
-    by the CI benchmark step and uploaded as an artifact, mirroring
-    :mod:`repro.bench.serve_bench`'s trajectory file.
-    """
-    import argparse
-
-    from .results import write_bench_json
-
-    parser = argparse.ArgumentParser(
-        description="batch benchmarks -> BENCH_batch.json"
-    )
-    parser.add_argument("--output", default="BENCH_batch.json")
-    parser.add_argument(
-        "--timestamp",
-        default=None,
-        help="stamp recorded in the document (CI passes the commit SHA)",
-    )
-    parser.add_argument("--cache-size", type=int, default=64)
-    parser.add_argument("--scale", type=float, default=0.5)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    graphs = batch_benchmark_scenarios(scale=args.scale, seed=args.seed)
-    params = {
-        "cache_size": args.cache_size,
-        "scale": args.scale,
-        "seed": args.seed,
-    }
-    metrics = {
-        "batch_vs_sequential": batch_vs_sequential(
-            graphs, cache_size=args.cache_size, seed=args.seed
-        ),
-    }
-    write_bench_json(args.output, "batch", params, metrics, args.timestamp)
-    print(f"wrote {args.output} ({len(metrics)} benchmark groups)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,6 +1,7 @@
-"""Benchmark drivers for the serving layer.
+"""In-process benchmark drivers for the serving layer.
 
-Three experiments:
+Each measures something the socket-level benchmark (``bench/load``) cannot
+see; end-to-end serving speed is that benchmark's job, not these drivers'.
 
 * :func:`warm_pricing_benchmark` — the warm cost model's accuracy: for a
   Zipf request stream, each request's
@@ -8,30 +9,15 @@ Three experiments:
   predicted immediately before serving it and the totals are compared to
   the deltas/cost the service actually paid (and to the cold Φ pricing,
   which overstates warm serving by orders of magnitude).
-
-* :func:`serve_warm_vs_cold` — ``repro serve`` keeps one
-  :class:`~repro.storage.batch.BatchMaterializer` cache alive across
-  requests, so a popular version's delta chain is replayed once and then
-  answered from memory.  A Zipf-skewed stream of checkout requests
-  (real-world access frequencies follow such distributions, per the
-  paper's workload-aware evaluation) is served twice through one
-  :class:`~repro.server.service.VersionStoreService` — first against a
-  cold cache, then replayed against the now-warm cache — and the
-  per-request latency and delta applications of the two passes are
-  compared.
 * :func:`concurrent_serving_benchmark` — the per-chain concurrency
   experiment: N client threads hammer N *independent* delta chains through
-  one service, once with the old single-lock configuration
-  (``lock_stripes=1``) and once with 64 striped per-chain locks.  The
-  store sits behind :class:`SimulatedLatencyBackend`, which charges a
-  fixed per-fetch latency — modelling the disk/remote stores where
-  recreation time is I/O-bound, which is where lock striping pays (pure
-  in-memory CPU replay is GIL-serialized in CPython either way; both raw
-  configurations are reported).  Byte parity against direct repository checkouts is verified
-  for every served payload.
-
-Both drivers run in-process (no HTTP) so the numbers isolate the
-materialization layer rather than socket overhead.
+  one service, once with a single lock (``lock_stripes=1``) and once with
+  64 striped per-chain locks.  The store sits behind
+  :class:`SimulatedLatencyBackend`, which charges a fixed per-fetch
+  latency — modelling the I/O-bound stores where lock striping pays (pure
+  in-memory CPU replay is GIL-serialized in CPython either way).  Byte
+  parity against direct repository checkouts is verified for every served
+  payload.
 """
 
 from __future__ import annotations
@@ -49,9 +35,7 @@ from .batch_bench import batch_benchmark_scenarios, build_repository_from_graph
 
 __all__ = [
     "zipf_request_stream",
-    "serve_warm_vs_cold",
     "warm_pricing_benchmark",
-    "tiered_cache_benchmark",
     "SimulatedLatencyBackend",
     "build_independent_chains",
     "concurrent_serving_benchmark",
@@ -68,74 +52,6 @@ def zipf_request_stream(
     """A concrete checkout-request trace with Zipf-distributed popularity."""
     workload = zipfian_workload(version_ids, exponent=exponent, seed=seed)
     return sample_accesses(workload, num_requests, seed=seed + 1)
-
-
-def _serve_pass(
-    service: VersionStoreService, stream: Sequence
-) -> tuple[float, float, int]:
-    """Serve every request; returns (total_s, max_request_s, deltas_applied)."""
-    deltas_before = service.stats_counters.deltas_applied
-    slowest = 0.0
-    started = time.perf_counter()
-    for version_id in stream:
-        request_started = time.perf_counter()
-        service.checkout(version_id)
-        slowest = max(slowest, time.perf_counter() - request_started)
-    total = time.perf_counter() - started
-    return total, slowest, service.stats_counters.deltas_applied - deltas_before
-
-
-def serve_warm_vs_cold(
-    graphs: Mapping[str, VersionGraph] | None = None,
-    *,
-    num_requests: int = 300,
-    exponent: float = 2.0,
-    cache_size: int = 256,
-    seed: int = 0,
-) -> list[dict[str, float | str]]:
-    """Serve one Zipf stream cold, then replay it warm, per scenario.
-
-    Returns one row per scenario: delta applications and latency of the
-    cold pass (cache starts empty, warming as it goes) and of the warm
-    replay, plus the naive count a cache-less sequential server would have
-    paid for the whole double stream.  Payloads of the warm pass are
-    byte-identical to direct repository checkouts by construction (the
-    service returns the cached payload object itself); correctness is
-    asserted separately by the test suite, latency is measured here.
-    """
-    if graphs is None:
-        graphs = batch_benchmark_scenarios(seed=seed)
-
-    rows: list[dict[str, float | str]] = []
-    for name, graph in graphs.items():
-        repo = build_repository_from_graph(graph, seed=seed)
-        service = VersionStoreService(repo, cache_size=cache_size)
-        stream = zipf_request_stream(
-            repo.graph.version_ids, num_requests, exponent=exponent, seed=seed
-        )
-
-        service.materializer.clear_cache()
-        cold_seconds, cold_slowest, cold_deltas = _serve_pass(service, stream)
-        warm_seconds, warm_slowest, warm_deltas = _serve_pass(service, stream)
-
-        naive = service.stats_counters.naive_delta_applications
-        rows.append(
-            {
-                "scenario": name,
-                "num_versions": float(len(repo)),
-                "num_requests": float(num_requests),
-                "cold_deltas": float(cold_deltas),
-                "warm_deltas": float(warm_deltas),
-                "naive_deltas": float(naive),
-                "cold_seconds": cold_seconds,
-                "warm_seconds": warm_seconds,
-                "cold_slowest_ms": 1000 * cold_slowest,
-                "warm_slowest_ms": 1000 * warm_slowest,
-                "mean_cold_ms": 1000 * cold_seconds / num_requests,
-                "mean_warm_ms": 1000 * warm_seconds / num_requests,
-            }
-        )
-    return rows
 
 
 # --------------------------------------------------------------------- #
@@ -219,114 +135,16 @@ def warm_pricing_benchmark(
 
 
 # --------------------------------------------------------------------- #
-# two-tier cache: memory LRU over a compressed disk spill tier
-# --------------------------------------------------------------------- #
-def tiered_cache_benchmark(
-    graphs: Mapping[str, VersionGraph] | None = None,
-    *,
-    num_requests: int = 300,
-    exponent: float = 1.2,
-    cache_size: int = 8,
-    tier_bytes: int = 64 * 1024 * 1024,
-    seed: int = 0,
-) -> list[dict[str, float | str]]:
-    """Warm serving with the memory-only cache vs the two-tier cache.
-
-    The stream is Zipf-skewed but flat enough (low exponent) that its
-    working set dwarfs the deliberately tiny memory tier — the regime the
-    disk tier exists for.  Each scenario serves the identical stream twice
-    per configuration (cold pass to warm the caches, then the measured
-    warm replay) and compares the warm replay's delta applications and
-    cache hit rate.  The improvement is *asserted*, not just reported:
-    with a spill tier large enough to retain what the memory tier evicts,
-    the warm replay must hit more and replay fewer deltas than the
-    memory-only configuration ever can.
-    """
-    import shutil
-    import tempfile
-
-    if graphs is None:
-        graphs = batch_benchmark_scenarios(seed=seed)
-
-    rows: list[dict[str, float | str]] = []
-    for name, graph in graphs.items():
-        repo = build_repository_from_graph(graph, seed=seed)
-        stream = zipf_request_stream(
-            repo.graph.version_ids, num_requests, exponent=exponent, seed=seed
-        )
-
-        def warm_replay(service: VersionStoreService) -> tuple[int, float]:
-            _serve_pass(service, stream)  # cold pass warms the tiers
-            cache = service.materializer.cache
-            disk = getattr(cache, "disk", None)
-            hits_before, misses_before = cache.hits, cache.misses
-            disk_hits_before = disk.hits if disk is not None else 0
-            _, _, deltas = _serve_pass(service, stream)
-            # Every lookup probes the memory tier first, so its probe count
-            # is the request-side denominator; a disk hit is a warm answer
-            # the memory tier alone would have missed.
-            probes = (cache.hits - hits_before) + (cache.misses - misses_before)
-            warm_hits = cache.hits - hits_before
-            if disk is not None:
-                warm_hits += disk.hits - disk_hits_before
-            hit_rate = warm_hits / probes if probes else 0.0
-            return deltas, hit_rate
-
-        single = VersionStoreService(repo, cache_size=cache_size)
-        single_deltas, single_hit_rate = warm_replay(single)
-        single.close()
-
-        tier_dir = tempfile.mkdtemp(prefix="repro-bench-tier-")
-        try:
-            tiered = VersionStoreService(
-                repo,
-                cache_size=cache_size,
-                cache_tier_dir=tier_dir,
-                cache_tier_bytes=tier_bytes,
-            )
-            tiered_deltas, tiered_hit_rate = warm_replay(tiered)
-            disk = tiered.materializer.cache.disk
-            disk_hits, spills = disk.hits, disk.spills
-            tiered.close()
-        finally:
-            shutil.rmtree(tier_dir, ignore_errors=True)
-
-        if tiered_hit_rate <= single_hit_rate or tiered_deltas >= single_deltas:
-            raise AssertionError(
-                f"{name}: two-tier cache did not improve warm serving "
-                f"(hit rate {single_hit_rate:.3f} -> {tiered_hit_rate:.3f}, "
-                f"deltas {single_deltas} -> {tiered_deltas})"
-            )
-        rows.append(
-            {
-                "scenario": name,
-                "num_versions": float(len(repo)),
-                "num_requests": float(num_requests),
-                "memory_entries": float(cache_size),
-                "single_warm_deltas": float(single_deltas),
-                "tiered_warm_deltas": float(tiered_deltas),
-                "single_hit_rate": single_hit_rate,
-                "tiered_hit_rate": tiered_hit_rate,
-                "disk_hits": float(disk_hits),
-                "disk_spills": float(spills),
-            }
-        )
-    return rows
-
-
-# --------------------------------------------------------------------- #
 # per-chain concurrency benchmark
 # --------------------------------------------------------------------- #
 class SimulatedLatencyBackend(StorageBackend):
     """A backend wrapper charging a fixed latency per object fetch.
 
-    Models the stores where recreation is I/O-bound — objects on disk, a
-    zip archive, or a remote peer one round trip away — without the noise
-    of real devices: every ``get`` sleeps ``delay`` seconds before
-    delegating, and ``get_many`` sleeps once for the whole batch (a batched
-    round trip).  Sleeps release the GIL exactly like real I/O does, so
-    the benchmark measures what lock striping actually buys on such
-    stores.
+    Models the stores where recreation is I/O-bound — objects on disk or
+    in a zip archive — without the noise of real devices: every ``get``
+    sleeps ``delay`` seconds before delegating.  Sleeps release the GIL
+    exactly like real I/O does, so the benchmark measures what lock
+    striping actually buys on such stores.
     """
 
     scheme = "latency"
@@ -345,12 +163,6 @@ class SimulatedLatencyBackend(StorageBackend):
             self.fetches += 1
         time.sleep(self.delay)
         return self.child.get(key)
-
-    def get_many(self, keys: Sequence[str]) -> dict[str, Any]:
-        with self._count_lock:
-            self.fetches += 1
-        time.sleep(self.delay)
-        return self.child.get_many(keys)
 
     def delete(self, key: str) -> None:
         self.child.delete(key)
@@ -515,63 +327,3 @@ def concurrent_serving_benchmark(
         }
     )
     return rows
-
-
-# --------------------------------------------------------------------- #
-# CLI entry point: the fast benches -> BENCH_serve.json (CI artifact)
-# --------------------------------------------------------------------- #
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the fast serving benchmarks and emit a ``BENCH_serve.json``.
-
-    ``python -m repro.bench.serve_bench --output BENCH_serve.json`` — the
-    CI benchmark step runs exactly this and uploads the file, so the
-    serving numbers accumulate a trajectory across PRs.
-    """
-    import argparse
-
-    from .results import write_bench_json
-
-    parser = argparse.ArgumentParser(
-        description="serving benchmarks -> BENCH_serve.json"
-    )
-    parser.add_argument("--output", default="BENCH_serve.json")
-    parser.add_argument(
-        "--timestamp",
-        default=None,
-        help="stamp recorded in the document (CI passes the commit SHA)",
-    )
-    parser.add_argument("--requests", type=int, default=120)
-    parser.add_argument("--cache-size", type=int, default=64)
-    parser.add_argument("--scale", type=float, default=0.5)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    graphs = batch_benchmark_scenarios(scale=args.scale, seed=args.seed)
-    params = {
-        "num_requests": args.requests,
-        "cache_size": args.cache_size,
-        "scale": args.scale,
-        "seed": args.seed,
-    }
-    metrics = {
-        "serve_warm_vs_cold": serve_warm_vs_cold(
-            graphs,
-            num_requests=args.requests,
-            cache_size=args.cache_size,
-            seed=args.seed,
-        ),
-        "warm_pricing": warm_pricing_benchmark(
-            graphs, num_requests=args.requests, seed=args.seed
-        ),
-        "tiered_cache": tiered_cache_benchmark(
-            graphs, num_requests=args.requests, seed=args.seed
-        ),
-        "concurrent_serving": concurrent_serving_benchmark(seed=args.seed),
-    }
-    write_bench_json(args.output, "serve", params, metrics, args.timestamp)
-    print(f"wrote {args.output} ({len(metrics)} benchmark groups)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

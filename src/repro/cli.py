@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import socket
 import sys
@@ -691,6 +692,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- #
 # parser
 # --------------------------------------------------------------------- #
+def _positive_finite(text: str) -> float:
+    """Argparse type: a float that is > 0 and finite (no nan, no inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the ``repro`` CLI."""
     parser = argparse.ArgumentParser(
@@ -822,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--repack-horizon",
-        type=float,
+        type=_positive_finite,
         default=1000.0,
         metavar="N",
         help="amortization horizon of the adaptive controller, in requests "
@@ -862,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lease-ttl",
-        type=float,
+        type=_positive_finite,
         default=10.0,
         metavar="SECONDS",
         help="planner-lease time-to-live: a holder paused longer than "
@@ -871,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lease-renew",
-        type=float,
+        type=_positive_finite,
         default=None,
         metavar="SECONDS",
         help="seconds between lease renewal attempts (default: ttl/3, "

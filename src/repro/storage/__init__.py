@@ -17,10 +17,9 @@
 * :mod:`~repro.storage.repository` — commit / checkout / branch / merge,
   plus the bridge to the optimization layer (cost-model measurement and
   plan-driven repacking);
-* :mod:`~repro.storage.planner` — applies a storage plan to the object
-  store (streaming, bounded-memory);
-* :mod:`~repro.storage.repack` — the online re-packer: stages a new
-  encoding while readers keep serving, then swaps epochs atomically;
+* :mod:`~repro.storage.repack` — applies a storage plan to the object
+  store: stages the new encoding while readers keep serving (streaming,
+  bounded-memory), then swaps epochs atomically;
 * :mod:`~repro.storage.workload_log` — persistent per-version access
   frequencies that feed the workload-aware optimizers with real traffic;
 * :mod:`~repro.storage.catalog` — the ``sqlite://`` transactional metadata
@@ -44,7 +43,6 @@ from .cache_tiers import LRUPayloadCache
 from .catalog import CatalogWorkloadLog, MetadataCatalog, SQLiteBackend
 from .concurrency import EpochCoordinator, StripedLockManager
 from .objects import ChainStats, ObjectMeta, ObjectStore, StoredObject
-from .planner import apply_plan, plan_order
 from .repack import (
     AdaptiveRepackController,
     OnlineRepacker,
@@ -52,6 +50,7 @@ from .repack import (
     estimate_repack_cost,
     expected_workload_cost,
     expected_workload_costs,
+    plan_order,
 )
 from .repository import CheckoutStats, Repository
 from .workload_log import WorkloadLog, frequency_drift
@@ -79,7 +78,6 @@ __all__ = [
     "ObjectMeta",
     "ObjectStore",
     "StoredObject",
-    "apply_plan",
     "plan_order",
     "AdaptiveRepackController",
     "OnlineRepacker",

@@ -25,6 +25,7 @@ The clock is injectable so tests can drive expiry deterministically
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Any, Callable
@@ -78,12 +79,14 @@ class PlannerLease:
         clock: Callable[[], float] = time.time,
         on_event: Callable[[dict[str, Any]], None] | None = None,
     ) -> None:
-        if ttl <= 0:
-            raise ValueError("lease ttl must be positive (seconds)")
+        if not 0 < ttl < math.inf:
+            raise ValueError("lease ttl must be positive and finite (seconds)")
         if renew_interval is None:
             renew_interval = ttl / 3.0
-        if renew_interval <= 0:
-            raise ValueError("lease renew interval must be positive (seconds)")
+        if not 0 < renew_interval < math.inf:
+            raise ValueError(
+                "lease renew interval must be positive and finite (seconds)"
+            )
         self.catalog = catalog
         self.holder = holder
         self.role = role

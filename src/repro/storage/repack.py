@@ -28,6 +28,7 @@ jobs surveyed in the paper's Section 6.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -57,6 +58,9 @@ __all__ = [
     "expected_workload_costs",
     "estimate_repack_cost",
 ]
+
+#: Old-encoding payloads the rebuild keeps warm while streaming the plan.
+STAGING_CACHE_SIZE = 64
 
 
 def plan_order(plan: StoragePlan) -> list[VersionID]:
@@ -346,8 +350,8 @@ class AdaptiveRepackController:
         drift_threshold: float = 0.35,
         min_observations: int = 16,
     ) -> None:
-        if horizon <= 0:
-            raise ValueError("horizon must be positive (requests)")
+        if not 0 < horizon < math.inf:
+            raise ValueError("horizon must be positive and finite (requests)")
         if trigger_factor <= standdown_factor:
             raise ValueError(
                 "trigger_factor must exceed standdown_factor "
@@ -694,9 +698,8 @@ class OnlineRepacker:
     ``rebuild``/``swap`` pair so two operators cannot interleave epochs.
     """
 
-    def __init__(self, repository: "Repository", *, payload_cache_size: int = 64) -> None:
+    def __init__(self, repository: "Repository") -> None:
         self.repository = repository
-        self.payload_cache_size = int(payload_cache_size)
         self.lock = threading.Lock()
 
     @property
@@ -760,7 +763,7 @@ class OnlineRepacker:
         # old chains cheap without ever pinning the whole repository in
         # memory.
         old_reader = BatchMaterializer(
-            repository.store, repository.encoder, cache_size=self.payload_cache_size
+            repository.store, repository.encoder, cache_size=STAGING_CACHE_SIZE
         )
 
         pre_existing = set(repository.store.object_ids())

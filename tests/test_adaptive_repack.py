@@ -139,6 +139,13 @@ class TestControllerStateMachine:
         with pytest.raises(ValueError, match="standdown_factor"):
             AdaptiveRepackController(standdown_factor=0.9)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_horizon_rejected(self, horizon):
+        # A NaN horizon would approve every plan (``gain * nan < cost`` is
+        # False), switching the amortisation gate off.
+        with pytest.raises(ValueError, match="horizon"):
+            AdaptiveRepackController(horizon=horizon)
+
     def test_snapshot_is_json_ready(self):
         controller = AdaptiveRepackController()
         controller.observe(10.0, observations=100)

@@ -307,6 +307,16 @@ class TestServeSurface:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--repack-horizon", "--lease-ttl", "--lease-renew"])
+    def test_non_finite_or_non_positive_values_exit_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "repo", "--adaptive-repack", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: must be positive and finite" in err
+
     def test_removed_keyword_arguments_are_rejected(self):
         from repro.server.service import VersionStoreService
         from repro.storage.batch import BatchMaterializer

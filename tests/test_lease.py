@@ -324,6 +324,16 @@ class TestPlannerLease:
         with pytest.raises(ValueError):
             PlannerLease(catalog, "x", ttl=1.0, renew_interval=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_ttl_rejected(self, catalog, bad):
+        with pytest.raises(ValueError, match="ttl"):
+            PlannerLease(catalog, "x", ttl=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_renew_interval_rejected(self, catalog, bad):
+        with pytest.raises(ValueError, match="renew interval"):
+            PlannerLease(catalog, "x", ttl=1.0, renew_interval=bad)
+
 
 # --------------------------------------------------------------------- #
 # clock-skew determinism

@@ -1,4 +1,4 @@
-"""Tests for applying storage plans to a repository (repacking)."""
+"""Tests for applying storage plans to a repository (``Repository.repack``)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from repro.core.storage_plan import StoragePlan
 from repro.delta.line_diff import LineDiffEncoder
 from repro.exceptions import InvalidStoragePlanError
-from repro.storage.planner import apply_plan, plan_order
+from repro.storage import plan_order
 from repro.storage.repository import Repository
 
 
@@ -40,7 +40,7 @@ class TestPlanOrder:
             plan_order(plan)
 
 
-class TestApplyPlan:
+class TestRepositoryRepack:
     def test_single_chain_layout(self):
         repo = build_repo(5)
         ids = repo.graph.version_ids
@@ -49,7 +49,7 @@ class TestApplyPlan:
         plan.materialize(ids[0])
         for parent, child in zip(ids, ids[1:]):
             plan.assign(child, parent)
-        report = apply_plan(repo, plan)
+        report = repo.repack(plan)
         assert report["num_materialized"] == 1
         assert report["num_deltas"] == len(ids) - 1
         for vid in ids:
@@ -61,13 +61,13 @@ class TestApplyPlan:
         plan = StoragePlan()
         plan.materialize(repo.graph.version_ids[0])
         with pytest.raises(InvalidStoragePlanError):
-            apply_plan(repo, plan)
+            repo.repack(plan)
 
     def test_unreferenced_objects_dropped(self):
         repo = build_repo(4)
         ids = repo.graph.version_ids
         plan = StoragePlan.materialize_all(ids)
-        apply_plan(repo, plan)
+        repo.repack(plan)
         # Every version is now a standalone full object; the store should not
         # keep any delta objects around.
         assert all(not obj.is_delta for obj in repo.store)
@@ -79,7 +79,7 @@ class TestApplyPlan:
         plan.materialize(ids[0])
         for parent, child in zip(ids, ids[1:]):
             plan.assign(child, parent)
-        report = apply_plan(repo, plan)
+        report = repo.repack(plan)
         assert report["storage_after"] == pytest.approx(repo.store.total_storage_cost())
 
     def test_repack_is_idempotent(self):
@@ -89,6 +89,6 @@ class TestApplyPlan:
         plan.materialize(ids[0])
         for parent, child in zip(ids, ids[1:]):
             plan.assign(child, parent)
-        first = apply_plan(repo, plan)
-        second = apply_plan(repo, plan)
+        first = repo.repack(plan)
+        second = repo.repack(plan)
         assert second["storage_after"] == pytest.approx(first["storage_after"])
