@@ -113,7 +113,8 @@ class VersionStoreHTTPServer(ThreadingHTTPServer):
         self.metrics_on = bool(getattr(registry, "enabled", False))
         self.http_seconds = registry.histogram(
             "repro_http_request_seconds",
-            "HTTP request latency by endpoint (transport-inclusive).",
+            "HTTP request handling time by endpoint: from the parsed request "
+            "headers until the response is written to the socket.",
             ("endpoint",),
         )
         self.http_requests = registry.counter(
@@ -134,6 +135,11 @@ class _Handler(BaseHTTPRequestHandler):
     # which owns all locking; handler instances hold no state of their own.
     server: VersionStoreHTTPServer
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection.  A response leaves as two
+    # writes (header block, then body); with Nagle on, the body waits for
+    # the client's delayed ACK of the headers, ~40 ms on a keep-alive
+    # connection, whatever the body costs to build.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------- #
     @property
@@ -258,10 +264,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _trace_requested(query: dict[str, list[str]], body: dict[str, Any] | None = None) -> bool:
-        values = query.get("trace")
-        if values and values[-1].strip().lower() in {"1", "true", "yes", "on"}:
+        if body and _field(body, "trace", bool):
             return True
-        return bool(body and body.get("trace"))
+        values = query.get("trace")
+        return bool(values and values[-1].strip().lower() in {"1", "true", "yes", "on"})
 
     def _send_traced(
         self, payload: dict[str, Any], trace: Trace | None
@@ -356,7 +362,11 @@ class _Handler(BaseHTTPRequestHandler):
                 return True
             if parts == ["repack"]:
                 body = self._read_json()
-                if body.get("adaptive"):
+                # Flags are bools or null (the default), checked before any scan.
+                adaptive = _field(body, "adaptive", bool)
+                dry_run = _field(body, "dry_run", bool)
+                workload = _field(body, "workload", bool)
+                if adaptive:
                     # One synchronous controller evaluation: price the warm
                     # decayed cost, and only plan/repack when the hysteresis
                     # band and amortization gate both say it pays.  Plan
@@ -365,7 +375,7 @@ class _Handler(BaseHTTPRequestHandler):
                     # would silently mean "maybe mutate anyway", so the
                     # combination is rejected rather than half-honored (the
                     # workload is likewise fixed: always the decayed view).
-                    if body.get("dry_run"):
+                    if dry_run:
                         raise ReproError(
                             "adaptive cycles decide their own application; "
                             "combine 'dry_run' with a plain repack, or read "
@@ -376,9 +386,9 @@ class _Handler(BaseHTTPRequestHandler):
                     return True
                 report = self.service.repack(
                     **_plan_options(body),
-                    use_workload=bool(body.get("workload", True)),
+                    use_workload=workload is not False,
                     half_life=body.get("half_life"),
-                    dry_run=bool(body.get("dry_run", False)),
+                    dry_run=bool(dry_run),
                 )
                 self._send_json(200, report)
                 return True

@@ -172,6 +172,54 @@ class TestEndToEnd:
         assert (repo.branches, repo.current_branch) == (branches, "main")
         assert service.stats()["serving"]["commits"] == 0
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/repack", {"dry_run": "false"}),
+            ("/repack", {"dry_run": 0}),
+            ("/repack", {"adaptive": "false"}),
+            ("/repack", {"adaptive": 1}),
+            ("/repack", {"adaptive": True, "dry_run": "false"}),
+            ("/repack", {"workload": "false"}),
+            ("/checkout", {"version": "VID", "trace": "false"}),
+            ("/checkout_many", {"versions": ["VID"], "trace": "false"}),
+        ],
+    )
+    def test_non_bool_flags_are_400_and_change_nothing(
+        self, served_repo, path, body
+    ):
+        """A flag documented as bool is read as one: "false" is not true."""
+        import http.client
+
+        server, service, repo, vids = served_repo
+        body = json.loads(json.dumps(body).replace("VID", vids[-1]))
+
+        def observed() -> tuple:
+            stats = service.stats()
+            return (
+                stats["repack"]["epoch"],
+                stats["repack"]["decision_seq"],
+                stats["repack"]["auto_repacks"],
+                stats["serving"]["checkout_requests"],
+                len(service.decision_log.tail(100)),
+            )
+
+        before = observed()
+        connection = http.client.HTTPConnection(*server.server_address[:2])
+        connection.request("POST", path, body=json.dumps(body).encode())
+        response = connection.getresponse()
+        assert response.status == 400, response.read()
+        assert "must be a bool" in json.loads(response.read())["error"]
+        assert observed() == before
+
+    def test_null_flags_mean_default(self, served_repo):
+        server, service, repo, vids = served_repo
+        client = ServiceClient(server.url)
+        client.checkout(vids[-1])
+        report = client.repack(workload=None, dry_run=None, adaptive=None)
+        assert report["workload_aware"] is True
+        assert report["dry_run"] is False
+
     def test_null_identifiers_mean_not_set(self, served_repo):
         server, service, repo, vids = served_repo
         request = urllib.request.Request(
@@ -237,6 +285,49 @@ class TestEndToEnd:
         report = ServiceClient(server.url).plan(problem=1)
         assert report["algorithm"] == "mst"
         assert report["metrics"]["storage_cost"] > 0
+
+
+class TestKeepAliveLatency:
+    """Small responses on a reused connection leave at once.
+
+    A response goes out as a header write and a body write; with Nagle's
+    algorithm on the accepted socket, the body waited for the client's
+    delayed ACK of the headers, ~40 ms per request on a keep-alive
+    connection whatever the route cost.
+    """
+
+    def test_no_delayed_ack_floor_on_reused_connection(self, served_repo):
+        import http.client
+        import statistics
+        import time
+
+        server, service, repo, vids = served_repo
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        requests = (
+            [("checkout", "GET", f"/checkout/{vids[-1]}", None)] * 5
+            + [("metrics", "GET", "/metrics", None)] * 3
+            + [
+                ("commit", "POST", "/commit", {"payload": [f"row,{n}"] * 40})
+                for n in range(3)
+            ]
+        )
+        latencies: dict[str, list[float]] = {}
+        try:
+            for index, (route, method, path, body) in enumerate(requests):
+                data = json.dumps(body).encode() if body is not None else None
+                started = time.perf_counter()
+                connection.request(method, path, body=data)
+                response = connection.getresponse()
+                response.read()
+                elapsed = time.perf_counter() - started
+                assert response.status == 200
+                if index:  # the connection's first request never waits
+                    latencies.setdefault(route, []).append(elapsed)
+        finally:
+            connection.close()
+        assert sorted(latencies) == ["checkout", "commit", "metrics"]
+        for route, samples in latencies.items():
+            assert statistics.median(samples) < 0.020, (route, samples)
 
 
 class TestNoObjectRoutes:
