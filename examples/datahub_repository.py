@@ -97,15 +97,16 @@ def main() -> None:
     rows = []
     realized_total = 0.0
     predicted_total = 0.0
+    chain_total = 0
     for vid in trace:
-        realized = repo.checkout(vid).recreation_cost
-        realized_total += realized
+        item = repo.checkout(vid)
+        realized_total += item.recreation_cost
         predicted_total += predicted[vid]
+        chain_total += item.chain_length
     rows.append(["trace of 200 checkouts", predicted_total, realized_total])
     print(format_table(["workload", "predicted recreation", "realized recreation"], rows))
-    stats = repo.checkout_stats
     print(f"\naverage chain length over the trace: "
-          f"{stats.total_chain_length / max(1, stats.num_checkouts):.2f} deltas")
+          f"{chain_total / max(1, len(trace)):.2f} deltas")
 
 
 if __name__ == "__main__":

@@ -250,7 +250,7 @@ def concurrent_serving_benchmark(
             backend=backend,
         )
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload
+            vid: repo.checkout(vid).payload
             for vids in chains.values()
             for vid in vids
         }

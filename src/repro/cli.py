@@ -237,7 +237,6 @@ def load_repository(directory: str) -> Repository:
     repo = Repository(
         encoder=LineDiffEncoder(),
         backend=_resolve_backend_spec(backend_spec, directory),
-        delta_against_parent=True,
     )
     repo.backend_spec = backend_spec
     if repo.catalog is not None:

@@ -132,10 +132,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -241,9 +237,6 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 
@@ -299,9 +292,6 @@ class _BoundFamily:
     # Unlabeled convenience passthroughs.
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
 
     def set(self, value: float) -> None:
         self._default_child().set(value)

@@ -1253,14 +1253,14 @@ class VersionStoreService:
         """Garbage-collect dead/failed epochs (catalog-backed stores only).
 
         Dead epochs keep their version→object mapping after a swap so
-        point-in-time reads stay possible; this drops every non-active
-        snapshot row and sweeps store objects no retained mapping reaches
-        (crashed stagings included).  Runs under the write gate and the
-        exclusive barrier — commits wait, reads pause briefly.  In a
-        multi-process deployment, prune from one process while peers are
-        not writing (see the sharing rules in docs/serving.md).  Returns
-        ``{"pruned_snapshots": 0.0, "removed_objects": 0.0}`` when the
-        repository has no catalog.
+        readers and peers still on them keep their objects; this drops
+        every non-active snapshot row and sweeps store objects no retained
+        mapping reaches (crashed stagings included).  Runs under the write
+        gate and the exclusive barrier — commits wait, reads pause briefly.
+        In a multi-process deployment, prune from one process while peers
+        are not writing (see the sharing rules in docs/serving.md).
+        Returns ``{"pruned_snapshots": 0.0, "removed_objects": 0.0}`` when
+        the repository has no catalog.
 
         In a replica group only the planner-lease holder may prune: a
         non-holder's sweep races the holder's in-flight staging (objects

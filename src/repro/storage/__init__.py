@@ -52,7 +52,7 @@ from .repack import (
     expected_workload_costs,
     plan_order,
 )
-from .repository import CheckoutStats, Repository
+from .repository import Repository
 from .workload_log import WorkloadLog, frequency_drift
 
 __all__ = [
@@ -85,7 +85,6 @@ __all__ = [
     "estimate_repack_cost",
     "expected_workload_cost",
     "expected_workload_costs",
-    "CheckoutStats",
     "Repository",
     "WorkloadLog",
     "frequency_drift",

@@ -79,11 +79,6 @@ class WarmChainCost:
     cached_depth: int
     chain_length: int
 
-    @property
-    def cold(self) -> bool:
-        """True when no part of the chain is served by the cache."""
-        return self.cached_depth == 0
-
 
 @dataclass
 class BatchItem:
@@ -102,11 +97,6 @@ class BatchItem:
     recreation_cost: float
     deltas_applied: int
     cache_hits: int
-
-    @property
-    def amortized(self) -> bool:
-        """True when cache reuse made this request cheaper than predicted."""
-        return self.recreation_cost < self.predicted_cost
 
 
 @dataclass
@@ -370,16 +360,6 @@ class BatchMaterializer:
                 abs(predicted - actual) / max(predicted, actual, 1.0)
             )
         return item
-
-    def predicted_chain_cost(self, object_id: str) -> float:
-        """Φ chain sum of ``object_id`` from the store's cost index alone.
-
-        No payload is replayed: the incremental index (filled at commit
-        time, backfilled from reads) answers with dictionary walks.  This
-        is what prices the *expected* recreation cost of a workload before
-        and after a repack.
-        """
-        return self.store.chain_stats(object_id).phi_total
 
     def warm_chain_cost(self, object_id: str) -> WarmChainCost:
         """Price one chain against the *current* cache contents.

@@ -20,9 +20,8 @@ mode, following the ``GraphStorage`` snapshot contract (SNIPPETS.md 2–3):
   repacked first invalidates this staging),
   :meth:`~MetadataCatalog.fail_snapshot` records an aborted staging and
   :meth:`~MetadataCatalog.prune_snapshot` garbage-collects dead epochs.
-  Dead epochs keep their version→object mapping until pruned, so any
-  retained epoch supports point-in-time reads
-  (:meth:`~MetadataCatalog.snapshot_manifest`).
+  Dead epochs keep their version→object mapping until pruned, so readers
+  and peers still on an old epoch keep their objects.
 * :class:`SQLiteBackend` — a :class:`~repro.storage.backends.StorageBackend`
   storing object bytes in the same database file, so ``repro init
   --backend sqlite://PATH`` puts payloads *and* metadata behind one
@@ -507,9 +506,10 @@ class MetadataCatalog:
         peer activated first — fail and prune this staging instead).  On
         success, versions committed *after* the staging (by any process)
         carry their current mapping forward into the new snapshot, the old
-        snapshot is marked dead (its mapping is retained for point-in-time
-        reads until pruned) and the epoch pointer advances — atomically, so
-        a crash leaves either the old epoch fully serving or the new one.
+        snapshot is marked dead (its mapping is retained until pruned, so
+        readers still on it keep their objects) and the epoch pointer
+        advances — atomically, so a crash leaves either the old epoch fully
+        serving or the new one.
 
         ``fence=(role, token)`` additionally validates, inside the same
         transaction, that the lease table's current fencing token for
@@ -644,44 +644,6 @@ class MetadataCatalog:
                     "SELECT id FROM snapshots WHERE status != 'active' ORDER BY id"
                 )
             ]
-
-    def snapshot_manifest(self, snapshot_id: int) -> dict[str, Any]:
-        """Point-in-time read: one retained epoch's status and full mapping."""
-        with self._read() as connection:
-            row = connection.execute(
-                "SELECT epoch, status, based_on_epoch, stats, error "
-                "FROM snapshots WHERE id = ?",
-                (snapshot_id,),
-            ).fetchone()
-            if row is None:
-                raise SnapshotConflictError(f"no snapshot {snapshot_id} (pruned?)")
-            mapping = {
-                r[0]: r[1]
-                for r in connection.execute(
-                    "SELECT version_id, object_id FROM version_objects "
-                    "WHERE snapshot_id = ?",
-                    (snapshot_id,),
-                )
-            }
-            return {
-                "id": snapshot_id,
-                "epoch": row[0],
-                "status": row[1],
-                "based_on_epoch": row[2],
-                "stats": json.loads(row[3]) if row[3] else None,
-                "error": row[4],
-                "objects": mapping,
-            }
-
-    def active_snapshot_id(self) -> int:
-        """Id of the snapshot currently serving."""
-        with self._read() as connection:
-            row = connection.execute(
-                "SELECT id FROM snapshots WHERE status = 'active'"
-            ).fetchone()
-            if row is None:  # pragma: no cover - schema seeds one
-                raise RepositoryError("catalog has no active snapshot")
-            return int(row[0])
 
     def live_object_ids(self) -> set[str]:
         """Every object id any retained snapshot's mapping references."""

@@ -220,10 +220,6 @@ class PlannerLease:
                 "events": dict(self._counts),
             }
 
-    def event_counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<PlannerLease role={self.role!r} holder={self.holder!r} "

@@ -493,12 +493,6 @@ class ObjectStore:
             if meta is not None:
                 self._apply_phi_total += meta.phi
 
-    def observed_apply_seconds(self, object_id: str) -> float | None:
-        """EWMA of measured rebuild seconds for one object, or ``None``."""
-        with self._index_lock:
-            cell = self._observed.get(object_id)
-            return cell.seconds if cell is not None else None
-
     def seconds_per_phi(self) -> float | None:
         """Fitted seconds-per-Φ-unit rate, or ``None`` before any sample.
 
@@ -510,39 +504,6 @@ class ObjectStore:
             if self._apply_phi_total <= 0.0:
                 return None
             return self._apply_seconds_total / self._apply_phi_total
-
-    def measured_chain_seconds(
-        self, object_id: str, cached: Callable[[str], bool] | None = None
-    ) -> float | None:
-        """Measured rebuild seconds of ``object_id``'s chain — index only.
-
-        Walks base links exactly like :meth:`marginal_chain_cost` (down to
-        the deepest ``cached`` ancestor when given, else to the root),
-        summing each hop's observed EWMA seconds and falling back to
-        ``seconds_per_phi() * phi`` for hops never measured.  Returns
-        ``None`` when a link is unindexed or no rate has been fitted yet.
-        No payload is read.
-        """
-        rate = self.seconds_per_phi()
-        total = 0.0
-        current: str | None = object_id
-        seen: set[str] = set()
-        while current is not None:
-            meta = self.meta(current)
-            if meta is None or current in seen:
-                return None
-            seen.add(current)
-            observed = self.observed_apply_seconds(current)
-            if observed is not None:
-                total += observed
-            elif rate is not None:
-                total += rate * meta.phi
-            else:
-                return None
-            current = meta.base_id
-            if current is not None and cached is not None and cached(current):
-                break
-        return total
 
     def measured_cost_model(self) -> dict[str, float | int | None]:
         """Snapshot of the measured model for stats/decision records."""
@@ -559,18 +520,6 @@ class ObjectStore:
                 "seconds_per_phi": rate,
             }
 
-    def cached_chain_root(self, object_id: str) -> str | None:
-        """``object_id``'s chain root in O(1) from the stats memo, or ``None``.
-
-        Never walks or fetches anything — a single locked dictionary
-        lookup, cheap enough for the per-request hot path (every
-        materialization memoizes its tip's stats, so only the very first
-        request for a chain misses).
-        """
-        with self._index_lock:
-            stats = self._chain_stats.get(object_id)
-        return stats.root_id if stats is not None else None
-
     def subtree_stripe_key(self, object_id: str) -> str | None:
         """Deepest-shared-ancestor stripe key for ``object_id``, or ``None``.
 
@@ -584,7 +533,7 @@ class ObjectStore:
         tip's own subtree.  Linear chains degenerate to their root, exactly
         the old behavior.  Pure dictionary walks, no backend read; returns
         ``None`` when some link is not indexed yet (callers fall back to
-        the object id itself, as with :meth:`cached_chain_root`).
+        the object id itself).
         """
         chain = self.cached_chain_ids(object_id)
         if chain is None:

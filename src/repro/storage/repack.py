@@ -885,7 +885,7 @@ class OnlineRepacker:
         the activation transaction raises
         :class:`~repro.exceptions.LeaseFencedError` — the zombie's staging
         is likewise failed before re-raising.  Dead epochs keep their
-        mapping for point-in-time reads until pruned — garbage collection
+        mapping until pruned — garbage collection
         is :meth:`prune_dead_epochs`'s job, not the swap's.
         """
         repository = self.repository

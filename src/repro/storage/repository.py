@@ -7,9 +7,9 @@ and registered with more than one parent).  :class:`Repository` provides the
 same surface on top of the object store, delta encoders and storage plans of
 this package:
 
-* ``commit(payload, parents=...)`` registers a new version.  By default the
-  payload is stored as a delta against its first parent (if that delta is
-  smaller than the full payload);
+* ``commit(payload, parents=...)`` registers a new version.  The payload
+  is stored as a delta against its first parent (if that delta is smaller
+  than the full payload);
 * ``checkout(version_id)`` reconstructs any version and reports the
   recreation cost actually paid;
 * ``branch``/``merge`` manipulate named branch heads;
@@ -22,7 +22,6 @@ this package:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
 from ..core.instance import ProblemInstance
@@ -43,7 +42,7 @@ from .backends import StorageBackend
 from .batch import BatchItem, BatchMaterializer, BatchResult
 from .objects import ObjectStore
 
-__all__ = ["Repository", "CheckoutStats"]
+__all__ = ["Repository"]
 
 
 def _find_catalog(backend: StorageBackend) -> Any:
@@ -65,32 +64,6 @@ def _find_catalog(backend: StorageBackend) -> Any:
     return None
 
 
-@dataclass
-class CheckoutStats:
-    """Aggregate statistics over the checkouts served by a repository."""
-
-    num_checkouts: int = 0
-    total_recreation_cost: float = 0.0
-    max_recreation_cost: float = 0.0
-    total_chain_length: int = 0
-    per_version: dict[VersionID, int] = field(default_factory=dict)
-
-    def record(self, version_id: VersionID, result: BatchItem) -> None:
-        """Fold one checkout into the running totals."""
-        self.num_checkouts += 1
-        self.total_recreation_cost += result.recreation_cost
-        self.max_recreation_cost = max(self.max_recreation_cost, result.recreation_cost)
-        self.total_chain_length += result.chain_length
-        self.per_version[version_id] = self.per_version.get(version_id, 0) + 1
-
-    @property
-    def average_recreation_cost(self) -> float:
-        """Mean recreation cost over all recorded checkouts."""
-        if self.num_checkouts == 0:
-            return 0.0
-        return self.total_recreation_cost / self.num_checkouts
-
-
 class Repository:
     """Commit/checkout/branch/merge on top of delta-compressed storage.
 
@@ -110,7 +83,6 @@ class Repository:
         directory: str | None = None,
         backend: str | StorageBackend | None = None,
         cache_size: int = 64,
-        delta_against_parent: bool = True,
     ) -> None:
         self.encoder = encoder if encoder is not None else LineDiffEncoder()
         self.store = ObjectStore(directory=directory, backend=backend)
@@ -118,12 +90,10 @@ class Repository:
             self.store, self.encoder, cache_size=cache_size
         )
         self.graph = VersionGraph()
-        self.delta_against_parent = bool(delta_against_parent)
         self._object_of: dict[VersionID, str] = {}
         self._branches: dict[str, VersionID | None] = {self.DEFAULT_BRANCH: None}
         self._current_branch = self.DEFAULT_BRANCH
         self._counter = 0
-        self.checkout_stats = CheckoutStats()
         # Active repack epoch.  Plain repositories count it in memory (the
         # CLI persists it in the JSON state file); a catalog-backed
         # repository reads it from the database, where it is monotonic
@@ -277,81 +247,34 @@ class Repository:
                 ):
                     raise VersionNotFoundError(parent)
 
-        if self._catalog is not None:
-            vid = self._commit_catalog(
-                payload, parent_ids, message, version_id, target
-            )
-            if branch is not None:
-                self.switch(branch)
-            return vid
-
         if version_id is not None and version_id in self.graph:
             raise DuplicateVersionError(version_id)
-        # Store the object first: a backend failure must leave the graph,
-        # the branch head and the id counter exactly as they were.
-        size = payload_size(payload)
-        object_id: str | None = None
-        if self.delta_against_parent and parent_ids:
-            base_vid = parent_ids[0]
-            base_payload = self.checkout(base_vid, record_stats=False).payload
-            delta = self.encoder.diff(base_payload, payload)
-            if delta.storage_cost < size:
-                object_id = self.store.put_delta(self._object_of[base_vid], delta)
-        if object_id is None:
-            object_id = self.store.put_full(payload)
-
-        vid = version_id if version_id is not None else self._next_id()
-        self.graph.add_version(
-            Version(
-                version_id=vid,
-                size=size,
-                name=message or str(vid),
-                parents=parent_ids,
-                created_at=self._counter,
-                metadata={"message": message},
-            )
-        )
-        self._object_of[vid] = object_id
-        self._branches[target] = vid
-        self._current_branch = target
-        return vid
-
-    def _commit_catalog(
-        self,
-        payload: Any,
-        parent_ids: tuple[VersionID, ...],
-        message: str,
-        version_id: VersionID | None,
-        branch: str,
-    ) -> VersionID:
-        """Commit through the catalog's transaction, retrying stale deltas.
-
-        The payload is encoded first (outside any transaction — encoding
-        may be slow), then registered with
-        :meth:`~repro.storage.catalog.MetadataCatalog.record_commit`, which
-        validates the delta base against the *current* active mapping.  A
-        :class:`~repro.exceptions.StaleEpochError` means a peer repacked
-        between encoding and the transaction: re-sync and re-encode against
-        the new mapping; as a last resort store the payload in full (a full
-        object has no base to go stale).  Objects orphaned by a lost race
-        are content-addressed leftovers swept by the next epoch prune.
-        """
         size = payload_size(payload)
         for attempt in range(3):
-            delta_base: VersionID | None = None
+            # Store the object first: a failed commit must leave the graph,
+            # the branch heads and the id counter exactly as they were.
+            base_vid: VersionID | None = None
             base_object: str | None = None
-            object_id: str | None = None
-            if self.delta_against_parent and parent_ids and attempt < 2:
-                base_vid = parent_ids[0]
-                base_payload = self.checkout(base_vid, record_stats=False).payload
+            if parent_ids and attempt < 2:
+                base_payload = self.checkout(parent_ids[0]).payload
                 delta = self.encoder.diff(base_payload, payload)
                 if delta.storage_cost < size:
+                    base_vid = parent_ids[0]
                     base_object = self._object_of[base_vid]
                     object_id = self.store.put_delta(base_object, delta)
-                    delta_base = base_vid
-            if object_id is None:
+            if base_object is None:
                 object_id = self.store.put_full(payload)
-                base_object = None
+            if self._catalog is None:
+                vid = version_id if version_id is not None else self._next_id()
+                created_at = self._counter
+                break
+            # The catalog's transaction validates the delta base against
+            # the *current* active mapping.  A StaleEpochError means a peer
+            # repacked between encoding and the transaction: re-sync and
+            # re-encode against the new mapping; as a last resort store the
+            # payload in full (a full object has no base to go stale).
+            # Objects orphaned by a lost race are content-addressed
+            # leftovers swept by the next epoch prune.
             try:
                 vid, created_at = self._catalog.record_commit(
                     version_id=version_id,
@@ -360,16 +283,20 @@ class Repository:
                     parents=parent_ids,
                     metadata={"message": message},
                     object_id=object_id,
-                    branch=branch,
-                    base_version=delta_base,
+                    branch=target,
+                    base_version=base_vid,
                     base_object_id=base_object,
                 )
-                break
             except StaleEpochError:
                 if attempt == 2:  # pragma: no cover - full commits never stale
                     raise
                 self.sync(force=True)
-        if vid not in self.graph:
+                continue
+            if version_id is None:
+                self._counter = max(self._counter, created_at + 1)
+            break
+        # A concurrent sync may already have adopted the catalog's row.
+        if self._catalog is None or vid not in self.graph:
             self.graph.add_version(
                 Version(
                     version_id=vid,
@@ -381,9 +308,9 @@ class Repository:
                 )
             )
         self._object_of[vid] = object_id
-        self._branches[branch] = vid
-        if version_id is None:
-            self._counter = max(self._counter, created_at + 1)
+        self._branches[target] = vid
+        if branch is not None:
+            self.switch(branch)
         return vid
 
     def merge(
@@ -413,7 +340,7 @@ class Repository:
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #
-    def checkout(self, version_id: VersionID, record_stats: bool = True) -> BatchItem:
+    def checkout(self, version_id: VersionID) -> BatchItem:
         """Reconstruct the payload of ``version_id`` (a batch of one)."""
         if version_id not in self._object_of:
             # The version may have been committed by a peer process since
@@ -421,14 +348,9 @@ class Repository:
             self.sync()
             if version_id not in self._object_of:
                 raise VersionNotFoundError(version_id)
-        result = self.materializer.materialize(self._object_of[version_id])
-        if record_stats:
-            self.checkout_stats.record(version_id, result)
-        return result
+        return self.materializer.materialize(self._object_of[version_id])
 
-    def checkout_many(
-        self, version_ids: Iterable[VersionID], record_stats: bool = True
-    ) -> BatchResult:
+    def checkout_many(self, version_ids: Iterable[VersionID]) -> BatchResult:
         """Reconstruct many versions at once, amortizing shared chain prefixes.
 
         Returns a :class:`~repro.storage.batch.BatchResult` keyed by version
@@ -443,22 +365,7 @@ class Repository:
                 if vid not in self._object_of:
                     raise VersionNotFoundError(vid)
             requests.append((vid, self._object_of[vid]))
-        result = self.materializer.materialize_many(requests)
-        if record_stats:
-            # Every request counts as a checkout, but cost is folded in as
-            # actually paid: the first request for an item carries its
-            # charged cost, repeats are cache-served (zero cost) — matching
-            # how content-deduplicated aliases are accounted inside the
-            # batch itself.
-            recorded: set[VersionID] = set()
-            for vid, _ in requests:
-                item = result.items[vid]
-                if vid in recorded:
-                    item = replace(item, recreation_cost=0.0, cache_hits=1)
-                else:
-                    recorded.add(vid)
-                self.checkout_stats.record(vid, item)
-        return result
+        return self.materializer.materialize_many(requests)
 
     def log(self, version_id: VersionID | None = None) -> list[Version]:
         """History of ``version_id`` (default: current head), newest first."""
@@ -523,7 +430,7 @@ class Repository:
         version_ids = list(self.graph.version_ids)
         payloads: dict[VersionID, Any] = {}
         for vid in version_ids:
-            payloads[vid] = self.checkout(vid, record_stats=False).payload
+            payloads[vid] = self.checkout(vid).payload
             size = payload_size(payloads[vid])
             model.set_materialization(vid, size, size)
         if pairs is None:

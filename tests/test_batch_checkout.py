@@ -34,12 +34,12 @@ class TestCheckoutMany:
         sequential_applications = 0
         sequential_payloads = {}
         for vid in version_ids:
-            result = repo.checkout(vid, record_stats=False)
+            result = repo.checkout(vid)
             sequential_applications += result.chain_length
             sequential_payloads[vid] = result.payload
         assert sequential_applications == sum(range(50))  # 0 + 1 + ... + 49
 
-        batch = repo.checkout_many(version_ids, record_stats=False)
+        batch = repo.checkout_many(version_ids)
         assert batch.naive_delta_applications == sequential_applications
         # Strictly fewer applications — each shared prefix is replayed once.
         assert batch.deltas_applied < sequential_applications
@@ -51,10 +51,10 @@ class TestCheckoutMany:
     def test_costs_paid_vs_predicted(self):
         repo, version_ids = build_chain_repo(20)
         sequential_cost = sum(
-            repo.checkout(vid, record_stats=False).recreation_cost
+            repo.checkout(vid).recreation_cost
             for vid in version_ids
         )
-        batch = repo.checkout_many(version_ids, record_stats=False)
+        batch = repo.checkout_many(version_ids)
         # The Φ prediction is exactly what sequential serving pays...
         assert batch.total_predicted_cost == pytest.approx(sequential_cost)
         # ...and the batch pays strictly less, with non-negative per-item savings.
@@ -65,9 +65,9 @@ class TestCheckoutMany:
 
     def test_request_order_does_not_matter(self):
         repo, version_ids = build_chain_repo(15)
-        forward = repo.checkout_many(version_ids, record_stats=False)
+        forward = repo.checkout_many(version_ids)
         repo.materializer.clear_cache()
-        backward = repo.checkout_many(list(reversed(version_ids)), record_stats=False)
+        backward = repo.checkout_many(list(reversed(version_ids)))
         assert forward.deltas_applied == backward.deltas_applied
         for vid in version_ids:
             assert forward.items[vid].payload == backward.items[vid].payload
@@ -79,7 +79,7 @@ class TestCheckoutMany:
             [(vid, repo.object_id_of(vid)) for vid in version_ids]
         )
         for vid in version_ids:
-            assert result.items[vid].payload == repo.checkout(vid, record_stats=False).payload
+            assert result.items[vid].payload == repo.checkout(vid).payload
         assert result.deltas_applied <= result.naive_delta_applications
 
     def test_zero_cache_dfs_still_shares_prefixes(self):
@@ -91,7 +91,7 @@ class TestCheckoutMany:
         )
         assert result.deltas_applied == len(version_ids) - 1
         for vid in version_ids:
-            assert result.items[vid].payload == repo.checkout(vid, record_stats=False).payload
+            assert result.items[vid].payload == repo.checkout(vid).payload
 
     def test_branched_history_shares_the_common_prefix(self):
         repo = Repository(cache_size=0)
@@ -106,7 +106,7 @@ class TestCheckoutMany:
             repo.branch(branch, at=trunk[-1])
             repo.switch(branch)
             heads.append(repo.commit(base + [f"branch,{branch}"]))
-        batch = repo.checkout_many(trunk + heads, record_stats=False)
+        batch = repo.checkout_many(trunk + heads)
         # Trunk replayed once (9 deltas) plus one delta per branch head.
         assert batch.deltas_applied == 11
         assert batch.naive_delta_applications == sum(range(10)) + 2 * 10
@@ -114,10 +114,10 @@ class TestCheckoutMany:
     def test_duplicate_requests_served_once(self):
         repo, version_ids = build_chain_repo(6)
         head = version_ids[-1]
-        single_cost = repo.checkout(head, record_stats=False).recreation_cost
-        batch = repo.checkout_many([head, head, head], record_stats=False)
+        single_cost = repo.checkout(head).recreation_cost
+        batch = repo.checkout_many([head, head, head])
         assert len(batch.items) == 1
-        assert batch.items[head].payload == repo.checkout(head, record_stats=False).payload
+        assert batch.items[head].payload == repo.checkout(head).payload
         # The single materialization stays charged — a repeated key must not
         # replace the charged item with a zeroed copy.
         assert batch.total_recreation_cost == pytest.approx(single_cost)
@@ -126,38 +126,23 @@ class TestCheckoutMany:
     def test_deduplicated_versions_charged_once(self):
         """Distinct versions with identical content share one object id; the
         aggregate paid cost must reflect the single materialization."""
-        repo = Repository(delta_against_parent=False, cache_size=0)
+        repo = Repository(cache_size=0)
         payload = [f"row,{i}" for i in range(20)]
         original = repo.commit(payload)
-        repo.commit(payload + ["divergence"])
+        # No line in common, so the delta is not smaller: every version is
+        # stored in full and the revert lands on the original's object.
+        repo.commit([f"other,{i}" for i in range(20)])
         revert = repo.commit(payload)  # content-identical to `original`
         assert repo.object_id_of(original) == repo.object_id_of(revert)
 
-        batch = repo.checkout_many([original, revert], record_stats=False)
+        batch = repo.checkout_many([original, revert])
         assert len(batch.items) == 2
-        single_cost = repo.checkout(original, record_stats=False).recreation_cost
+        assert all(item.chain_length == 0 for item in batch.items.values())
+        single_cost = repo.checkout(original).recreation_cost
         # Paid once, not once per alias; the prediction still counts both.
         assert batch.total_recreation_cost == pytest.approx(single_cost)
         assert batch.total_predicted_cost == pytest.approx(2 * single_cost)
         assert batch.items[original].payload == batch.items[revert].payload == payload
-
-    def test_stats_recorded_per_version(self):
-        repo, version_ids = build_chain_repo(5)
-        before = repo.checkout_stats.num_checkouts
-        repo.checkout_many(version_ids)
-        assert repo.checkout_stats.num_checkouts == before + len(version_ids)
-
-    def test_stats_count_duplicate_requests_per_request(self):
-        """Hot versions arriving batched count once per request in the
-        frequency stats, while the cost totals reflect what was paid."""
-        repo, version_ids = build_chain_repo(4)
-        head = version_ids[-1]
-        single_cost = repo.checkout(head, record_stats=False).recreation_cost
-        repo.checkout_many([head, head, head])
-        assert repo.checkout_stats.num_checkouts == 3
-        assert repo.checkout_stats.per_version[head] == 3
-        # Paid once; the two cache-served repeats fold in at zero cost.
-        assert repo.checkout_stats.total_recreation_cost == pytest.approx(single_cost)
 
     def test_unknown_version_rejected(self):
         repo, _ = build_chain_repo(3)
@@ -173,7 +158,7 @@ class TestCheckoutMany:
 
     def test_cache_persists_across_batches(self):
         repo, version_ids = build_chain_repo(10, cache_size=64)
-        repo.checkout_many(version_ids, record_stats=False)
+        repo.checkout_many(version_ids)
         # A follow-up batch over already-cached versions applies no deltas.
-        again = repo.checkout_many([version_ids[-1]], record_stats=False)
+        again = repo.checkout_many([version_ids[-1]])
         assert again.deltas_applied == 0

@@ -50,7 +50,7 @@ class TestDFSGuarantee:
         )
         assert result.deltas_applied == unique_delta_objects(repo, vids)
         for vid in vids:
-            assert result.items[vid].payload == repo.checkout(vid, record_stats=False).payload
+            assert result.items[vid].payload == repo.checkout(vid).payload
 
     def test_dfs_accounting_stays_within_predictions(self):
         repo, vids = build_tree_repo()
@@ -89,7 +89,7 @@ class TestDFSGuarantee:
         engine.cache.put(repo.object_id_of(tip), cold.items[tip].payload)
         warm = engine.materialize_many(request)
         assert warm.deltas_applied == 0
-        assert warm.items[tip].payload == repo.checkout(tip, record_stats=False).payload
+        assert warm.items[tip].payload == repo.checkout(tip).payload
 
     def test_dfs_mixed_trimmed_and_untrimmed_chains(self):
         """One chain trims at a cached tip while a sibling still needs the
@@ -105,16 +105,18 @@ class TestDFSGuarantee:
             [(tip_a, repo.object_id_of(tip_a)), (tip_b, repo.object_id_of(tip_b))]
         )
         for vid in (tip_a, tip_b):
-            assert mixed.items[vid].payload == repo.checkout(vid, record_stats=False).payload
+            assert mixed.items[vid].payload == repo.checkout(vid).payload
         assert mixed.items[tip_a].deltas_applied == 0
 
     def test_dfs_handles_duplicate_and_deduplicated_requests(self):
-        repo = Repository(delta_against_parent=False, cache_size=0)
+        repo = Repository(cache_size=0)
         payload = [f"row,{i}" for i in range(10)]
         first = repo.commit(payload)
-        repo.commit(payload + ["other"])
+        # Disjoint lines: the delta is not smaller, so both are stored full.
+        repo.commit([f"other,{i}" for i in range(10)])
         revert = repo.commit(payload)  # same content => same object id
         assert repo.object_id_of(first) == repo.object_id_of(revert)
-        batch = repo.checkout_many([first, revert, first], record_stats=False)
+        batch = repo.checkout_many([first, revert, first])
         assert len(batch.items) == 2
+        assert all(item.chain_length == 0 for item in batch.items.values())
         assert batch.items[first].payload == batch.items[revert].payload == payload

@@ -229,31 +229,6 @@ class TestMeasuredCostModel:
         assert model["observed_objects"] > 0
         assert model["seconds_per_phi"] is not None
         assert model["seconds_per_phi"] >= 0.0
-        tip = repo.object_id_of(vids[-1])
-        seconds = repo.store.measured_chain_seconds(tip)
-        assert seconds is not None and seconds >= 0.0
-        service.close()
-
-    def test_measured_chain_seconds_is_index_only(self):
-        repo, vids, _ = build_chain_repository("line", None)
-        service = VersionStoreService(repo, cache_size=0)
-        for vid in vids:
-            service.checkout(vid)
-        backend = repo.store.backend
-        original_get = backend.get
-        reads: list[str] = []
-
-        def instrumented_get(key):
-            reads.append(key)
-            return original_get(key)
-
-        backend.get = instrumented_get
-        try:
-            for vid in vids:
-                repo.store.measured_chain_seconds(repo.object_id_of(vid))
-        finally:
-            backend.get = original_get
-        assert reads == []
         service.close()
 
 

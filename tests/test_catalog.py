@@ -12,7 +12,7 @@ Covers the acceptance properties of the catalog subsystem:
 * **snapshot lifecycle** — staged → active is exactly-once (a lost race
   returns ``None`` and the loser's staging is prunable), activation
   carries forward versions committed after staging, dead epochs retain
-  point-in-time manifests until pruned;
+  their mappings until pruned;
 * **stale-commit retry** — a commit planned against a superseded epoch
   retries internally instead of corrupting the mapping;
 * **epoch monotonicity** — ``stats.repack.epoch`` survives restarts, for
@@ -183,30 +183,32 @@ class TestSnapshotLifecycle:
         catalog.stage_mapping(snapshot_id, mapping)
         late = repo.commit(["committed", "after", "staging"], message="late")
         assert catalog.activate_snapshot(snapshot_id) == 1
-        manifest = catalog.snapshot_manifest(snapshot_id)
-        assert late in manifest["objects"]
+        (active,) = [s for s in catalog.snapshots() if s["status"] == "active"]
+        assert active["id"] == snapshot_id
+        assert active["versions"] == len(vids) + 1
         repo.sync(force=True)
+        assert repo.object_id_of(late) in catalog.live_object_ids()
         assert repo.checkout(late).payload == ["committed", "after", "staging"]
 
-    def test_dead_epoch_keeps_point_in_time_manifest(self, tmp_path):
+    def test_dead_epoch_keeps_its_mapping_until_prune(self, tmp_path):
         repo = make_repo(tmp_path / "cat.db")
         vids = commit_chain(repo, 4)
-        old_snapshot = repo.catalog.active_snapshot_id()
-        old_manifest = repo.catalog.snapshot_manifest(old_snapshot)
+        (old,) = [s for s in repo.catalog.snapshots() if s["status"] == "active"]
+        old_objects = {repo.object_id_of(vid) for vid in vids}
         repack_once(repo)
-        statuses = {s["id"]: s["status"] for s in repo.catalog.snapshots()}
-        assert statuses[old_snapshot] == "dead"
-        # The dead epoch's mapping is still readable, exactly as it was.
-        assert repo.catalog.snapshot_manifest(old_snapshot)["objects"] == (
-            old_manifest["objects"]
-        )
-        assert set(old_manifest["objects"]) == set(vids)
+        (dead,) = [s for s in repo.catalog.snapshots() if s["id"] == old["id"]]
+        assert dead["status"] == "dead"
+        # The dead epoch still maps every version, so readers and peers
+        # still on it keep their objects until it is pruned.
+        assert dead["versions"] == old["versions"] == len(vids)
+        assert old_objects <= repo.catalog.live_object_ids()
 
     def test_prune_refuses_active_snapshot(self, tmp_path):
         repo = make_repo(tmp_path / "cat.db")
         commit_chain(repo, 2)
+        (active,) = [s for s in repo.catalog.snapshots() if s["status"] == "active"]
         with pytest.raises(SnapshotConflictError):
-            repo.catalog.prune_snapshot(repo.catalog.active_snapshot_id())
+            repo.catalog.prune_snapshot(active["id"])
 
     def test_prune_dead_epochs_sweeps_unreferenced_objects(self, tmp_path):
         repo = make_repo(tmp_path / "cat.db")
@@ -279,7 +281,7 @@ class TestCatalogRepack:
         # The stale commit must succeed by syncing + re-encoding
         # internally, never by recording a delta against a dead base.  The
         # payload is a small edit of the parent's so it encodes as a delta.
-        payload = peer.checkout(vids[-1], record_stats=False).payload + ["stale,edit"]
+        payload = peer.checkout(vids[-1]).payload + ["stale,edit"]
         new_vid = peer.commit(payload, parents=[vids[-1]], message="stale")
         assert peer.epoch == 1
         assert repo.sync() is True

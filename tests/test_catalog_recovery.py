@@ -41,7 +41,7 @@ def staged_plan(repo: Repository, problem: int = 3):
 
 def checkout_all(repo: Repository) -> dict:
     return {
-        vid: repo.checkout(vid, record_stats=False).payload
+        vid: repo.checkout(vid).payload
         for vid in repo.graph.version_ids
     }
 
@@ -164,7 +164,9 @@ class TestActivationAtomicity:
         repo = make_repo(path)
         vids = commit_chain(repo, 4)
         catalog = repo.catalog
-        old_active = catalog.active_snapshot_id()
+        (old_active,) = [
+            s["id"] for s in catalog.snapshots() if s["status"] == "active"
+        ]
         snapshot_id, _ = catalog.create_snapshot()
         mapping = {vid: repo.object_id_of(vid) for vid in vids}
         catalog.stage_mapping(snapshot_id, mapping)
@@ -172,17 +174,17 @@ class TestActivationAtomicity:
         # Before the activation transaction: old epoch fully active.
         fresh = make_repo(path)
         assert fresh.epoch == 0
-        assert fresh.catalog.active_snapshot_id() == old_active
+        statuses = {s["id"]: s["status"] for s in fresh.catalog.snapshots()}
+        assert statuses[old_active] == "active"
+        assert statuses[snapshot_id] == "staged"
 
         assert catalog.activate_snapshot(snapshot_id) == 1
 
         # After: the new epoch fully active, the old retained as 'dead'
-        # with its manifest intact — no intermediate state is observable.
+        # with its mapping intact — no intermediate state is observable.
         fresh = make_repo(path)
         assert fresh.epoch == 1
-        assert fresh.catalog.active_snapshot_id() == snapshot_id
-        statuses = {s["id"]: s["status"] for s in fresh.catalog.snapshots()}
-        assert statuses[old_active] == "dead"
-        assert set(fresh.catalog.snapshot_manifest(old_active)["objects"]) == set(
-            vids
-        )
+        rows = {s["id"]: s for s in fresh.catalog.snapshots()}
+        assert rows[snapshot_id]["status"] == "active"
+        assert rows[old_active]["status"] == "dead"
+        assert rows[old_active]["versions"] == len(vids)

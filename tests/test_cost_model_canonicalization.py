@@ -52,7 +52,7 @@ def test_entries_are_max_of_both_directions(builder):
     repo = builder()
     model = repo.build_cost_model()
     payloads = {
-        vid: repo.checkout(vid, record_stats=False).payload
+        vid: repo.checkout(vid).payload
         for vid in repo.graph.version_ids
     }
     for (source, target), _ in list(model.delta.off_diagonal_items()):
@@ -90,7 +90,7 @@ def test_directed_encoders_unchanged():
     assert model.directed
     vids = list(repo.graph.version_ids)
     payloads = {
-        vid: repo.checkout(vid, record_stats=False).payload for vid in vids
+        vid: repo.checkout(vid).payload for vid in vids
     }
     delta = repo.encoder.diff(payloads[vids[0]], payloads[vids[1]])
     assert model.delta[vids[0], vids[1]] == delta.storage_cost

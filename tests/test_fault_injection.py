@@ -78,7 +78,7 @@ class TestTornWriteScrub:
     def test_injected_get_surfaces_and_heals(self):
         flaky = FlakyBackend(MemoryBackend())
         repo, vids = build_chain_repo(flaky, num_versions=4)
-        expected = repo.checkout(vids[-1], record_stats=False).payload
+        expected = repo.checkout(vids[-1]).payload
         service = VersionStoreService(repo, cache_size=0)
         flaky.fail_gets_after = flaky.gets
         with pytest.raises(InjectedFault):
@@ -103,7 +103,7 @@ class TestRepackAbort:
         service = VersionStoreService(repo, cache_size=8)
         self._serve_some(service, vids)
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload for vid in vids
+            vid: repo.checkout(vid).payload for vid in vids
         }
         keys_before = set(flaky.child.keys())
         epoch_before = service.repacker.epoch
@@ -140,7 +140,7 @@ class TestRepackAbort:
         assert service.checkout(new_vid).payload == ["fresh", "after", "abort"]
 
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload for vid in vids
+            vid: repo.checkout(vid).payload for vid in vids
         }
         report = service.repack(use_workload=False, threshold_factor=3.0)
         assert report["applied"] is True
@@ -155,7 +155,7 @@ class TestRepackAbort:
         repo, vids = build_chain_repo(flaky)
         service = VersionStoreService(repo, cache_size=4)
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload for vid in vids
+            vid: repo.checkout(vid).payload for vid in vids
         }
         for round_number in range(3):
             flaky.fail_puts_after = flaky.puts + round_number

@@ -33,7 +33,7 @@ class TestInstruments:
         gauge = registry.gauge("g", "help")
         gauge.set(7)
         gauge.inc()
-        gauge.dec(3)
+        gauge.inc(-3)
         assert gauge.value == 5.0
 
     def test_labeled_children_are_independent_and_cached(self):
@@ -217,7 +217,7 @@ class TestNullRegistryAndEnv:
         assert NULL_INSTRUMENT.labels("a", "b") is NULL_INSTRUMENT
         NULL_INSTRUMENT.observe(1.0)
         NULL_INSTRUMENT.set(2.0)
-        NULL_INSTRUMENT.dec()
+        NULL_INSTRUMENT.inc()
         assert NULL_INSTRUMENT.quantile(0.5) == 0.0
 
     @pytest.mark.parametrize("value", ["off", "0", "false", "no", " OFF "])

@@ -201,7 +201,7 @@ class TestParallelCheckout:
             num_chains=4, chain_length=10, seed=3
         )
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload
+            vid: repo.checkout(vid).payload
             for vids in chains.values()
             for vid in vids
         }
@@ -221,7 +221,7 @@ class TestParallelCheckout:
         )
         vids = chains[0]
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload for vid in vids
+            vid: repo.checkout(vid).payload for vid in vids
         }
         service = VersionStoreService(repo, cache_size=256)
         rng = random.Random(9)
@@ -240,7 +240,7 @@ class TestParallelCheckout:
         )
         all_vids = [vid for vids in chains.values() for vid in vids]
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload for vid in all_vids
+            vid: repo.checkout(vid).payload for vid in all_vids
         }
         service = VersionStoreService(repo, cache_size=128)
         errors: list = []
@@ -337,7 +337,7 @@ class TestCostIndexParity:
             assert stats.phi_total == pytest.approx(phi)
             assert stats.num_deltas == deltas
             # The index also agrees with the cost a cold checkout pays.
-            paid = repo.checkout(vid, record_stats=False).recreation_cost
+            paid = repo.checkout(vid).recreation_cost
             assert stats.phi_total == pytest.approx(paid)
 
     def test_index_survives_repack(self, encoder_key, backend_kind, tmp_path):
@@ -447,7 +447,7 @@ def _repack_under_parallel_load(
         num_chains=num_chains, chain_length=chain_length, seed=13
     )
     expected = {
-        vid: repo.checkout(vid, record_stats=False).payload
+        vid: repo.checkout(vid).payload
         for vids in chains.values()
         for vid in vids
     }
@@ -564,7 +564,7 @@ class TestKnobs:
             repo, cache_size=0, lock_stripes=1
         )
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload
+            vid: repo.checkout(vid).payload
             for vids in chains.values()
             for vid in vids
         }

@@ -142,7 +142,7 @@ class TestRepackByteIdentity:
             encoder_factory(), payload_factory, backend_spec(backend_kind, tmp_path)
         )
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload for vid in vids
+            vid: repo.checkout(vid).payload for vid in vids
         }
 
         frequencies = zipfian_workload(vids, exponent=2.0, seed=13)
@@ -152,7 +152,7 @@ class TestRepackByteIdentity:
 
         assert report["epoch"] == 1.0
         for vid in vids:
-            assert repo.checkout(vid, record_stats=False).payload == expected[vid]
+            assert repo.checkout(vid).payload == expected[vid]
         # The store holds exactly the objects current chains reference.
         referenced = {
             obj.object_id
@@ -169,7 +169,7 @@ class TestRepackByteIdentity:
             encoder_factory(), payload_factory, backend_spec(backend_kind, tmp_path)
         )
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload for vid in vids
+            vid: repo.checkout(vid).payload for vid in vids
         }
         repacker = OnlineRepacker(repo)
         # Epoch 1: storage-optimal; epoch 2: recreation-optimal — two very
@@ -178,7 +178,7 @@ class TestRepackByteIdentity:
         repacker.repack(solve(repo.problem_instance(), 2).plan)
         assert repacker.epoch == 2
         for vid in vids:
-            assert repo.checkout(vid, record_stats=False).payload == expected[vid]
+            assert repo.checkout(vid).payload == expected[vid]
 
 
 # --------------------------------------------------------------------- #
@@ -223,7 +223,7 @@ class TestServiceRepack:
     def test_post_repack_serving_is_byte_identical(self):
         service, vids = build_service(15)
         expected = {
-            vid: service.repository.checkout(vid, record_stats=False).payload
+            vid: service.repository.checkout(vid).payload
             for vid in vids
         }
         for vid in vids:
@@ -281,7 +281,7 @@ class TestServiceRepack:
         """Readers are not blocked by phase 1 (only the short swap window)."""
         service, vids = build_service(10)
         expected = {
-            vid: service.repository.checkout(vid, record_stats=False).payload
+            vid: service.repository.checkout(vid).payload
             for vid in vids
         }
         rebuild_started = threading.Event()
@@ -313,7 +313,7 @@ def _run_concurrent_stress(
 ) -> None:
     service, vids = build_service(num_versions, cache_size=8)
     expected = {
-        vid: service.repository.checkout(vid, record_stats=False).payload
+        vid: service.repository.checkout(vid).payload
         for vid in vids
     }
     mismatches: list = []
@@ -448,7 +448,7 @@ class TestWorkloadAwareEffectiveness:
             vids.append(repo.commit(payload))
         objects_before = set(repo.store.object_ids())
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload for vid in vids
+            vid: repo.checkout(vid).payload for vid in vids
         }
 
         repacker = OnlineRepacker(repo)
@@ -473,7 +473,7 @@ class TestWorkloadAwareEffectiveness:
         assert set(repo.store.object_ids()) == objects_before
         assert repacker.epoch == 0
         for vid in vids:
-            assert repo.checkout(vid, record_stats=False).payload == expected[vid]
+            assert repo.checkout(vid).payload == expected[vid]
 
     def test_expected_cost_helper_matches_uniform_mean(self):
         repo = Repository(cache_size=0)
@@ -489,9 +489,7 @@ class TestWorkloadAwareEffectiveness:
         )
         # Weighting everything onto one version prices that version's chain.
         skewed = expected_workload_cost(repo, {vids[-1]: 5.0})
-        chain_cost = repo.materializer.predicted_chain_cost(
-            repo.object_id_of(vids[-1])
-        )
+        chain_cost = repo.store.chain_stats(repo.object_id_of(vids[-1])).phi_total
         assert skewed["per_request"] == pytest.approx(chain_cost)
 
 

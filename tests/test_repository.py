@@ -56,14 +56,17 @@ class TestCommitAndCheckout:
         with pytest.raises(VersionNotFoundError):
             Repository().checkout("ghost")
 
-    def test_checkout_stats_accumulate(self):
+    def test_removed_knobs_are_rejected(self):
+        # Commit always deltas against the first parent, and checkouts
+        # keep no per-repository ledger.
+        with pytest.raises(TypeError):
+            Repository(delta_against_parent=False)
         repo = Repository()
-        vid = repo.commit(make_payload("stats"))
-        repo.checkout(vid)
-        repo.checkout(vid)
-        assert repo.checkout_stats.num_checkouts == 2
-        assert repo.checkout_stats.per_version[vid] == 2
-        assert repo.checkout_stats.average_recreation_cost > 0
+        vid = repo.commit(make_payload("knobs"))
+        with pytest.raises(TypeError):
+            repo.checkout(vid, record_stats=False)
+        with pytest.raises(TypeError):
+            repo.checkout_many([vid], record_stats=False)
 
     def test_disk_backed_repository(self, tmp_path):
         repo = Repository(directory=str(tmp_path / "objects"))

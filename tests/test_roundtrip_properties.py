@@ -101,7 +101,7 @@ class TestCommitRepackCheckout:
         tolerance = 0.15 if repo.encoder.symmetric else 1e-6
         predicted = plan.recreation_costs(instance)
         for vid, original in zip(version_ids, payloads):
-            result = repo.checkout(vid, record_stats=False)
+            result = repo.checkout(vid)
             assert result.payload == original
             assert result.recreation_cost == pytest.approx(
                 predicted[vid], rel=tolerance, abs=1e-6
@@ -118,7 +118,7 @@ class TestCommitRepackCheckout:
             cache_size=0,
         )
         version_ids = [repo.commit(payload) for payload in payloads]
-        batch = repo.checkout_many(version_ids, record_stats=False)
+        batch = repo.checkout_many(version_ids)
         for vid, original in zip(version_ids, payloads):
             assert batch.items[vid].payload == original
         assert batch.deltas_applied <= batch.naive_delta_applications

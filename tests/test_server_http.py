@@ -48,7 +48,7 @@ class TestEndToEnd:
         client = ServiceClient(server.url)
 
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload for vid in vids
+            vid: repo.checkout(vid).payload for vid in vids
         }
         # Direct checkouts go through the served engine; start the stream cold.
         service.materializer.clear_cache()
@@ -105,9 +105,7 @@ class TestEndToEnd:
         client = ServiceClient(server.url)
         result = client.checkout_many(vids)
         for vid in vids:
-            assert result["items"][vid]["payload"] == repo.checkout(
-                vid, record_stats=False
-            ).payload
+            assert result["items"][vid]["payload"] == repo.checkout(vid).payload
         summary = result["summary"]
         assert summary["deltas_applied"] < summary["naive_delta_applications"]
 
@@ -392,7 +390,7 @@ class TestRepackOverHTTP:
         server, service, repo, vids = served_repo
         client = ServiceClient(server.url)
         expected = {
-            vid: repo.checkout(vid, record_stats=False).payload for vid in vids
+            vid: repo.checkout(vid).payload for vid in vids
         }
         for vid in vids:
             client.checkout(vid)
@@ -424,7 +422,7 @@ class TestRemoteCLI:
         server, service, repo, vids = served_repo
         out = tmp_path / "restored.txt"
         assert main(["checkout", server.url, vids[3], "-o", str(out)]) == 0
-        expected = "\n".join(repo.checkout(vids[3], record_stats=False).payload) + "\n"
+        expected = "\n".join(repo.checkout(vids[3]).payload) + "\n"
         assert out.read_text() == expected
 
     def test_remote_batch_checkout(self, served_repo, tmp_path):
@@ -435,7 +433,7 @@ class TestRemoteCLI:
         )
         assert code == 0
         for vid in (vids[0], vids[1]):
-            expected = "\n".join(repo.checkout(vid, record_stats=False).payload) + "\n"
+            expected = "\n".join(repo.checkout(vid).payload) + "\n"
             assert (outdir / f"{vid}.txt").read_text() == expected
 
     def test_remote_stats(self, served_repo, capsys):

@@ -30,7 +30,7 @@ class TestCheckout:
     def test_matches_direct_repository_checkout(self):
         service, vids = build_service()
         for vid in vids:
-            direct = service.repository.checkout(vid, record_stats=False)
+            direct = service.repository.checkout(vid)
             served = service.checkout(vid)
             assert served.payload == direct.payload
             assert served.chain_length == direct.chain_length
@@ -175,7 +175,7 @@ class TestConcurrency:
 
         assert not errors
         assert len(responses) == 8
-        expected = service.repository.checkout(head, record_stats=False).payload
+        expected = service.repository.checkout(head).payload
         # Coalescing correctness: every waiter got the same bytes.
         for response in responses:
             assert response.payload == expected
@@ -190,7 +190,7 @@ class TestConcurrency:
     def test_multithreaded_checkout_many(self):
         service, vids = build_service(16)
         expected = {
-            vid: service.repository.checkout(vid, record_stats=False).payload
+            vid: service.repository.checkout(vid).payload
             for vid in vids
         }
         barrier = threading.Barrier(6)

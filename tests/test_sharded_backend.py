@@ -119,7 +119,7 @@ class TestShardSpec:
         statedir.mkdir()
         save_repository(repo, str(statedir))
         reloaded = load_repository(str(statedir))
-        assert reloaded.checkout("v0", record_stats=False).payload == ["x", "y"]
+        assert reloaded.checkout("v0").payload == ["x", "y"]
 
     def test_hand_built_sharded_backend_refused_by_save(self, tmp_path):
         """An instance-built ShardedBackend has no reopenable spec; saving it
@@ -147,7 +147,7 @@ class TestShardedRepository:
         populated = sum(1 for shard in backend.shards if len(shard) > 0)
         assert populated > 1
         for vid in vids:
-            assert repo.checkout(vid, record_stats=False).payload is not None
-        batch = repo.checkout_many(vids, record_stats=False)
+            assert repo.checkout(vid).payload is not None
+        batch = repo.checkout_many(vids)
         for vid in vids:
-            assert batch.items[vid].payload == repo.checkout(vid, record_stats=False).payload
+            assert batch.items[vid].payload == repo.checkout(vid).payload

@@ -106,7 +106,7 @@ def test_single_checkout_is_a_batch_of_one(
     batch = run(lambda engine: engine.materialize_many([tip]).items[tip])
     assert single == batch
     payload, paid, deltas, _hits, chain_length, predicted, applied, fetched = single
-    assert payload == repo.checkout(vids[7], record_stats=False).payload
+    assert payload == repo.checkout(vids[7]).payload
     assert applied == deltas
     if state == "cold":
         assert deltas == chain_length and fetched == deltas + 1

@@ -51,7 +51,7 @@ def build_fork_repo(
 
 
 def expected_payloads(repo: Repository, vids) -> dict:
-    return {vid: repo.checkout(vid, record_stats=False).payload for vid in vids}
+    return {vid: repo.checkout(vid).payload for vid in vids}
 
 
 def all_version_ids(subtrees: dict[int, list]) -> list:
