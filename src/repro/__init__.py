@@ -26,7 +26,7 @@ Quickstart
 True
 """
 
-from . import algorithms, baselines, bench, core, datagen, delta, online, storage
+from . import algorithms, baselines, bench, core, datagen, delta, storage
 from .core import (
     ROOT,
     Algorithm,
@@ -36,7 +36,6 @@ from .core import (
     PlanMetrics,
     ProblemInstance,
     ProblemKind,
-    Scenario,
     SolveResult,
     StoragePlan,
     Version,
@@ -61,7 +60,6 @@ __all__ = [
     "core",
     "datagen",
     "delta",
-    "online",
     "storage",
     "ROOT",
     "Algorithm",
@@ -71,7 +69,6 @@ __all__ = [
     "PlanMetrics",
     "ProblemInstance",
     "ProblemKind",
-    "Scenario",
     "SolveResult",
     "StoragePlan",
     "Version",

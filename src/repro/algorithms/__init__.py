@@ -1,10 +1,9 @@
 """Graph-algorithm substrate and the paper's heuristics.
 
-Every algorithm here is implemented from scratch on top of the shared data
-structures (:class:`~repro.algorithms.priority_queue.AddressablePriorityQueue`
-and :class:`~repro.algorithms.union_find.UnionFind`):
+Every algorithm here is implemented from scratch on top of the shared
+:class:`~repro.algorithms.priority_queue.AddressablePriorityQueue`:
 
-* storage-optimal trees — Prim/Kruskal MST and Edmonds' minimum-cost
+* storage-optimal trees — Prim's MST and Edmonds' minimum-cost
   arborescence (Problem 1);
 * the shortest-path tree (Problem 2);
 * the paper's heuristics — LMG, MP, LAST and GitH (Problems 3–6);
@@ -13,42 +12,36 @@ and :class:`~repro.algorithms.union_find.UnionFind`):
 """
 
 from .arborescence import minimum_arborescence, minimum_arborescence_plan
-from .gith import git_heuristic_plan, gith_sweep
+from .gith import git_heuristic_plan
 from .ilp import (
     branch_and_bound_max_recreation,
     solve_ilp_max_recreation,
     solve_ilp_sum_recreation,
 )
-from .last import last_plan, last_sweep
-from .lmg import lmg_sweep, local_move_greedy, solve_problem_5
+from .last import last_plan
+from .lmg import local_move_greedy, solve_problem_5
 from .mp import minimum_feasible_threshold, modified_prim, solve_problem_4
 from .mst import (
-    kruskal_minimum_spanning_tree,
     minimum_spanning_plan_undirected,
     minimum_storage_plan,
     prim_minimum_spanning_tree,
 )
 from .priority_queue import AddressablePriorityQueue
 from .shortest_path import dijkstra, shortest_path_distances, shortest_path_plan, shortest_path_tree
-from .union_find import UnionFind
 
 __all__ = [
     "minimum_arborescence",
     "minimum_arborescence_plan",
     "git_heuristic_plan",
-    "gith_sweep",
     "branch_and_bound_max_recreation",
     "solve_ilp_max_recreation",
     "solve_ilp_sum_recreation",
     "last_plan",
-    "last_sweep",
-    "lmg_sweep",
     "local_move_greedy",
     "solve_problem_5",
     "minimum_feasible_threshold",
     "modified_prim",
     "solve_problem_4",
-    "kruskal_minimum_spanning_tree",
     "minimum_spanning_plan_undirected",
     "minimum_storage_plan",
     "prim_minimum_spanning_tree",
@@ -57,5 +50,4 @@ __all__ = [
     "shortest_path_distances",
     "shortest_path_plan",
     "shortest_path_tree",
-    "UnionFind",
 ]

@@ -19,7 +19,7 @@ from ..core.instance import ROOT, ProblemInstance
 from ..core.storage_plan import StoragePlan
 from ..exceptions import SolverError
 
-__all__ = ["minimum_arborescence", "minimum_arborescence_plan", "arborescence_weight"]
+__all__ = ["minimum_arborescence", "minimum_arborescence_plan"]
 
 Node = Hashable
 
@@ -182,22 +182,6 @@ def _find_cycle(
         for visited in path:
             color[visited] = 2
     return None
-
-
-def arborescence_weight(
-    parent: dict[Node, Node], edges: Sequence[tuple[Node, Node, float]]
-) -> float:
-    """Total weight of an arborescence given the edge list it was built from.
-
-    When parallel edges exist the cheapest matching one is used, which is
-    what :func:`minimum_arborescence` would have chosen.
-    """
-    best: dict[tuple[Node, Node], float] = {}
-    for u, v, w in edges:
-        key = (u, v)
-        if key not in best or w < best[key]:
-            best[key] = float(w)
-    return float(sum(best[(p, c)] for c, p in parent.items()))
 
 
 def minimum_arborescence_plan(instance: ProblemInstance) -> StoragePlan:

@@ -27,7 +27,7 @@ from ..core.storage_plan import StoragePlan
 from ..core.version import VersionID
 from ..exceptions import SolverError
 
-__all__ = ["git_heuristic_plan", "gith_sweep"]
+__all__ = ["git_heuristic_plan"]
 
 
 def git_heuristic_plan(
@@ -113,15 +113,3 @@ def git_heuristic_plan(
                 window_deque.popleft()
 
     return plan
-
-
-def gith_sweep(
-    instance: ProblemInstance,
-    windows: list[int],
-    max_depth: int = 50,
-) -> list[tuple[int, StoragePlan]]:
-    """Run GitH for several window sizes (Figure 13, BF panel)."""
-    return [
-        (window, git_heuristic_plan(instance, window=window, max_depth=max_depth))
-        for window in windows
-    ]

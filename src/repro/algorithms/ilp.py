@@ -35,22 +35,12 @@ __all__ = [
     "solve_ilp_max_recreation",
     "solve_ilp_sum_recreation",
     "branch_and_bound_max_recreation",
-    "ilp_model_size",
 ]
 
 
 def _candidate_edges(instance: ProblemInstance) -> list[Edge]:
     """All candidate edges of the augmented graph, root edges first."""
     return list(instance.edges(include_root=True))
-
-
-def ilp_model_size(instance: ProblemInstance) -> tuple[int, int]:
-    """Return ``(num_variables, num_constraints)`` of the Section 2.3 model."""
-    edges = _candidate_edges(instance)
-    n = len(instance)
-    num_variables = len(edges) + n
-    num_constraints = n + len(edges) + n
-    return num_variables, num_constraints
 
 
 # --------------------------------------------------------------------- #
@@ -324,10 +314,11 @@ def branch_and_bound_max_recreation(
         )
     theta = float(recreation_threshold)
 
-    in_edges: dict[VersionID, list[Edge]] = {
-        vid: sorted(instance.in_edges(vid), key=lambda e: (e.storage, str(e.source)))
-        for vid in versions
-    }
+    in_edges: dict[VersionID, list[Edge]] = {vid: [] for vid in versions}
+    for edge in instance.edges(include_root=True):
+        in_edges[edge.target].append(edge)
+    for candidates in in_edges.values():
+        candidates.sort(key=lambda e: (e.storage, str(e.source)))
     cheapest_in = {vid: in_edges[vid][0].storage for vid in versions}
     suffix_lower_bound = [0.0] * (len(versions) + 1)
     for index in range(len(versions) - 1, -1, -1):

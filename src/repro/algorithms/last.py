@@ -27,7 +27,7 @@ from ..exceptions import SolverError
 from .mst import minimum_storage_plan
 from .shortest_path import shortest_path_tree
 
-__all__ = ["last_plan", "last_sweep"]
+__all__ = ["last_plan"]
 
 
 def last_plan(
@@ -122,10 +122,3 @@ def _splice_shortest_path(
         parent = spt_parent[vertex]
         plan.assign(vertex, parent)
         distance[vertex] = shortest[vertex]
-
-
-def last_sweep(
-    instance: ProblemInstance, alphas: list[float]
-) -> list[tuple[float, StoragePlan]]:
-    """Run LAST for a list of α values (used by the figure benches)."""
-    return [(alpha, last_plan(instance, alpha)) for alpha in alphas]

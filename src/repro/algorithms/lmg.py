@@ -36,7 +36,7 @@ from ..exceptions import InfeasibleProblemError
 from .mst import minimum_storage_plan
 from .shortest_path import shortest_path_tree
 
-__all__ = ["local_move_greedy", "solve_problem_5", "lmg_sweep"]
+__all__ = ["local_move_greedy", "solve_problem_5"]
 
 
 def local_move_greedy(
@@ -195,19 +195,6 @@ def solve_problem_5(
         plan.assign(best_vid, spt_parent[best_vid])
         candidates.discard(best_vid)
     return plan
-
-
-def lmg_sweep(
-    instance: ProblemInstance,
-    budgets: list[float],
-    *,
-    use_workload: bool = True,
-) -> list[tuple[float, StoragePlan]]:
-    """Run LMG for a list of storage budgets (used by the figure benches)."""
-    return [
-        (budget, local_move_greedy(instance, budget, use_workload=use_workload))
-        for budget in budgets
-    ]
 
 
 # ---------------------------------------------------------------------- #

@@ -6,26 +6,23 @@ of the augmented graph rooted at the dummy vertex ``V0``, using the Δ
 weights.  For directed instances the analogous structure is the minimum-cost
 arborescence computed in :mod:`repro.algorithms.arborescence`.
 
-Both Prim's and Kruskal's algorithms are implemented from scratch here;
-they operate on generic adjacency structures so they can be unit-tested
-against :mod:`networkx` oracles, and :func:`minimum_storage_plan` adapts
-them to :class:`~repro.core.instance.ProblemInstance`.
+Prim's algorithm is implemented from scratch here; it operates on generic
+adjacency structures so it can be unit-tested against :mod:`networkx`
+oracles, and :func:`minimum_storage_plan` adapts it to
+:class:`~repro.core.instance.ProblemInstance`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 from ..core.instance import ROOT, ProblemInstance
 from ..core.storage_plan import StoragePlan
 from ..exceptions import SolverError
 from .priority_queue import AddressablePriorityQueue
-from .union_find import UnionFind
 
 __all__ = [
     "prim_minimum_spanning_tree",
-    "kruskal_minimum_spanning_tree",
-    "spanning_tree_weight",
     "minimum_spanning_plan_undirected",
     "minimum_storage_plan",
 ]
@@ -85,31 +82,6 @@ def prim_minimum_spanning_tree(
             f"graph is disconnected: {len(missing)} nodes unreachable from {root!r}"
         )
     return parent
-
-
-def kruskal_minimum_spanning_tree(
-    nodes: Iterable[Node], edges: Sequence[tuple[Node, Node, float]]
-) -> list[tuple[Node, Node, float]]:
-    """Kruskal's MST on an undirected graph, returned as an edge list.
-
-    ``edges`` are ``(u, v, weight)`` triples; each undirected edge should
-    appear once (either orientation).  Returns the chosen edges.  Raises
-    :class:`~repro.exceptions.SolverError` when the graph is disconnected.
-    """
-    nodes = list(nodes)
-    forest = UnionFind(nodes)
-    chosen: list[tuple[Node, Node, float]] = []
-    for u, v, weight in sorted(edges, key=lambda e: (e[2], repr(e[0]), repr(e[1]))):
-        if forest.union(u, v):
-            chosen.append((u, v, weight))
-    if forest.num_sets != 1:
-        raise SolverError("graph is disconnected: Kruskal produced a forest")
-    return chosen
-
-
-def spanning_tree_weight(parent: Mapping[Node, Node], adjacency: Adjacency) -> float:
-    """Total weight of a spanning tree given as a parent map."""
-    return float(sum(adjacency[p][c] for c, p in parent.items()))
 
 
 def _augmented_undirected_adjacency(

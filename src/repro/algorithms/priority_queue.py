@@ -85,13 +85,6 @@ class AddressablePriorityQueue(Generic[T]):
             self._sift_down(0)
         return item, priority
 
-    def peek(self) -> tuple[T, object]:
-        """Return (without removing) the smallest ``(item, priority)``."""
-        if not self._heap:
-            raise IndexError("peek at an empty priority queue")
-        priority, _, item = self._heap[0]
-        return item, priority
-
     def discard(self, item: T) -> None:
         """Remove ``item`` if present (no error when absent)."""
         index = self._position.pop(item, None)

@@ -5,24 +5,16 @@ compressing every version independently with gzip — no cross-version
 redundancy is exploited, so storage stays large, but every version can be
 read back with a single decompression (recreation cost stays flat).
 
-Two entry points are provided:
-
-* :func:`gzip_payload_report` — compress actual payloads (used together
-  with the table generator);
-* :func:`gzip_cost_report` — when only a cost model is available, apply an
-  assumed compression ratio to the materialization costs.
+:func:`gzip_cost_report` works from a cost model alone: it applies an
+assumed compression ratio to the materialization costs.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from ..core.instance import ProblemInstance
 from ..core.version import VersionID
-from ..delta.compression import gzip_size
-from ..delta.base import payload_size
 
-__all__ = ["GzipReport", "gzip_payload_report", "gzip_cost_report"]
+__all__ = ["GzipReport", "gzip_cost_report"]
 
 
 class GzipReport:
@@ -47,31 +39,6 @@ class GzipReport:
             "sum_recreation": self.sum_recreation,
             "max_recreation": self.max_recreation,
         }
-
-
-def gzip_payload_report(
-    payloads: Mapping[VersionID, object],
-    *,
-    level: int = 6,
-    decompression_overhead: float = 0.05,
-) -> GzipReport:
-    """Compress every payload independently and report the realized costs.
-
-    Recreation cost of a version is its uncompressed size (the read) plus a
-    decompression surcharge proportional to it.
-    """
-    compressed: dict[VersionID, float] = {}
-    recreation: dict[VersionID, float] = {}
-    for vid, payload in payloads.items():
-        compressed[vid] = gzip_size(payload, level)
-        raw = payload_size(payload)
-        recreation[vid] = raw * (1.0 + decompression_overhead)
-    return GzipReport(
-        storage_cost=float(sum(compressed.values())),
-        sum_recreation=float(sum(recreation.values())),
-        max_recreation=float(max(recreation.values())) if recreation else 0.0,
-        per_version=compressed,
-    )
 
 
 def gzip_cost_report(

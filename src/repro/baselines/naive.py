@@ -1,75 +1,18 @@
 """Naive storage baselines.
 
-Two extreme layouts the paper uses as reference points throughout the
-evaluation:
-
-* **materialize everything** — every version stored in full (Figure 1(ii)):
-  minimum recreation cost, maximum storage cost;
-* **single chain** — one version materialized, everything else a chain of
-  deltas along the version graph (Figure 1(iii)): close to minimum storage,
-  but recreation costs grow with the chain length.
+The extreme layout the paper uses as a reference point throughout the
+evaluation: **materialize everything** — every version stored in full
+(Figure 1(ii)): minimum recreation cost, maximum storage cost.
 """
 
 from __future__ import annotations
 
 from ..core.instance import ProblemInstance
 from ..core.storage_plan import StoragePlan
-from ..core.version import VersionID
-from ..exceptions import SolverError
 
-__all__ = ["materialize_all_plan", "single_chain_plan"]
+__all__ = ["materialize_all_plan"]
 
 
 def materialize_all_plan(instance: ProblemInstance) -> StoragePlan:
     """Store every version in its entirety (the "store everything" baseline)."""
     return StoragePlan.materialize_all(instance.version_ids)
-
-
-def single_chain_plan(
-    instance: ProblemInstance, root: VersionID | None = None
-) -> StoragePlan:
-    """Materialize a single version, store every other version as a delta.
-
-    Versions are attached greedily in breadth-first order from ``root``
-    (default: the first version), always through the cheapest revealed delta
-    from an already-attached version.  Versions unreachable through revealed
-    deltas are materialized — the plan must stay feasible even on sparse
-    matrices.
-    """
-    ids = instance.version_ids
-    if not ids:
-        raise SolverError("cannot build a chain over an empty instance")
-    start = root if root is not None else ids[0]
-    if start not in instance:
-        raise SolverError(f"chain root {start!r} is not part of the instance")
-
-    plan = StoragePlan()
-    plan.materialize(start)
-    attached = {start}
-    remaining = set(ids) - attached
-
-    # Repeatedly attach the cheapest (delta-storage-wise) edge from the
-    # attached set into the remaining set; this is Prim restricted to delta
-    # edges, which keeps the construction deterministic and cheap.
-    while remaining:
-        best_edge: tuple[float, VersionID, VersionID] | None = None
-        for source in attached:
-            for target, storage in instance.cost_model.delta.row(source).items():
-                if target in remaining:
-                    candidate = (storage, str(target), target)
-                    if best_edge is None or candidate[:2] < best_edge[:2]:
-                        best_edge = (storage, str(target), target)
-                        best_source = source
-        if best_edge is None:
-            # No revealed delta reaches the remaining versions: materialize
-            # the smallest remaining one and continue from there.
-            fallback = min(remaining, key=lambda vid: instance.materialization_storage(vid))
-            plan.materialize(fallback)
-            attached.add(fallback)
-            remaining.discard(fallback)
-            continue
-        _, _, target = best_edge
-        plan.assign(target, best_source)
-        attached.add(target)
-        remaining.discard(target)
-    return plan

@@ -7,7 +7,7 @@ machinery; :mod:`~repro.bench.batch_bench` compares the batch checkout
 engine against naive sequential serving on the LC/DC/BF scenarios.
 """
 
-from . import batch_bench, experiments, export
+from . import batch_bench, experiments
 from .batch_bench import batch_vs_sequential, build_repository_from_graph
 from .harness import (
     SweepPoint,
@@ -24,7 +24,6 @@ from .harness import (
 __all__ = [
     "batch_bench",
     "experiments",
-    "export",
     "batch_vs_sequential",
     "build_repository_from_graph",
     "SweepPoint",

@@ -19,7 +19,7 @@ recreation costs.  This module provides the shared machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..algorithms.gith import git_heuristic_plan
 from ..algorithms.last import last_plan
@@ -29,7 +29,6 @@ from ..algorithms.mst import minimum_storage_plan
 from ..algorithms.shortest_path import shortest_path_plan
 from ..core.instance import ProblemInstance
 from ..core.storage_plan import StoragePlan
-from ..exceptions import InfeasibleProblemError, SolverError
 
 __all__ = [
     "SweepPoint",
@@ -54,16 +53,6 @@ class SweepPoint:
     max_recreation: float
     weighted_recreation: float
 
-    def as_row(self) -> list[float]:
-        """Row representation used by :func:`format_table`."""
-        return [
-            self.parameter,
-            self.storage_cost,
-            self.sum_recreation,
-            self.max_recreation,
-            self.weighted_recreation,
-        ]
-
 
 @dataclass
 class SweepSeries:
@@ -84,11 +73,6 @@ class SweepSeries:
                 weighted_recreation=metrics.weighted_recreation,
             )
         )
-
-    @property
-    def storage_costs(self) -> list[float]:
-        """Storage cost of every point, in sweep order."""
-        return [point.storage_cost for point in self.points]
 
     @property
     def sum_recreations(self) -> list[float]:
@@ -183,16 +167,6 @@ def sweep_gith(
         plan = git_heuristic_plan(instance, window=window, max_depth=max_depth)
         series.add(float(window), plan, instance)
     return series
-
-
-def run_safe(
-    label: str, builder: Callable[[], StoragePlan], instance: ProblemInstance
-) -> tuple[str, StoragePlan | None]:
-    """Run a plan builder, swallowing infeasibility into a ``None`` result."""
-    try:
-        return label, builder()
-    except (InfeasibleProblemError, SolverError):
-        return label, None
 
 
 def format_table(

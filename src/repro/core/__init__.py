@@ -17,14 +17,8 @@ instance and a storage decision:
 
 from .instance import ROOT, Edge, ProblemInstance
 from .matrices import CostMatrix, CostModel
-from .objectives import (
-    Objective,
-    max_recreation_cost,
-    sum_recreation_cost,
-    total_storage_cost,
-    weighted_recreation_cost,
-)
-from .problems import PROBLEMS, Algorithm, ProblemKind, ProblemSpec, Scenario, SolveResult, solve
+from .objectives import Objective
+from .problems import PROBLEMS, Algorithm, ProblemKind, ProblemSpec, SolveResult, solve
 from .storage_plan import PlanMetrics, StoragePlan
 from .version import Version, VersionID
 from .version_graph import VersionGraph
@@ -36,15 +30,10 @@ __all__ = [
     "CostMatrix",
     "CostModel",
     "Objective",
-    "total_storage_cost",
-    "sum_recreation_cost",
-    "max_recreation_cost",
-    "weighted_recreation_cost",
     "PROBLEMS",
     "Algorithm",
     "ProblemKind",
     "ProblemSpec",
-    "Scenario",
     "SolveResult",
     "solve",
     "PlanMetrics",

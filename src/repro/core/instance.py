@@ -61,11 +61,6 @@ class Edge:
     storage: float
     recreation: float
 
-    @property
-    def is_materialization(self) -> bool:
-        """True when this edge materializes ``target`` in full."""
-        return self.source is ROOT
-
 
 class ProblemInstance:
     """A complete input to any of the six optimization problems.
@@ -258,31 +253,9 @@ class ProblemInstance:
             edges.append(Edge(source, target, storage, recreation))
         return edges
 
-    def in_edges(self, target: VersionID) -> list[Edge]:
-        """All candidate edges entering ``target`` (including the root edge).
-
-        This is the list of choices for how to store ``target``: materialize
-        it (root edge) or keep a delta from any version with a revealed
-        delta towards it.
-        """
-        self.version(target)
-        edges = [Edge(ROOT, target, *self.edge_costs(ROOT, target))]
-        for (source, tgt), storage in self.cost_model.delta.off_diagonal_items():
-            if tgt != target or source not in self._versions:
-                continue
-            recreation = self.cost_model.phi.get(source, target)
-            if recreation is None:
-                continue
-            edges.append(Edge(source, target, storage, recreation))
-        return edges
-
     def neighbors(self, version_id: VersionID) -> list[VersionID]:
         """Versions reachable from ``version_id`` through one revealed delta."""
         return [edge.target for edge in self.out_edges(version_id)]
-
-    def number_of_candidate_edges(self) -> int:
-        """Total number of candidate edges (root edges + revealed deltas)."""
-        return sum(1 for _ in self.edges())
 
     # ------------------------------------------------------------------ #
     # summary statistics (Figure 12 style)

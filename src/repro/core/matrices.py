@@ -18,13 +18,12 @@ the instance is directed or undirected and whether ``Φ = Δ``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from ..exceptions import InvalidCostError, MissingDeltaError
 from .version import VersionID
 
-__all__ = ["CostMatrix", "CostModel", "TriangleViolation"]
+__all__ = ["CostMatrix", "CostModel"]
 
 
 def _validate_cost(value: float, what: str) -> float:
@@ -112,10 +111,6 @@ class CostMatrix:
         source, target = key
         return target in self._entries.get(source, {})
 
-    def diagonal(self, version_id: VersionID) -> float:
-        """Materialization cost of ``version_id`` (``[i, i]``)."""
-        return self[version_id, version_id]
-
     def row(self, source: VersionID) -> dict[VersionID, float]:
         """All revealed targets reachable from ``source`` (copy)."""
         return dict(self._entries.get(source, {}))
@@ -155,41 +150,11 @@ class CostMatrix:
             clone._entries.setdefault(i, {})[j] = value
         return clone
 
-    def to_dense(self, order: Iterable[VersionID], missing: float = math.inf):
-        """Return a dense ``numpy`` array in the given version order.
-
-        Missing entries are filled with ``missing`` (infinity by default).
-        Mainly useful for small instances, debugging and the ILP solver.
-        """
-        import numpy as np
-
-        order = list(order)
-        index = {vid: k for k, vid in enumerate(order)}
-        dense = np.full((len(order), len(order)), missing, dtype=float)
-        for (i, j), value in self.items():
-            if i in index and j in index:
-                dense[index[i], index[j]] = value
-        return dense
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CostMatrix {self.name} entries={len(self)} "
             f"symmetric={self.symmetric}>"
         )
-
-
-@dataclass(frozen=True)
-class TriangleViolation:
-    """One violation of the triangle inequality found by :func:`check_triangle`."""
-
-    kind: str
-    versions: tuple[VersionID, ...]
-    lhs: float
-    rhs: float
-
-    def __str__(self) -> str:
-        ids = ", ".join(repr(v) for v in self.versions)
-        return f"{self.kind} violated for ({ids}): {self.lhs:g} > {self.rhs:g}"
 
 
 class CostModel:
@@ -271,10 +236,6 @@ class CostModel:
         """True when the delta ``source -> target`` has been revealed."""
         return (source, target) in self.delta
 
-    def revealed_edges(self) -> list[tuple[VersionID, VersionID]]:
-        """All revealed off-diagonal delta edges (directed pairs)."""
-        return [pair for pair, _ in self.delta.off_diagonal_items()]
-
     def version_ids(self) -> set[VersionID]:
         """All version ids mentioned in either matrix."""
         return self.delta.version_ids() | self.phi.version_ids()
@@ -285,67 +246,6 @@ class CostModel:
         if not self.directed:
             return 1
         return 2 if self.phi_equals_delta else 3
-
-    # ------------------------------------------------------------------ #
-    # validation
-    # ------------------------------------------------------------------ #
-    def check_triangle(self, tolerance: float = 1e-9) -> list[TriangleViolation]:
-        """Check the triangle inequalities of Section 3 on the Δ matrix.
-
-        Only fully revealed triples/pairs are checked:
-
-        * ``|Δ[p,q] - Δ[q,w]| <= Δ[p,w] <= Δ[p,q] + Δ[q,w]``
-        * ``|Δ[p,p] - Δ[p,q]| <= Δ[q,q] <= Δ[p,p] + Δ[p,q]``
-
-        Returns the list of violations (empty when the matrix is metric).
-        This is primarily used by the synthetic generators' self-checks and
-        by property-based tests.
-        """
-        violations: list[TriangleViolation] = []
-        ids = sorted(self.delta.version_ids(), key=repr)
-        delta = self.delta
-        # Pairwise inequality against materialization costs.
-        for p in ids:
-            dpp = delta.get(p, p)
-            if dpp is None:
-                continue
-            for q, dpq in delta.row(p).items():
-                if q == p:
-                    continue
-                dqq = delta.get(q, q)
-                if dqq is None:
-                    continue
-                if dqq > dpp + dpq + tolerance or dqq < abs(dpp - dpq) - tolerance:
-                    violations.append(
-                        TriangleViolation(
-                            kind="materialization-triangle",
-                            versions=(p, q),
-                            lhs=dqq,
-                            rhs=dpp + dpq,
-                        )
-                    )
-        # Two-hop path inequality.
-        for p in ids:
-            row_p = delta.row(p)
-            for q, dpq in row_p.items():
-                if q == p:
-                    continue
-                for w, dqw in delta.row(q).items():
-                    if w in (p, q):
-                        continue
-                    dpw = delta.get(p, w)
-                    if dpw is None:
-                        continue
-                    if dpw > dpq + dqw + tolerance:
-                        violations.append(
-                            TriangleViolation(
-                                kind="path-triangle",
-                                versions=(p, q, w),
-                                lhs=dpw,
-                                rhs=dpq + dqw,
-                            )
-                        )
-        return violations
 
     def copy(self) -> "CostModel":
         """Deep copy of the cost model (matrices included)."""

@@ -1,30 +1,17 @@
-"""Objective and constraint helpers shared by algorithms, tests and benches.
+"""The quantities the paper's problems minimize or bound.
 
 The six problems of the paper combine two cost notions (total storage cost
 ``C`` and recreation costs ``R_i``) in different roles: one is minimized, the
-other is bounded.  This module provides small, explicit helpers so every
-algorithm and benchmark computes those quantities in exactly one way.
+other is bounded.  :class:`Objective` names them; a plan's values for all of
+them come from one place,
+:meth:`~repro.core.storage_plan.StoragePlan.evaluate`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .instance import ProblemInstance
-    from .storage_plan import StoragePlan
-
-__all__ = [
-    "Objective",
-    "total_storage_cost",
-    "sum_recreation_cost",
-    "max_recreation_cost",
-    "weighted_recreation_cost",
-    "objective_value",
-    "satisfies_storage_budget",
-    "satisfies_recreation_bound",
-]
+__all__ = ["Objective"]
 
 
 class Objective(str, Enum):
@@ -37,64 +24,3 @@ class Objective(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-def total_storage_cost(plan: "StoragePlan", instance: "ProblemInstance") -> float:
-    """Total storage cost ``C`` of ``plan``."""
-    return plan.storage_cost(instance)
-
-
-def sum_recreation_cost(plan: "StoragePlan", instance: "ProblemInstance") -> float:
-    """Sum of recreation costs ``Σ R_i`` of ``plan``."""
-    return float(sum(plan.recreation_costs(instance).values()))
-
-
-def max_recreation_cost(plan: "StoragePlan", instance: "ProblemInstance") -> float:
-    """Maximum recreation cost ``max R_i`` of ``plan``."""
-    costs = plan.recreation_costs(instance)
-    return float(max(costs.values())) if costs else 0.0
-
-
-def weighted_recreation_cost(plan: "StoragePlan", instance: "ProblemInstance") -> float:
-    """Access-frequency-weighted recreation cost ``Σ f_i · R_i`` of ``plan``."""
-    costs = plan.recreation_costs(instance)
-    return float(
-        sum(instance.access_frequency(vid) * cost for vid, cost in costs.items())
-    )
-
-
-_OBJECTIVE_FUNCTIONS = {
-    Objective.TOTAL_STORAGE: total_storage_cost,
-    Objective.SUM_RECREATION: sum_recreation_cost,
-    Objective.MAX_RECREATION: max_recreation_cost,
-    Objective.WEIGHTED_RECREATION: weighted_recreation_cost,
-}
-
-
-def objective_value(
-    objective: Objective, plan: "StoragePlan", instance: "ProblemInstance"
-) -> float:
-    """Evaluate ``objective`` for ``plan`` on ``instance``."""
-    return _OBJECTIVE_FUNCTIONS[Objective(objective)](plan, instance)
-
-
-def satisfies_storage_budget(
-    plan: "StoragePlan",
-    instance: "ProblemInstance",
-    budget: float,
-    tolerance: float = 1e-9,
-) -> bool:
-    """True when the plan's total storage cost is within ``budget``."""
-    return total_storage_cost(plan, instance) <= budget * (1 + tolerance) + tolerance
-
-
-def satisfies_recreation_bound(
-    plan: "StoragePlan",
-    instance: "ProblemInstance",
-    threshold: float,
-    aggregate: Objective = Objective.MAX_RECREATION,
-    tolerance: float = 1e-9,
-) -> bool:
-    """True when the plan's (sum or max) recreation cost is within ``threshold``."""
-    value = objective_value(aggregate, plan, instance)
-    return value <= threshold * (1 + tolerance) + tolerance

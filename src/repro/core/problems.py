@@ -28,7 +28,6 @@ from .objectives import Objective
 from .storage_plan import StoragePlan
 
 __all__ = [
-    "Scenario",
     "ProblemKind",
     "ProblemSpec",
     "PROBLEMS",
@@ -36,14 +35,6 @@ __all__ = [
     "SolveResult",
     "default_threshold",
 ]
-
-
-class Scenario(IntEnum):
-    """The three cost-model scenarios distinguished in Section 2.1."""
-
-    UNDIRECTED_PROPORTIONAL = 1
-    DIRECTED_PROPORTIONAL = 2
-    DIRECTED_INDEPENDENT = 3
 
 
 class ProblemKind(IntEnum):

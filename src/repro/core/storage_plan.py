@@ -19,7 +19,7 @@ from collections import deque
 from typing import Iterable, Iterator, Mapping
 
 from ..exceptions import InvalidStoragePlanError, VersionNotFoundError
-from .instance import ROOT, Edge, ProblemInstance
+from .instance import ROOT, ProblemInstance
 from .version import VersionID
 
 __all__ = ["StoragePlan", "PlanMetrics"]
@@ -137,14 +137,6 @@ class StoragePlan:
             plan.materialize(vid)
         return plan
 
-    @classmethod
-    def from_edges(cls, edges: Iterable[Edge]) -> "StoragePlan":
-        """Build a plan from augmented-graph edges (as produced by algorithms)."""
-        plan = cls()
-        for edge in edges:
-            plan.assign(edge.target, edge.source)
-        return plan
-
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
@@ -163,10 +155,6 @@ class StoragePlan:
             return self._parent[version_id]
         except KeyError:
             raise VersionNotFoundError(version_id) from None
-
-    def parent_map(self) -> dict[VersionID, VersionID]:
-        """Copy of the full ``version -> parent`` mapping."""
-        return dict(self._parent)
 
     def is_materialized(self, version_id: VersionID) -> bool:
         """True when ``version_id`` is stored in full."""
@@ -341,16 +329,6 @@ class StoragePlan:
     def to_json(self, indent: int | None = 2) -> str:
         """Serialize the plan to a JSON string."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "StoragePlan":
-        """Inverse of :meth:`to_dict` (version ids come back as strings)."""
-        plan = cls()
-        for vid in payload.get("materialized", []):  # type: ignore[union-attr]
-            plan.materialize(vid)
-        for edge in payload.get("deltas", []):  # type: ignore[union-attr]
-            plan.assign(edge["child"], edge["parent"])  # type: ignore[index]
-        return plan
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,7 +12,7 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 __all__ = ["VersionID", "Version", "normalize_version_id"]
 
@@ -76,39 +76,3 @@ class Version:
     def is_root(self) -> bool:
         """True when the version was not derived from any other version."""
         return not self.parents
-
-    @property
-    def is_merge(self) -> bool:
-        """True when the version was derived from two or more parents."""
-        return len(self.parents) >= 2
-
-    def with_size(self, size: float) -> "Version":
-        """Return a copy of this version with a different full size."""
-        return Version(
-            version_id=self.version_id,
-            size=size,
-            name=self.name,
-            parents=self.parents,
-            created_at=self.created_at,
-            metadata=dict(self.metadata),
-        )
-
-    def describe(self) -> str:
-        """Return a short single-line human-readable description."""
-        kind = "merge" if self.is_merge else ("root" if self.is_root else "commit")
-        label = self.name or str(self.version_id)
-        return f"<Version {label} ({kind}, size={self.size:g})>"
-
-
-def versions_from_sizes(sizes: Mapping[VersionID, float]) -> list[Version]:
-    """Build :class:`Version` objects from a mapping of id to full size.
-
-    Convenience used throughout the tests and examples when only the cost
-    matrices matter and no derivation structure is needed.
-    """
-    return [Version(version_id=vid, size=size) for vid, size in sizes.items()]
-
-
-def total_size(versions: Iterable[Version]) -> float:
-    """Sum of the fully-materialized sizes of ``versions``."""
-    return float(sum(v.size for v in versions))

@@ -169,10 +169,6 @@ class VersionGraph:
         """All transitive ancestors of ``version_id`` (excluding itself)."""
         return self._reach(version_id, self._parents)
 
-    def descendants(self, version_id: VersionID) -> set[VersionID]:
-        """All transitive descendants of ``version_id`` (excluding itself)."""
-        return self._reach(version_id, self._children)
-
     def _reach(
         self, version_id: VersionID, adjacency: Mapping[VersionID, list[VersionID]]
     ) -> set[VersionID]:
@@ -250,10 +246,6 @@ class VersionGraph:
     # ------------------------------------------------------------------ #
     # misc
     # ------------------------------------------------------------------ #
-    def total_materialized_size(self) -> float:
-        """Sum of full sizes of all versions (the "store everything" cost)."""
-        return float(sum(v.size for v in self._versions.values()))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<VersionGraph versions={len(self._versions)} "

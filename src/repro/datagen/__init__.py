@@ -3,8 +3,6 @@
 Everything the paper's evaluation needs as input is generated here:
 
 * :mod:`~repro.datagen.graph_gen` — branching/merging version histories;
-* :mod:`~repro.datagen.table_gen` — tabular payloads produced by the edit
-  command language;
 * :mod:`~repro.datagen.cost_gen` — Δ/Φ matrices, either measured from real
   deltas or drawn synthetically with a k-hop reveal policy;
 * :mod:`~repro.datagen.forks_gen` — simulated GitHub-fork collections;
@@ -14,7 +12,7 @@ Everything the paper's evaluation needs as input is generated here:
 """
 
 from . import scenarios
-from .cost_gen import SyntheticCostConfig, costs_from_tables, reveal_pairs, synthetic_costs
+from .cost_gen import SyntheticCostConfig, reveal_pairs, synthetic_costs
 from .forks_gen import ForkDataset, ForkDatasetConfig, generate_fork_dataset
 from .graph_gen import (
     VersionGraphConfig,
@@ -30,19 +28,15 @@ from .scenarios import (
     linear_chain,
     linux_forks,
 )
-from .table_gen import TableDataset, TableDatasetConfig, generate_tables, table_sizes
 from .workload import (
     normalize_workload,
-    recency_workload,
     sample_accesses,
-    uniform_workload,
     zipfian_workload,
 )
 
 __all__ = [
     "scenarios",
     "SyntheticCostConfig",
-    "costs_from_tables",
     "reveal_pairs",
     "synthetic_costs",
     "ForkDataset",
@@ -58,13 +52,7 @@ __all__ = [
     "densely_connected",
     "linear_chain",
     "linux_forks",
-    "TableDataset",
-    "TableDatasetConfig",
-    "generate_tables",
-    "table_sizes",
     "normalize_workload",
-    "recency_workload",
     "sample_accesses",
-    "uniform_workload",
     "zipfian_workload",
 ]

@@ -1,19 +1,15 @@
-"""Cost annotation: turning version graphs (and payloads) into Δ/Φ matrices.
+"""Synthetic cost annotation: turning version graphs into Δ/Φ matrices.
 
-Two routes are supported:
+:func:`synthetic_costs` draws delta sizes from a parameterized distribution
+relative to the version sizes, mirroring the scale of the paper's
+DC/LC/BF/LF workloads without materializing payloads.  The generated
+matrices respect the triangle-inequality structure the paper relies on (a
+delta is never larger than materializing the target).  Measured costs come
+from real payloads instead:
+:meth:`~repro.storage.repository.Repository.problem_instance` diffs the
+committed versions with the repository's encoder.
 
-* **Payload-driven** (:func:`costs_from_tables`) — run a real delta encoder
-  from :mod:`repro.delta` over the generated tables; Δ and Φ entries are the
-  encoder's measured storage and recreation costs.  This is slower but every
-  number is backed by an actual delta that can be applied.
-
-* **Synthetic** (:func:`synthetic_costs`) — draw delta sizes from a
-  parameterized distribution relative to the version sizes, mirroring the
-  scale of the paper's DC/LC/BF/LF workloads without materializing payloads.
-  The generated matrices respect the triangle-inequality structure the paper
-  relies on (a delta is never larger than materializing the target).
-
-Both routes honor a *reveal policy*: following Section 2.1, deltas are only
+Both honor a *reveal policy*: following Section 2.1, deltas are only
 computed between versions that are close in the version graph (within
 ``hop_limit`` hops), because computing all-pairs deltas is infeasible for
 real systems.
@@ -23,18 +19,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..core.matrices import CostModel
 from ..core.version import VersionID
 from ..core.version_graph import VersionGraph
-from ..delta.base import DeltaEncoder, payload_size
-from .table_gen import TableDataset
 
 __all__ = [
     "SyntheticCostConfig",
     "synthetic_costs",
-    "costs_from_tables",
     "reveal_pairs",
 ]
 
@@ -165,31 +157,4 @@ def synthetic_costs(
                     * rng.uniform(1 - config.recreation_noise, 1 + config.recreation_noise)
                 )
                 model.set_delta(target, source, reverse_storage, reverse_recreation)
-    return model
-
-
-def costs_from_tables(
-    dataset: TableDataset,
-    encoder: DeltaEncoder,
-    *,
-    hop_limit: int | None = None,
-    directed: bool | None = None,
-    pairs: Iterable[tuple[VersionID, VersionID]] | None = None,
-) -> CostModel:
-    """Measure Δ/Φ by running a real delta encoder over generated tables.
-
-    ``pairs`` overrides the reveal policy when given; otherwise the pairs
-    come from :func:`reveal_pairs` with ``hop_limit``.
-    """
-    if directed is None:
-        directed = not encoder.symmetric
-    model = CostModel(directed=directed, phi_equals_delta=False)
-    for vid, table in dataset.tables.items():
-        text = dataset.as_text(vid)
-        size = payload_size(text)
-        model.set_materialization(vid, size, size)
-    selected = list(pairs) if pairs is not None else reveal_pairs(dataset.graph, hop_limit)
-    for source, target in selected:
-        delta = encoder.diff(dataset.as_text(source), dataset.as_text(target))
-        model.set_delta(source, target, delta.storage_cost, delta.recreation_cost)
     return model

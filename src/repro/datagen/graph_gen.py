@@ -16,8 +16,8 @@ parameters:
   permits).
 
 The generator only creates the *structure*; sizes and costs are attached by
-:mod:`repro.datagen.table_gen` (real payloads) or
-:mod:`repro.datagen.cost_gen` (synthetic costs).
+:mod:`repro.datagen.cost_gen` (synthetic costs) or measured by a
+:class:`~repro.storage.repository.Repository` the payloads are committed to.
 """
 
 from __future__ import annotations

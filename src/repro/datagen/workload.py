@@ -3,8 +3,8 @@
 Figure 16 of the paper evaluates a workload-aware variant of LMG where each
 version is assigned an access frequency drawn from a Zipfian distribution
 with exponent 2 ("real-world access frequencies are known to follow such
-distributions").  This module generates those workloads plus a few other
-shapes useful for testing and ablations (uniform, recency-biased).
+distributions").  This module generates those workloads, normalizes them
+and samples access streams from them.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from ..core.version import VersionID
 
 __all__ = [
     "zipfian_workload",
-    "uniform_workload",
-    "recency_workload",
     "normalize_workload",
     "sample_accesses",
 ]
@@ -45,29 +43,6 @@ def zipfian_workload(
         rng.shuffle(ranked)
     weights = {vid: 1.0 / ((rank + 1) ** exponent) for rank, vid in enumerate(ranked)}
     return {vid: weights[vid] for vid in ids}
-
-
-def uniform_workload(version_ids: Sequence[VersionID]) -> dict[VersionID, float]:
-    """Every version accessed equally often (the paper's default)."""
-    return {vid: 1.0 for vid in version_ids}
-
-
-def recency_workload(
-    version_ids: Sequence[VersionID], half_life: float = 10.0
-) -> dict[VersionID, float]:
-    """Exponentially decaying access frequencies favoring recent versions.
-
-    Versions are assumed to be ordered oldest-to-newest (which is how every
-    generator in this package emits them); the newest version has weight 1
-    and weights halve every ``half_life`` versions going back in time.
-    """
-    if half_life <= 0:
-        raise ValueError("half_life must be positive")
-    ids = list(version_ids)
-    newest = len(ids) - 1
-    return {
-        vid: 0.5 ** ((newest - index) / half_life) for index, vid in enumerate(ids)
-    }
 
 
 def normalize_workload(workload: Mapping[VersionID, float]) -> dict[VersionID, float]:

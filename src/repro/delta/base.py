@@ -122,11 +122,6 @@ class DeltaEncoder(abc.ABC, Generic[Payload]):
         size = payload_size(payload)
         return MaterializedPayload(payload=payload, storage_cost=size, recreation_cost=size)
 
-    def roundtrip_check(self, source: Payload, target: Payload) -> bool:
-        """Verify that ``apply(source, diff(source, target)) == target``."""
-        delta = self.diff(source, target)
-        return self.apply(source, delta) == target
-
     def _check_encoder(self, delta: Delta[Payload]) -> None:
         """Raise when a delta produced by a different encoder is applied."""
         if delta.encoder_name != self.name:

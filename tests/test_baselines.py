@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.mst import minimum_storage_plan
-from repro.baselines.gzip_baseline import gzip_cost_report, gzip_payload_report
-from repro.baselines.naive import materialize_all_plan, single_chain_plan
+from repro.baselines.gzip_baseline import gzip_cost_report
+from repro.baselines.naive import materialize_all_plan
 from repro.baselines.svn_skip_delta import skip_delta_parent_index, svn_skip_delta_report
 
 from tests.helpers import build_chain_instance
@@ -22,39 +22,6 @@ class TestNaiveBaselines:
         assert metrics.storage_cost == pytest.approx(
             sum(instance.materialization_storage(vid) for vid in instance.version_ids)
         )
-
-    def test_single_chain_has_one_materialized_version(self):
-        instance = build_chain_instance(6, full_size=100, delta_size=10)
-        plan = single_chain_plan(instance)
-        plan.validate(instance)
-        assert len(plan.materialized_versions()) == 1
-        assert plan.storage_cost(instance) == pytest.approx(100 + 5 * 10)
-
-    def test_single_chain_on_sparse_matrix_falls_back_to_materialization(self):
-        from repro.core import CostModel, ProblemInstance, Version
-
-        model = CostModel()
-        model.set_materialization("a", 10)
-        model.set_materialization("b", 20)  # no delta revealed between a and b
-        instance = ProblemInstance([Version("a", size=10), Version("b", size=20)], model)
-        plan = single_chain_plan(instance)
-        plan.validate(instance)
-        assert len(plan.materialized_versions()) == 2
-
-    def test_single_chain_custom_root(self, small_lc):
-        instance = small_lc.instance
-        root = instance.version_ids[3]
-        plan = single_chain_plan(instance, root=root)
-        plan.validate(instance)
-        assert plan.is_materialized(root)
-
-    def test_single_chain_storage_between_mca_and_everything(self, small_lc):
-        instance = small_lc.instance
-        chain_cost = single_chain_plan(instance).storage_cost(instance)
-        mca_cost = minimum_storage_plan(instance).storage_cost(instance)
-        everything = materialize_all_plan(instance).storage_cost(instance)
-        assert mca_cost - 1e-6 <= chain_cost <= everything + 1e-6
-
 
 class TestSkipDelta:
     def test_parent_index_rule(self):
@@ -104,22 +71,6 @@ class TestGzipBaseline:
     def test_invalid_ratio_rejected(self, small_dc):
         with pytest.raises(ValueError):
             gzip_cost_report(small_dc.instance, compression_ratio=0.0)
-
-    def test_payload_report_compresses_redundant_text(self):
-        payloads = {
-            f"v{i}": "\n".join(f"row,{j % 5},{j % 3}" for j in range(200))
-            for i in range(4)
-        }
-        report = gzip_payload_report(payloads)
-        uncompressed_total = sum(len(p.encode()) for p in payloads.values())
-        assert report.storage_cost < uncompressed_total
-        assert report.max_recreation >= report.sum_recreation / len(payloads)
-
-    def test_payload_report_recreation_includes_overhead(self):
-        payloads = {"v": "x" * 1000}
-        cheap = gzip_payload_report(payloads, decompression_overhead=0.0)
-        costly = gzip_payload_report(payloads, decompression_overhead=0.5)
-        assert costly.sum_recreation > cheap.sum_recreation
 
     def test_gzip_stores_more_than_mca_on_near_duplicates(self, small_bf):
         # Independent compression cannot exploit cross-version redundancy.

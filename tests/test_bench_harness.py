@@ -72,9 +72,8 @@ class TestSweeps:
     def test_series_accessors(self):
         series = SweepSeries(algorithm="X")
         series.points.append(SweepPoint(1.0, 10.0, 100.0, 50.0, 100.0))
-        assert series.storage_costs == [10.0]
+        assert series.sum_recreations == [100.0]
         assert series.max_recreations == [50.0]
-        assert series.points[0].as_row() == [1.0, 10.0, 100.0, 50.0, 100.0]
 
 
 class TestFormatting:

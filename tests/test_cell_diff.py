@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.delta.cell_diff import CellDiffEncoder
+from repro.exceptions import DeltaApplicationError
 
 
 def random_table(rng: random.Random, rows: int, columns: int) -> list[list[str]]:
@@ -100,3 +101,14 @@ class TestCellDiff:
         encoder = CellDiffEncoder()
         delta = encoder.diff([["a"]], [["b"]])
         assert delta.recreation_cost > 0
+
+
+def test_cell_change_on_a_missing_row_is_rejected():
+    encoder = CellDiffEncoder()
+    source = [[str(row), "x"] for row in range(5)]
+    target = [list(row) for row in source]
+    target[4][1] = "changed"
+    delta = encoder.diff(source, target)
+    assert encoder.apply(source, delta) == target
+    with pytest.raises(DeltaApplicationError, match="missing row 4"):
+        encoder.apply(source[:2], delta)

@@ -4,15 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datagen.cost_gen import (
-    SyntheticCostConfig,
-    costs_from_tables,
-    reveal_pairs,
-    synthetic_costs,
-)
+from repro.datagen.cost_gen import SyntheticCostConfig, reveal_pairs, synthetic_costs
 from repro.datagen.graph_gen import linear_chain_graph
-from repro.datagen.table_gen import TableDatasetConfig, generate_tables
-from repro.delta.line_diff import LineDiffEncoder, TwoWayLineDiffEncoder
 
 
 @pytest.fixture(scope="module")
@@ -98,54 +91,3 @@ class TestSyntheticCosts:
         far = model.delta.get(source, order[4])
         if near is not None and far is not None:
             assert far > near
-
-
-class TestCostsFromTables:
-    @pytest.fixture(scope="class")
-    def table_dataset(self):
-        # Tables large relative to the per-commit edit size and row-oriented
-        # edits (the paper's CSV + UNIX-diff setting): line deltas are then
-        # genuinely cheaper than full copies.
-        graph = linear_chain_graph(12, seed=20)
-        config = TableDatasetConfig(
-            base_rows=150,
-            base_columns=4,
-            max_rows_per_edit=8,
-            command_kinds=("add_rows", "delete_rows", "modify_rows"),
-            seed=20,
-        )
-        return generate_tables(graph, config)
-
-    def test_measured_costs_are_positive_and_complete(self, table_dataset):
-        model = costs_from_tables(table_dataset, LineDiffEncoder(), hop_limit=1)
-        for vid in table_dataset.graph.version_ids:
-            assert model.delta[vid, vid] > 0
-        assert model.delta.num_deltas() > 0
-
-    def test_directedness_follows_encoder(self, table_dataset):
-        directed = costs_from_tables(table_dataset, LineDiffEncoder(), hop_limit=1)
-        undirected = costs_from_tables(table_dataset, TwoWayLineDiffEncoder(), hop_limit=1)
-        assert directed.directed
-        assert not undirected.directed
-
-    def test_explicit_pairs_override_reveal_policy(self, table_dataset):
-        ids = table_dataset.graph.version_ids
-        model = costs_from_tables(
-            table_dataset, LineDiffEncoder(), pairs=[(ids[0], ids[1])]
-        )
-        assert model.delta.num_deltas() == 1
-
-    def test_measured_deltas_mostly_smaller_than_full_versions(self, table_dataset):
-        # A handful of edits can occasionally rewrite most of a small table
-        # (so its diff is not cheaper than a full copy), but the large
-        # majority of version-graph edges must have deltas well below the
-        # materialization cost — that is what makes delta storage worthwhile.
-        model = costs_from_tables(table_dataset, LineDiffEncoder(), hop_limit=1)
-        graph = table_dataset.graph
-        edges = graph.edges()
-        cheaper = sum(
-            1
-            for source, target in edges
-            if model.delta[source, target] < model.delta[target, target]
-        )
-        assert cheaper >= 0.9 * len(edges)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.algorithms.ilp import (
     branch_and_bound_max_recreation,
-    ilp_model_size,
     solve_ilp_max_recreation,
     solve_ilp_sum_recreation,
 )
@@ -106,12 +105,3 @@ class TestBranchAndBound:
             assert milp.storage_cost(instance) == pytest.approx(
                 bnb.storage_cost(instance), rel=1e-9
             )
-
-
-class TestModelSize:
-    def test_variable_and_constraint_counts(self):
-        instance = build_figure1_instance()
-        num_vars, num_constraints = ilp_model_size(instance)
-        # 14 candidate edges (5 root + 9 deltas) + 5 recreation variables.
-        assert num_vars == 14 + 5
-        assert num_constraints == 5 + 14 + 5

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.instance import ROOT, Edge, ProblemInstance
+from repro.core.instance import ROOT, ProblemInstance
 from repro.core.matrices import CostModel
 from repro.core.version import Version
 from repro.exceptions import InvalidCostError, VersionNotFoundError
@@ -97,14 +97,14 @@ class TestAccessors:
 class TestGraphViews:
     def test_edges_include_root_edges(self, figure1_instance):
         edges = list(figure1_instance.edges())
-        root_edges = [e for e in edges if e.is_materialization]
+        root_edges = [e for e in edges if e.source is ROOT]
         assert len(root_edges) == 5
-        delta_edges = [e for e in edges if not e.is_materialization]
+        delta_edges = [e for e in edges if e.source is not ROOT]
         assert len(delta_edges) == 9
 
     def test_edges_can_exclude_root(self, figure1_instance):
         edges = list(figure1_instance.edges(include_root=False))
-        assert all(not e.is_materialization for e in edges)
+        assert all(e.source is not ROOT for e in edges)
 
     def test_out_edges_from_root(self, figure1_instance):
         edges = figure1_instance.out_edges(ROOT)
@@ -115,22 +115,12 @@ class TestGraphViews:
         assert targets == {"V4", "V5", "V1"}
 
     def test_in_edges_always_contain_root(self, figure1_instance):
-        edges = figure1_instance.in_edges("V4")
-        sources = {e.source for e in edges}
+        sources = {e.source for e in figure1_instance.edges() if e.target == "V4"}
         assert ROOT in sources
         assert "V2" in sources and "V5" in sources
 
     def test_neighbors(self, figure1_instance):
         assert set(figure1_instance.neighbors("V3")) == {"V5", "V2"}
-
-    def test_number_of_candidate_edges(self, figure1_instance):
-        assert figure1_instance.number_of_candidate_edges() == 5 + 9
-
-    def test_edge_dataclass(self):
-        edge = Edge(ROOT, "a", 1.0, 2.0)
-        assert edge.is_materialization
-        assert not Edge("a", "b", 1.0, 2.0).is_materialization
-
 
 class TestSummary:
     def test_summary_fields(self, figure1_instance):

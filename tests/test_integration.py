@@ -1,13 +1,15 @@
 """End-to-end integration tests across the whole stack.
 
 These exercise the pipeline the examples and benchmarks rely on:
-generate a version history with real payloads → measure the Δ/Φ matrices
-with a real delta encoder → optimize with the paper's algorithms → repack a
-repository according to the chosen plan → verify that what the plan
-predicted matches what the physical store realizes.
+commit a version history with real payloads → measure the Δ/Φ matrices
+with the repository's delta encoder → optimize with the paper's
+algorithms → repack the repository according to the chosen plan → verify
+that what the plan predicted matches what the physical store realizes.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -15,13 +17,37 @@ from repro import ProblemKind, solve
 from repro.algorithms.mst import minimum_storage_plan
 from repro.algorithms.shortest_path import shortest_path_plan
 from repro.baselines.naive import materialize_all_plan
-from repro.core import ProblemInstance
-from repro.datagen.cost_gen import costs_from_tables
 from repro.datagen.graph_gen import VersionGraphConfig, generate_version_graph
-from repro.datagen.table_gen import TableDatasetConfig, generate_tables
 from repro.datagen.workload import normalize_workload, zipfian_workload
 from repro.delta.line_diff import LineDiffEncoder
 from repro.storage.repository import Repository
+
+
+def seeded_csv_payloads(graph, seed, rows=40, columns=4):
+    """One CSV table per version, derived from its first parent by row edits."""
+    rng = random.Random(seed)
+
+    def row():
+        return ",".join(str(rng.randrange(1000)) for _ in range(columns))
+
+    payloads = {}
+    for vid in graph.topological_order():
+        parents = graph.parents(vid)
+        if not parents:
+            payloads[vid] = [row() for _ in range(rows)]
+            continue
+        table = list(payloads[parents[0]])
+        for _ in range(rng.randint(1, 3)):
+            index = rng.randrange(len(table))
+            edit = rng.choice(("add", "delete", "modify"))
+            if edit == "add":
+                table.insert(index, row())
+            elif edit == "delete" and len(table) > 1:
+                del table[index]
+            else:
+                table[index] = row()
+        payloads[vid] = table
+    return payloads
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +63,11 @@ def generated_world():
             seed=17,
         )
     )
-    tables = generate_tables(graph, TableDatasetConfig(base_rows=40, base_columns=4, seed=17))
-    encoder = LineDiffEncoder()
-    model = costs_from_tables(tables, encoder, hop_limit=2)
-    instance = ProblemInstance.from_version_graph(graph, model)
-    return graph, tables, encoder, instance
+    payloads = seeded_csv_payloads(graph, seed=17)
+    repo = Repository(encoder=LineDiffEncoder())
+    for vid in graph.topological_order():
+        repo.commit(payloads[vid], parents=graph.parents(vid) or None, version_id=vid)
+    return graph, payloads, repo, repo.problem_instance(hop_limit=2)
 
 
 class TestMeasuredInstancePipeline:
@@ -70,19 +96,13 @@ class TestMeasuredInstancePipeline:
         assert storages[1] == min(storages.values())
 
     def test_predicted_vs_realized_costs_after_repack(self, generated_world):
-        graph, tables, encoder, instance = generated_world
-        # Load every table into a repository (same derivation structure).
-        repo = Repository(encoder=encoder)
-        for vid in graph.topological_order():
-            parents = graph.parents(vid)
-            repo.commit(tables.as_text(vid), parents=parents or None, version_id=vid)
-
+        graph, payloads, repo, instance = generated_world
         result = solve(instance, ProblemKind.MINSUM_RECREATION, threshold=1.5 * minimum_storage_plan(instance).storage_cost(instance))
         repo.repack(result.plan)
 
-        # Every version must check out byte-identical to the generated table.
+        # Every version must check out byte-identical to the committed table.
         for vid in graph.version_ids:
-            assert repo.checkout(vid).payload == tables.as_text(vid)
+            assert repo.checkout(vid).payload == payloads[vid]
 
         # The physical chain length of each checkout must match the plan.
         for vid in graph.version_ids:

@@ -111,11 +111,6 @@ class TestOneWayEncoder:
         with pytest.raises(DeltaApplicationError):
             one_way.apply(["a"], delta)
 
-    def test_roundtrip_check_helper(self):
-        encoder = LineDiffEncoder()
-        assert encoder.roundtrip_check(["a", "b"], ["a", "c"])
-
-
 class TestTwoWayEncoder:
     @pytest.mark.parametrize("seed", range(8))
     def test_forward_and_reverse_roundtrip(self, seed):
@@ -150,3 +145,20 @@ class TestTwoWayEncoder:
         materialized = encoder.materialize(["abc", "defg"])
         # payload_size charges each line's length plus one separator byte.
         assert materialized.storage_cost == pytest.approx((3 + 1) + (4 + 1))
+
+
+class TestWrongBase:
+    """Deltas replayed onto a payload shorter than their base fail loudly."""
+
+    @pytest.mark.parametrize("encoder", [LineDiffEncoder(), TwoWayLineDiffEncoder()])
+    def test_insert_past_the_end_of_the_payload(self, encoder):
+        source = [f"line {i}" for i in range(10)]
+        delta = encoder.diff(source, source[:8] + ["x"] + source[8:])
+        with pytest.raises(DeltaApplicationError, match="does not fit"):
+            encoder.apply(["line 0", "line 1"], delta)
+
+    @pytest.mark.parametrize("encoder", [LineDiffEncoder(), TwoWayLineDiffEncoder()])
+    def test_delete_past_the_end_of_the_payload(self, encoder):
+        delta = encoder.diff(["a", "b", "c", "d"], ["a"])
+        with pytest.raises(DeltaApplicationError, match="extends past"):
+            encoder.apply(["a", "b"], delta)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.lmg import lmg_sweep, local_move_greedy, solve_problem_5
+from repro.algorithms.lmg import local_move_greedy, solve_problem_5
 from repro.algorithms.mst import minimum_storage_plan
 from repro.algorithms.shortest_path import shortest_path_plan
 from repro.exceptions import InfeasibleProblemError
@@ -86,13 +86,13 @@ class TestProblem3:
         )
         plan.validate(instance)
 
-    def test_sweep_helper(self, small_bf):
+    @pytest.mark.parametrize("factor", [1.1, 2.0])
+    def test_budget_respected_on_forks(self, small_bf, factor):
         instance = small_bf.instance
-        mca_cost = minimum_storage_plan(instance).storage_cost(instance)
-        results = lmg_sweep(instance, [1.1 * mca_cost, 2.0 * mca_cost])
-        assert len(results) == 2
-        for budget, plan in results:
-            assert plan.storage_cost(instance) <= budget + 1e-6
+        budget = factor * minimum_storage_plan(instance).storage_cost(instance)
+        plan = local_move_greedy(instance, budget)
+        plan.validate(instance)
+        assert plan.storage_cost(instance) <= budget + 1e-6
 
 
 class TestWorkloadAwareness:
@@ -118,7 +118,9 @@ class TestWorkloadAwareness:
         budget = 1.4 * mca_cost
         with_flag = local_move_greedy(instance, budget, use_workload=True)
         without_flag = local_move_greedy(instance, budget, use_workload=False)
-        assert with_flag.parent_map() == without_flag.parent_map()
+        assert {v: with_flag.parent(v) for v in with_flag} == {
+            v: without_flag.parent(v) for v in without_flag
+        }
 
 
 class TestProblem5:

@@ -123,6 +123,30 @@ class TestProblem6:
         assert metrics.storage_cost < 49720
 
 
+    def test_stranded_version_is_spliced_in_along_its_shortest_path(self):
+        # Greedy growth attaches Y through A (storage 1, recreation 95),
+        # which leaves no room under θ = 100 for the Y -> X delta, and X's
+        # own materialization (recreation 200) is over θ as well.  X's
+        # shortest path ROOT -> Y -> X (recreation 30) is spliced in.
+        model = CostModel(directed=True, phi_equals_delta=False)
+        model.set_materialization("A", 50, 50)
+        model.set_materialization("Y", 100, 10)
+        model.set_materialization("X", 200, 200)
+        model.set_delta("A", "Y", 1, 45)
+        model.set_delta("Y", "X", 5, 20)
+        instance = ProblemInstance(
+            [Version("A", size=50), Version("Y", size=100), Version("X", size=200)],
+            model,
+        )
+        plan = modified_prim(instance, 100.0)
+        plan.validate(instance)
+        assert plan.parent("X") == "Y"
+        assert plan.is_materialized("Y")
+        metrics = plan.evaluate(instance)
+        assert metrics.max_recreation <= 100.0
+        assert metrics.storage_cost == pytest.approx(155.0)
+
+
 class TestProblem4:
     def test_budget_respected(self, small_dc):
         instance = small_dc.instance

@@ -1,4 +1,4 @@
-"""Tests for Prim/Kruskal MST construction, cross-checked against networkx."""
+"""Tests for Prim's MST construction, cross-checked against networkx."""
 
 from __future__ import annotations
 
@@ -8,12 +8,11 @@ import networkx as nx
 import pytest
 
 from repro.algorithms.mst import (
-    kruskal_minimum_spanning_tree,
     minimum_spanning_plan_undirected,
     minimum_storage_plan,
     prim_minimum_spanning_tree,
-    spanning_tree_weight,
 )
+from repro import CostModel, ProblemInstance, Version
 from repro.core.instance import ROOT
 from repro.exceptions import SolverError
 
@@ -55,7 +54,7 @@ class TestPrim:
     def test_matches_networkx_total_weight(self, seed):
         adjacency = random_connected_graph(30, seed)
         parent = prim_minimum_spanning_tree(adjacency.keys(), adjacency, root=0)
-        ours = spanning_tree_weight(parent, adjacency)
+        ours = sum(adjacency[p][c] for c, p in parent.items())
         reference = to_networkx(adjacency)
         expected = sum(
             data["weight"] for _, _, data in nx.minimum_spanning_edges(reference, data=True)
@@ -78,28 +77,6 @@ class TestPrim:
 
     def test_single_node(self):
         assert prim_minimum_spanning_tree([0], {0: {}}, root=0) == {}
-
-
-class TestKruskal:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_prim_weight(self, seed):
-        adjacency = random_connected_graph(25, seed)
-        edges = []
-        seen = set()
-        for u, row in adjacency.items():
-            for v, weight in row.items():
-                if (v, u) not in seen:
-                    edges.append((u, v, weight))
-                    seen.add((u, v))
-        chosen = kruskal_minimum_spanning_tree(adjacency.keys(), edges)
-        kruskal_weight = sum(w for _, _, w in chosen)
-        parent = prim_minimum_spanning_tree(adjacency.keys(), adjacency, root=0)
-        assert kruskal_weight == pytest.approx(spanning_tree_weight(parent, adjacency))
-        assert len(chosen) == len(adjacency) - 1
-
-    def test_disconnected_raises(self):
-        with pytest.raises(SolverError):
-            kruskal_minimum_spanning_tree([0, 1, 2], [(0, 1, 1.0)])
 
 
 class TestMinimumStoragePlan:
@@ -145,3 +122,40 @@ class TestMinimumStoragePlan:
             data["weight"] for _, _, data in nx.minimum_spanning_edges(graph, data=True)
         )
         assert plan.storage_cost(instance) == pytest.approx(expected, rel=1e-9)
+
+
+class TestUndirectedHeuristicOnDirectedInstances:
+    """Prim on the symmetrized graph, re-oriented away from the root."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_every_delta_edge_is_a_revealed_entry(self, seed):
+        instance = build_random_instance(20, seed=seed, directed=True)
+        plan = minimum_spanning_plan_undirected(instance)
+        plan.validate(instance)
+        for vid in instance.version_ids:
+            parent = plan.parent(vid)
+            if parent is not ROOT:
+                assert instance.cost_model.has_delta(parent, vid)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_never_beats_the_exact_arborescence(self, seed):
+        instance = build_random_instance(20, seed=seed, directed=True)
+        heuristic = minimum_spanning_plan_undirected(instance)
+        exact = minimum_storage_plan(instance)
+        assert heuristic.storage_cost(instance) >= exact.storage_cost(instance) - 1e-6
+
+    def test_unrevealed_direction_falls_back_to_materialization(self):
+        # Only B -> A was revealed.  The symmetrized tree is ROOT-A-B, so
+        # walking away from the root would need the missing A -> B delta.
+        model = CostModel(directed=True, phi_equals_delta=True)
+        model.set_materialization("A", 100)
+        model.set_materialization("B", 200)
+        model.set_delta("B", "A", 5)
+        instance = ProblemInstance([Version("A", size=100), Version("B", size=200)], model)
+        plan = minimum_spanning_plan_undirected(instance)
+        plan.validate(instance)
+        assert plan.parent("A") is ROOT
+        assert plan.parent("B") is ROOT
+        assert plan.storage_cost(instance) == pytest.approx(300)
+        # The exact arborescence uses the revealed direction instead.
+        assert minimum_storage_plan(instance).storage_cost(instance) == pytest.approx(205)

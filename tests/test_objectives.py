@@ -1,19 +1,10 @@
-"""Tests for the shared objective helpers."""
+"""Tests for the objective values of a plan, as ``StoragePlan.evaluate`` reports them."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.objectives import (
-    Objective,
-    max_recreation_cost,
-    objective_value,
-    satisfies_recreation_bound,
-    satisfies_storage_budget,
-    sum_recreation_cost,
-    total_storage_cost,
-    weighted_recreation_cost,
-)
+from repro.core.objectives import Objective
 from repro.core.storage_plan import StoragePlan
 
 from tests.helpers import build_figure1_instance
@@ -34,54 +25,26 @@ def plan_and_instance():
 class TestObjectiveFunctions:
     def test_total_storage(self, plan_and_instance):
         plan, instance = plan_and_instance
-        assert total_storage_cost(plan, instance) == pytest.approx(20150)
+        assert plan.evaluate(instance).storage_cost == pytest.approx(20150)
 
     def test_sum_recreation(self, plan_and_instance):
         plan, instance = plan_and_instance
-        assert sum_recreation_cost(plan, instance) == pytest.approx(50750)
+        assert plan.evaluate(instance).sum_recreation == pytest.approx(50750)
 
     def test_max_recreation(self, plan_and_instance):
         plan, instance = plan_and_instance
-        assert max_recreation_cost(plan, instance) == pytest.approx(10600)
+        assert plan.evaluate(instance).max_recreation == pytest.approx(10600)
 
     def test_weighted_matches_sum_without_workload(self, plan_and_instance):
         plan, instance = plan_and_instance
-        assert weighted_recreation_cost(plan, instance) == pytest.approx(
-            sum_recreation_cost(plan, instance)
-        )
+        metrics = plan.evaluate(instance)
+        assert metrics.weighted_recreation == pytest.approx(metrics.sum_recreation)
 
     def test_weighted_uses_frequencies(self, plan_and_instance):
         plan, instance = plan_and_instance
         weighted = instance.with_access_frequencies({"V5": 3.0})
-        expected = sum_recreation_cost(plan, instance) + 2.0 * 10250
-        assert weighted_recreation_cost(plan, weighted) == pytest.approx(expected)
-
-    def test_objective_value_dispatch(self, plan_and_instance):
-        plan, instance = plan_and_instance
-        assert objective_value(Objective.TOTAL_STORAGE, plan, instance) == pytest.approx(20150)
-        assert objective_value("max_recreation", plan, instance) == pytest.approx(10600)
+        expected = plan.evaluate(instance).sum_recreation + 2.0 * 10250
+        assert plan.evaluate(weighted).weighted_recreation == pytest.approx(expected)
 
     def test_objective_enum_str(self):
         assert str(Objective.SUM_RECREATION) == "sum_recreation"
-
-
-class TestConstraintHelpers:
-    def test_storage_budget_check(self, plan_and_instance):
-        plan, instance = plan_and_instance
-        assert satisfies_storage_budget(plan, instance, 20150)
-        assert satisfies_storage_budget(plan, instance, 30000)
-        assert not satisfies_storage_budget(plan, instance, 20000)
-
-    def test_recreation_bound_check_max(self, plan_and_instance):
-        plan, instance = plan_and_instance
-        assert satisfies_recreation_bound(plan, instance, 10600)
-        assert not satisfies_recreation_bound(plan, instance, 10000)
-
-    def test_recreation_bound_check_sum(self, plan_and_instance):
-        plan, instance = plan_and_instance
-        assert satisfies_recreation_bound(
-            plan, instance, 50750, aggregate=Objective.SUM_RECREATION
-        )
-        assert not satisfies_recreation_bound(
-            plan, instance, 50000, aggregate=Objective.SUM_RECREATION
-        )

@@ -128,6 +128,34 @@ class TestDecisionLog:
         log.append({"event": "x"})
         assert len(log) == 1
 
+    def test_non_positive_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            DecisionLog(capacity=0)
+
+    def test_unpersisted_records_stay_out_of_the_catalog(self, tmp_path):
+        catalog = MetadataCatalog(str(tmp_path / "cat.db"))
+        log = DecisionLog(capacity=8, catalog=catalog)
+        log.append({"event": "lease_renewed"}, persist=False)
+        log.append({"event": "repack"})
+        assert [r["event"] for r in log.tail()] == ["lease_renewed", "repack"]
+        assert [r["event"] for r in catalog.repack_decisions(limit=8)] == ["repack"]
+        catalog.close()
+
+    def test_unreadable_catalog_starts_an_empty_log(self):
+        class BrokenCatalog:
+            def repack_decisions(self, limit):
+                raise OSError("catalog is gone")
+
+            def append_repack_decision(self, record):
+                raise OSError("catalog is gone")
+
+        log = DecisionLog(capacity=4, catalog=BrokenCatalog())
+        assert len(log) == 0
+        # A failed write-through keeps the record in the ring buffer.
+        stamped = log.append({"event": "repack"})
+        assert stamped["seq"] == 1
+        assert log.tail() == [stamped]
+
 
 class TestJsonLogSink:
     def test_events_are_appended_as_json_lines(self, tmp_path):

@@ -32,17 +32,6 @@ class TestBasicOperations:
         with pytest.raises(IndexError):
             AddressablePriorityQueue().pop()
 
-    def test_peek(self):
-        queue = AddressablePriorityQueue()
-        queue.push("a", 5)
-        queue.push("b", 1)
-        assert queue.peek() == ("b", 1)
-        assert len(queue) == 2
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(IndexError):
-            AddressablePriorityQueue().peek()
-
     def test_priority_lookup(self):
         queue = AddressablePriorityQueue()
         queue.push("a", 7)

@@ -24,7 +24,7 @@ from repro.algorithms.mp import minimum_feasible_threshold, modified_prim
 from repro.algorithms.mst import minimum_storage_plan
 from repro.algorithms.priority_queue import AddressablePriorityQueue
 from repro.algorithms.shortest_path import shortest_path_distances, shortest_path_plan
-from repro.core import CostModel, ProblemInstance, Version
+from repro.core import ROOT, CostModel, ProblemInstance, Version
 from repro.delta.cell_diff import CellDiffEncoder
 from repro.delta.line_diff import LineDiffEncoder, TwoWayLineDiffEncoder
 from repro.delta.xor_diff import XorDeltaEncoder
@@ -135,7 +135,7 @@ class TestPlanInvariants:
         distances = shortest_path_distances(instance)
         for edge in instance.edges():
             source_distance = 0.0 if edge.source not in distances else distances[edge.source]
-            if edge.is_materialization:
+            if edge.source is ROOT:
                 assert distances[edge.target] <= edge.recreation + 1e-6
             else:
                 assert distances[edge.target] <= distances[edge.source] + edge.recreation + 1e-6

@@ -113,7 +113,6 @@ class TestBranchesAndMerges:
         main = repo.commit(make_payload("main"))
         merged = repo.merge(side, make_payload("merged"))
         assert set(repo.graph.parents(merged)) == {main, side}
-        assert repo.graph.version(merged).is_merge
 
     def test_merge_into_empty_branch_rejected(self):
         repo = Repository()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core.instance import ROOT
@@ -60,14 +58,6 @@ class TestConstruction:
         plan = StoragePlan.materialize_all(["a", "b", "c"])
         assert len(plan) == 3
         assert set(plan.materialized_versions()) == {"a", "b", "c"}
-
-    def test_from_edges(self, figure1_instance):
-        edges = list(figure1_instance.edges())
-        chosen = [e for e in edges if e.is_materialization and e.target == "V1"]
-        chosen += [e for e in edges if e.source == "V1" and e.target == "V2"]
-        plan = StoragePlan.from_edges(chosen)
-        assert plan.is_materialized("V1")
-        assert plan.parent("V2") == "V1"
 
     def test_unknown_version_parent_lookup(self):
         plan = StoragePlan()
@@ -195,14 +185,6 @@ class TestEvaluation:
 
 
 class TestSerialization:
-    def test_roundtrip(self, figure1_instance):
-        plan = figure1_plan_iv()
-        payload = json.loads(plan.to_json())
-        restored = StoragePlan.from_dict(payload)
-        assert set(restored.materialized_versions()) == {"V1", "V3"}
-        assert restored.parent("V4") == "V2"
-        restored.validate(figure1_instance)
-
     def test_to_dict_shape(self):
         plan = figure1_plan_iv()
         payload = plan.to_dict()

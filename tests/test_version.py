@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.version import Version, normalize_version_id, total_size, versions_from_sizes
+from repro.core.version import Version, normalize_version_id
 
 
 class TestVersionConstruction:
@@ -40,24 +40,6 @@ class TestVersionProperties:
         assert Version("v0", size=1.0).is_root
         assert not Version("v1", size=1.0, parents=("v0",)).is_root
 
-    def test_merge_detection(self):
-        assert Version("m", size=1.0, parents=("a", "b")).is_merge
-        assert not Version("c", size=1.0, parents=("a",)).is_merge
-        assert not Version("r", size=1.0).is_merge
-
-    def test_with_size_preserves_other_fields(self):
-        original = Version("v1", size=10.0, name="x", parents=("v0",))
-        resized = original.with_size(20.0)
-        assert resized.size == 20.0
-        assert resized.version_id == "v1"
-        assert resized.parents == ("v0",)
-        assert original.size == 10.0
-
-    def test_describe_mentions_kind(self):
-        assert "root" in Version("a", size=1.0).describe()
-        assert "merge" in Version("m", size=1.0, parents=("a", "b")).describe()
-        assert "commit" in Version("c", size=1.0, parents=("a",)).describe()
-
     def test_versions_are_hashable_and_comparable(self):
         a = Version("v1", size=1.0)
         b = Version("v1", size=1.0)
@@ -69,12 +51,3 @@ class TestHelpers:
     def test_normalize_version_id_passthrough(self):
         assert normalize_version_id("abc") == "abc"
         assert normalize_version_id(12) == 12
-
-    def test_versions_from_sizes(self):
-        versions = versions_from_sizes({"a": 1.0, "b": 2.5})
-        assert {v.version_id for v in versions} == {"a", "b"}
-        assert sum(v.size for v in versions) == pytest.approx(3.5)
-
-    def test_total_size(self):
-        versions = versions_from_sizes({"a": 1.0, "b": 2.0, "c": 3.0})
-        assert total_size(versions) == pytest.approx(6.0)

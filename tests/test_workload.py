@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datagen.workload import (
-    normalize_workload,
-    recency_workload,
-    sample_accesses,
-    uniform_workload,
-    zipfian_workload,
-)
+from repro.datagen.workload import normalize_workload, sample_accesses, zipfian_workload
 
 
 IDS = [f"v{i}" for i in range(20)]
@@ -39,29 +33,13 @@ class TestZipfian:
             zipfian_workload(IDS, exponent=0.0)
 
 
-class TestOtherShapes:
-    def test_uniform(self):
-        workload = uniform_workload(IDS)
-        assert set(workload.values()) == {1.0}
-
-    def test_recency_prefers_new_versions(self):
-        workload = recency_workload(IDS, half_life=5.0)
-        assert workload[IDS[-1]] == pytest.approx(1.0)
-        assert workload[IDS[0]] < workload[IDS[-1]]
-        assert workload[IDS[-6]] == pytest.approx(0.5, rel=1e-6)
-
-    def test_recency_invalid_half_life(self):
-        with pytest.raises(ValueError):
-            recency_workload(IDS, half_life=0)
-
-
 class TestNormalizeAndSample:
     def test_normalized_weights_sum_to_count(self):
         workload = normalize_workload(zipfian_workload(IDS, seed=3))
         assert sum(workload.values()) == pytest.approx(len(IDS))
 
     def test_uniform_is_fixed_point_of_normalization(self):
-        workload = normalize_workload(uniform_workload(IDS))
+        workload = normalize_workload({vid: 1.0 for vid in IDS})
         assert all(weight == pytest.approx(1.0) for weight in workload.values())
 
     def test_normalize_rejects_zero_total(self):
