@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
 Every benchmark regenerates one of the paper's tables/figures (see the
-E1–E8 index in DESIGN.md).  The datasets are scaled-down versions of the
+E1–E8 section comments of :mod:`repro.bench.experiments`).  The datasets are scaled-down versions of the
 paper's DC/LC/BF/LF workloads; the scale can be raised with the
 ``REPRO_BENCH_SCALE`` environment variable (default 0.25) to run closer to
 the original sizes at the cost of wall-clock time.

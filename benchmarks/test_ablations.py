@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md §6.
+"""Ablation benches for the knobs inside the plan heuristics.
 
 These are not figures from the paper; they quantify the impact of the
 individual design decisions inside the heuristics so a downstream user can

@@ -1,6 +1,7 @@
 """Regenerate (small-scale versions of) every table and figure of the paper.
 
-This driver runs the E1–E8 experiment index from DESIGN.md on scaled-down
+This driver runs the E1–E8 experiments (the ``# E1 — …`` to ``# E8 — …``
+sections of :mod:`repro.bench.experiments`) on scaled-down
 DC/LC/BF/LF datasets and prints the resulting series as plain-text tables.
 The full-size runs live in ``benchmarks/``; this script is the quick,
 human-readable tour.

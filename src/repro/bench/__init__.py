@@ -1,8 +1,8 @@
 """Benchmark harness: sweeps, reference costs and per-figure experiment drivers.
 
 The :mod:`~repro.bench.experiments` module has one driver per table/figure of
-the paper's evaluation (see the E1–E8 index in DESIGN.md); the
-:mod:`~repro.bench.harness` module holds the shared sweep and formatting
+the paper's evaluation (its ``# E1 — …`` to ``# E8 — …`` section comments
+are the E1–E8 experiment index); the :mod:`~repro.bench.harness` module holds the shared sweep and formatting
 machinery; :mod:`~repro.bench.batch_bench` compares the batch checkout
 engine against naive sequential serving on the LC/DC/BF scenarios.
 """

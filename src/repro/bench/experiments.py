@@ -1,4 +1,4 @@
-"""One driver per paper table/figure (the E1–E8 index of DESIGN.md).
+"""One driver per paper table/figure, indexed E1–E8 by the section comments.
 
 Each function takes pre-built :class:`~repro.datagen.scenarios.ScenarioDataset`
 objects (or builds small default ones), runs the relevant algorithms and

@@ -81,28 +81,21 @@ _WORKLOAD_FILE = "workload.log"
 
 
 def open_workload_log(
-    directory: str,
-    half_life: float | None = None,
-    repo: Repository | None = None,
+    directory: str, repo: Repository, half_life: float | None = None
 ) -> WorkloadLog:
     """The repository's persistent access-frequency log.
 
-    Lives next to the state file, so checkouts served by any process —
-    CLI one-shots and ``repro serve`` alike — accumulate into one record
-    that ``repro repack --workload`` can optimize against.  ``half_life``
-    configures the decaying view (in accesses) for ``--half-life`` flows.
-
-    When ``repo`` is backed by a ``sqlite://`` metadata catalog the log
-    lives in the catalog itself (one transactional home for all metadata,
-    shared by every process on the store) instead of a sidecar file.
+    Every process on the repository — CLI one-shots and ``repro serve``
+    alike — records into one store that ``repro repack --workload`` can
+    optimize against: the ``sqlite://`` metadata catalog when ``repo`` has
+    one, else ``workload.log`` next to the state file.  Both are safe
+    across processes.  ``half_life`` configures the decaying view (in
+    accesses) for ``--half-life`` flows.
     """
     options = {} if half_life is None else {"half_life": half_life}
-    catalog = getattr(repo, "catalog", None) if repo is not None else None
-    if catalog is not None:
-        from .storage.catalog import CatalogWorkloadLog
-
-        return CatalogWorkloadLog(catalog, **options)
-    return WorkloadLog(os.path.join(directory, _WORKLOAD_FILE), **options)
+    return WorkloadLog(
+        repo.catalog or os.path.join(directory, _WORKLOAD_FILE), **options
+    )
 
 
 def _resolve_backend_spec(spec: str, directory: str) -> str:

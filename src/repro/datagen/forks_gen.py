@@ -13,7 +13,9 @@ collection has the same signature the paper reports in Figure 12 — many
 near-duplicate versions, deltas that are tiny relative to version size, and
 a delta graph pruned by a pairwise size-difference threshold.
 
-The substitution is recorded in DESIGN.md (Section 4).
+The algorithms only ever see the cost model, so the substitute exercises
+them on the paper's workload shape; it does not reproduce the paper's
+absolute BF/LF numbers.
 """
 
 from __future__ import annotations

@@ -318,19 +318,16 @@ class VersionStoreService:
         repository.materializer = self.materializer
         self.stats_counters = ServiceStats()
         self._on_commit = on_commit
-        # Every served checkout is folded into the workload log; with a
+        # Every served checkout is recorded in the workload log; with a
         # file-backed log (the CLI passes one inside the repository) the
         # observed frequencies survive restarts and drive `repack`.  A
         # catalog-backed repository defaults to the catalog's shared
         # counters, so several serving processes fold into one record.
-        if workload_log is not None:
-            self.workload_log = workload_log
-        elif getattr(repository, "catalog", None) is not None:
-            from ..storage.catalog import CatalogWorkloadLog
-
-            self.workload_log = CatalogWorkloadLog(repository.catalog)
-        else:
-            self.workload_log = WorkloadLog()
+        self.workload_log = (
+            workload_log
+            if workload_log is not None
+            else WorkloadLog(repository.catalog)
+        )
         self.repacker = OnlineRepacker(repository)
         # coordinator: shared for every read path, exclusive for commits /
         # the repack swap / raw backend writes.  _state_lock guards the

@@ -20,8 +20,10 @@
 * :mod:`~repro.storage.repack` — applies a storage plan to the object
   store: stages the new encoding while readers keep serving (streaming,
   bounded-memory), then swaps epochs atomically;
-* :mod:`~repro.storage.workload_log` — persistent per-version access
-  frequencies that feed the workload-aware optimizers with real traffic;
+* :mod:`~repro.storage.workload_log` — the one workload log: persistent
+  per-version access frequencies that feed the workload-aware optimizers
+  with real traffic, kept in process memory, a ``workload.log`` file or
+  the catalog;
 * :mod:`~repro.storage.catalog` — the ``sqlite://`` transactional metadata
   catalog (version graph, branch heads, epoch snapshots, workload counters
   and controller state in one WAL-mode database that several processes can
@@ -40,7 +42,7 @@ from .backends import (
 )
 from .batch import BatchItem, BatchMaterializer, BatchResult, WarmChainCost
 from .cache_tiers import LRUPayloadCache
-from .catalog import CatalogWorkloadLog, MetadataCatalog, SQLiteBackend
+from .catalog import MetadataCatalog, SQLiteBackend
 from .concurrency import EpochCoordinator, StripedLockManager
 from .objects import ChainStats, ObjectMeta, ObjectStore, StoredObject
 from .repack import (
@@ -68,7 +70,6 @@ __all__ = [
     "BatchMaterializer",
     "BatchResult",
     "WarmChainCost",
-    "CatalogWorkloadLog",
     "MetadataCatalog",
     "SQLiteBackend",
     "EpochCoordinator",

@@ -26,9 +26,11 @@ mode, following the ``GraphStorage`` snapshot contract (SNIPPETS.md 2–3):
   storing object bytes in the same database file, so ``repro init
   --backend sqlite://PATH`` puts payloads *and* metadata behind one
   crash-atomic commit domain.
-* :class:`CatalogWorkloadLog` — a :class:`~repro.storage.workload_log.WorkloadLog`
-  whose counters live in the catalog: several serving processes fold their
-  observed traffic into one shared workload record.
+* **Workload counters** — :meth:`~MetadataCatalog.workload_record`,
+  :meth:`~MetadataCatalog.workload_state` and
+  :meth:`~MetadataCatalog.workload_clear` make the catalog a store of
+  :class:`~repro.storage.workload_log.WorkloadLog`: several serving
+  processes fold their observed traffic into one shared workload record.
 
 Commit transactions validate their delta base against the active
 snapshot's mapping (:class:`~repro.exceptions.StaleEpochError` when a peer
@@ -56,13 +58,9 @@ from ..exceptions import (
     StaleEpochError,
 )
 from .backends import BackendSpecError, StorageBackend, register_backend
-from .workload_log import DEFAULT_HALF_LIFE, WorkloadLog, _decay
+from .workload_log import _decay
 
-__all__ = [
-    "MetadataCatalog",
-    "SQLiteBackend",
-    "CatalogWorkloadLog",
-]
+__all__ = ["MetadataCatalog", "SQLiteBackend"]
 
 _SCHEMA_VERSION = 1
 
@@ -162,6 +160,11 @@ class MetadataCatalog:
         self._local = threading.local()
         self._connections: list[sqlite3.Connection] = []
         self._connections_lock = threading.Lock()
+        # Request threads record accesses on every checkout.  They queue
+        # here, not on SQLite's write lock, whose busy handler sleeps 1, 2,
+        # 5 ms... between retries: a collision would stall a read by
+        # milliseconds instead of the microseconds the holder needs.
+        self._workload_lock = threading.Lock()
         self._init_schema()
 
     # ------------------------------------------------------------------ #
@@ -667,7 +670,7 @@ class MetadataCatalog:
         serving processes folding concurrently still maintain one coherent
         decaying view — the same lazy-decay model as the file-backed log.
         """
-        with self._write() as connection:
+        with self._workload_lock, self._write() as connection:
             total = int(self._meta(connection, "workload_total") or 0)
             for vid, count in entries:
                 total += count
@@ -692,9 +695,20 @@ class MetadataCatalog:
             self._set_meta(connection, "workload_total", str(total))
 
     def workload_state(
-        self,
+        self, half_life: float | None = None
     ) -> tuple[dict[VersionID, int], dict[VersionID, tuple[float, int]], int]:
-        """``(counts, decayed {vid: (weight, last_tick)}, total)`` snapshot."""
+        """``(counts, decayed {vid: (weight, last_tick)}, total)`` snapshot.
+
+        The table is the compact form — one row per version, weights
+        folded as accesses arrive — so there is no event order to replay
+        under another ``half_life``.
+        """
+        if half_life is not None:
+            raise ValueError(
+                "a catalog-backed workload log keeps no event order to "
+                "replay under a different half-life; construct it with the "
+                "one you need"
+            )
         with self._read() as connection:
             counts: dict[VersionID, int] = {}
             decayed: dict[VersionID, tuple[float, int]] = {}
@@ -708,7 +722,7 @@ class MetadataCatalog:
 
     def workload_clear(self) -> None:
         """Forget every recorded access."""
-        with self._write() as connection:
+        with self._workload_lock, self._write() as connection:
             connection.execute("DELETE FROM workload")
             self._set_meta(connection, "workload_total", "0")
 
@@ -999,115 +1013,6 @@ class SQLiteBackend(StorageBackend):
 
     def spec(self) -> str:
         return f"{self.scheme}://{self.path}"
-
-
-class CatalogWorkloadLog(WorkloadLog):
-    """A :class:`WorkloadLog` whose counters live in the metadata catalog.
-
-    Reads and writes go straight to the database, so several serving
-    processes sharing one ``sqlite://`` store fold their traffic into one
-    record, and the decaying view's clock is the catalog-wide access total.
-    Weights are stored at full float precision (no rounding on compaction —
-    there is no compaction; the table *is* the compact form).
-    """
-
-    def __init__(
-        self, catalog: MetadataCatalog, *, half_life: float = DEFAULT_HALF_LIFE
-    ) -> None:
-        super().__init__(None, half_life=half_life)
-        self.catalog = catalog
-        self.path = f"sqlite://{catalog.path}"
-
-    # -- recording ------------------------------------------------------- #
-    def record(self, version_id: VersionID, count: int = 1) -> None:
-        if count <= 0:
-            raise ValueError("access count must be positive")
-        with self._lock:
-            self.catalog.workload_record([(version_id, count)], self.half_life)
-
-    def record_many(self, version_ids: "Sequence[VersionID] | Any") -> None:
-        entries: dict[VersionID, int] = {}
-        for vid in version_ids:
-            entries[vid] = entries.get(vid, 0) + 1
-        if not entries:
-            return
-        with self._lock:
-            self.catalog.workload_record(list(entries.items()), self.half_life)
-
-    # -- reading --------------------------------------------------------- #
-    def counts(self) -> dict[VersionID, int]:
-        counts, _, _ = self.catalog.workload_state()
-        return counts
-
-    def decayed_counts(self) -> dict[VersionID, float]:
-        _, decayed, total = self.catalog.workload_state()
-        return {
-            vid: _decay(weight, total - last, self.half_life)
-            for vid, (weight, last) in decayed.items()
-        }
-
-    @property
-    def total_accesses(self) -> int:
-        _, _, total = self.catalog.workload_state()
-        return total
-
-    def __len__(self) -> int:
-        return len(self.counts())
-
-    def frequencies(
-        self,
-        version_ids: "Sequence[VersionID] | None" = None,
-        *,
-        smoothing: float = 0.0,
-    ) -> dict[VersionID, float]:
-        weights = {vid: float(c) for vid, c in self.counts().items()}
-        return self._vector(weights, version_ids, smoothing)
-
-    def decayed_frequencies(
-        self,
-        version_ids: "Sequence[VersionID] | None" = None,
-        *,
-        half_life: float | None = None,
-        smoothing: float = 0.0,
-    ) -> dict[VersionID, float]:
-        if half_life is not None and half_life <= 0:
-            raise ValueError("half_life must be positive (accesses)")
-        if half_life is not None and half_life != self.half_life:
-            raise ValueError(
-                "a catalog-backed workload log keeps no event order to "
-                "replay under a different half-life; construct it with the "
-                "one you need"
-            )
-        return self._vector(self.decayed_counts(), version_ids, smoothing)
-
-    def snapshot(self) -> dict[str, object]:
-        counts, decayed, total = self.catalog.workload_state()
-        return {
-            "path": self.path,
-            "total_accesses": total,
-            "distinct_versions": len(counts),
-            "half_life": self.half_life,
-            "decayed_total": float(
-                sum(
-                    _decay(weight, total - last, self.half_life)
-                    for weight, last in decayed.values()
-                )
-            ),
-        }
-
-    # -- maintenance ----------------------------------------------------- #
-    def clear(self) -> None:
-        with self._lock:
-            self.catalog.workload_clear()
-
-    def compact(self) -> None:
-        pass  # the table is already one row per version
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<CatalogWorkloadLog path={self.path!r} "
-            f"half_life={self.half_life}>"
-        )
 
 
 register_backend(SQLiteBackend)

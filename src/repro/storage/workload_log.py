@@ -3,10 +3,11 @@
 The paper's workload-aware problems (Figure 16) optimize the storage plan
 against *observed* access frequencies, but a serving process that forgets
 its request counters on restart can never feed them real traffic.
-:class:`WorkloadLog` closes that gap: every served checkout is folded into
-an in-memory counter *and* appended to a small append-only file inside the
-repository, so the observed workload survives restarts and can be handed
-to the optimizers (:meth:`frequencies` produces exactly the
+:class:`WorkloadLog` closes that gap: every served checkout is recorded in
+a store that outlives the process — an append-only file inside the
+repository, or the ``sqlite://`` metadata catalog — so the observed
+workload survives restarts and can be handed to the optimizers
+(:meth:`~WorkloadLog.frequencies` produces exactly the
 ``access_frequencies`` mapping a
 :class:`~repro.core.instance.ProblemInstance` consumes).
 
@@ -15,18 +16,20 @@ exponentially-weighted count per version with a configurable *half-life*
 measured in accesses (after ``half_life`` further requests, an old access
 counts half).  Raw counts answer "what was ever popular"; decayed weights
 answer "what is popular *now*" — the view a repacker should optimize for
-when the workload drifts (:meth:`decayed_frequencies`).  The clock is the
-total access count, not wall time, so the view is deterministic and
-testable.
+when the workload drifts (:meth:`~WorkloadLog.decayed_frequencies`).  The
+clock is the total access count, not wall time, so the view is
+deterministic and testable.
 
 Design notes:
 
+* One :class:`WorkloadLog` reads every store — process memory, a file, or
+  :class:`~repro.storage.catalog.MetadataCatalog` — through the same three
+  methods (see :class:`WorkloadLog`).
 * The on-disk format is one JSON array ``[version_id, count]`` per line
   (compacted lines carry a third element, the decayed weight at compaction
   time, so the decaying view survives restarts too).  Appends are tiny and
-  self-delimiting, so a crash mid-write loses at most the final line —
-  :meth:`_load` tolerates (and drops) a torn tail instead of refusing to
-  start.
+  self-delimiting, so a crash mid-write loses at most the final line — a
+  torn tail is dropped instead of refusing to start.
 * The file is compacted automatically once it holds many more lines than
   distinct versions (every version's total collapses to one line), keeping
   replay-on-start O(distinct versions) for long-lived servers.  Compaction
@@ -37,20 +40,27 @@ Design notes:
   with a *different* half-life (``decayed_frequencies(half_life=N)``,
   ``repro repack --half-life N``) rescales only post-compaction events
   exactly; the pre-compaction mass keeps its original scale.
-* All operations are thread-safe behind one internal lock; the serving
-  layer calls :meth:`record` from request threads directly.
+* Every store is thread- *and* process-safe: request threads record
+  directly, and a CLI ``repro checkout`` may record into the same file
+  (serialized by ``fcntl.flock`` on a sidecar ``workload.log.lock``) or
+  catalog (SQLite's write lock) while ``repro serve`` runs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import os
 import threading
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..core.version import VersionID
 
 __all__ = ["WorkloadLog", "DEFAULT_HALF_LIFE", "frequency_drift"]
+
+#: What ``workload_state`` returns: ``(counts, decayed, total)``.
+_State = tuple[dict[VersionID, int], dict[VersionID, tuple[float, int]], int]
 
 #: Compact once the file holds this many times more lines than distinct
 #: versions (and at least ``_COMPACT_MIN_LINES`` lines overall).
@@ -68,6 +78,11 @@ def _decay(weight: float, elapsed: float, half_life: float) -> float:
     and file replay must all age weights identically or the views drift.
     """
     return weight * 0.5 ** (elapsed / half_life)
+
+
+def _decay_to_now(state: _State, half_life: float) -> dict[VersionID, float]:
+    _, decayed, now = state
+    return {vid: _decay(w, now - last, half_life) for vid, (w, last) in decayed.items()}
 
 
 def frequency_drift(
@@ -98,100 +113,302 @@ def frequency_drift(
     return distance / 2.0
 
 
-class WorkloadLog:
-    """Append-only, restart-surviving record of per-version access counts.
+class _MemoryStore:
+    """The workload store of an in-memory log: one fold of every event."""
 
-    ``path=None`` keeps the log purely in memory (used by tests and
-    embedded services); with a path, counts recorded by a previous process
-    are replayed on construction and every new access is appended.
-    ``half_life`` configures the decaying view (in accesses).
-    """
-
-    def __init__(
-        self, path: str | None = None, *, half_life: float = DEFAULT_HALF_LIFE
-    ) -> None:
-        if half_life <= 0:
-            raise ValueError("half_life must be positive (accesses)")
-        self.path = path
-        self.half_life = float(half_life)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._reset()
+
+    def _reset(self) -> None:
         self._counts: dict[VersionID, int] = {}
         # Decaying view: version -> (weight, tick of last update); weights
         # decay lazily by 0.5 ** (elapsed_accesses / half_life).
         self._decayed: dict[VersionID, tuple[float, int]] = {}
         self._total = 0
-        self._file_lines = 0
-        self._needs_newline = False
-        if path is not None and os.path.exists(path):
-            self._load()
 
-    # ------------------------------------------------------------------ #
-    # recording
-    # ------------------------------------------------------------------ #
-    def record(self, version_id: VersionID, count: int = 1) -> None:
-        """Fold ``count`` accesses of ``version_id`` into the log."""
-        if count <= 0:
-            raise ValueError("access count must be positive")
-        with self._lock:
-            self._fold_locked(version_id, count)
-            self._append_locked([(version_id, count)])
-
-    def record_many(self, version_ids: Iterable[VersionID]) -> None:
-        """Record one access per id (one file append for the whole batch)."""
-        entries: dict[VersionID, int] = {}
-        for vid in version_ids:
-            entries[vid] = entries.get(vid, 0) + 1
-        if not entries:
-            return
-        with self._lock:
-            for vid, count in entries.items():
-                self._fold_locked(vid, count)
-            self._append_locked(entries.items())
-
-    def _fold_locked(self, version_id: VersionID, count: int) -> None:
+    def _fold(
+        self, vid: VersionID, count: int, half_life: float, weight: float | None = None
+    ) -> None:
         """Advance counts, the decayed view and the access clock by one event.
 
         Events are stamped with the *post*-increment clock, so an access
         never decays against itself: a version touched by the most recent
-        request carries its full weight.
+        request carries its full weight.  ``weight`` (default ``count``)
+        is what the event adds to the decayed view.
         """
-        self._counts[version_id] = self._counts.get(version_id, 0) + count
+        self._counts[vid] = self._counts.get(vid, 0) + count
         self._total += count
         tick = self._total
-        weight, last = self._decayed.get(version_id, (0.0, tick))
-        weight = _decay(weight, tick - last, self.half_life) + count
-        self._decayed[version_id] = (weight, tick)
+        old, last = self._decayed.get(vid, (0.0, tick))
+        weight = count if weight is None else weight
+        self._decayed[vid] = (_decay(old, tick - last, half_life) + weight, tick)
 
-    # ------------------------------------------------------------------ #
-    # reading
-    # ------------------------------------------------------------------ #
+    def _fold_text(self, raw: bytes, half_life: float, at_start: bool) -> int:
+        """Fold lines of the on-disk format; returns how many parsed.
+
+        Compacted (3-element) lines form the leading block of a file and
+        all carry weights snapshotted at one instant — the end of that
+        block — so ``at_start`` collects them and stamps them together
+        once the block ends: replay does not re-decay history the seed
+        already discounted.
+        """
+        seeds: dict[VersionID, float] = {}
+        lines = 0
+        for line in raw.decode("utf-8", "replace").splitlines():
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+                vid, count = entry[0], int(entry[1])
+                seed = float(entry[2]) if len(entry) > 2 else None
+            except (ValueError, TypeError, IndexError, KeyError):
+                # A torn tail from a crash mid-append: drop it rather
+                # than refusing to start; at most one batch is lost.
+                continue
+            if count <= 0:
+                continue
+            lines += 1
+            if seed is not None and at_start:
+                self._counts[vid] = self._counts.get(vid, 0) + count
+                self._total += count
+                seeds[vid] = seeds.get(vid, 0.0) + seed
+                continue
+            at_start = False
+            self._decayed.update((v, (w, self._total)) for v, w in seeds.items())
+            seeds = {}
+            self._fold(vid, count, half_life, seed)
+        self._decayed.update((v, (w, self._total)) for v, w in seeds.items())
+        return lines
+
+    def _state(self) -> _State:
+        return dict(self._counts), dict(self._decayed), self._total
+
+    def workload_record(
+        self, entries: Sequence[tuple[VersionID, int]], half_life: float
+    ) -> None:
+        with self._lock:
+            for vid, count in entries:
+                self._fold(vid, count, half_life)
+
+    def workload_state(self, half_life: float | None = None) -> _State:
+        if half_life is not None:
+            raise ValueError(
+                "an in-memory workload log cannot recompute a different "
+                "half-life; construct it with the one you need"
+            )
+        with self._lock:
+            return self._state()
+
+    def workload_clear(self) -> None:
+        with self._lock:
+            self._reset()
+
+
+class _FileStore(_MemoryStore):
+    """The workload store of a file-backed log: ``PATH`` and its fold.
+
+    Every operation holds ``fcntl.flock`` on the sidecar ``PATH.lock``.
+    That file is never replaced, so a waiter can never end up holding the
+    lock of a log that compaction has already swapped out.  The store
+    keeps the log file it has folded open and remembers how far it has
+    read it, so each operation folds only the unread tail — the lines
+    other processes appended.  When ``PATH`` names another file than the
+    open one, another process compacted or cleared the log, and the store
+    re-folds ``PATH`` from the start.  Holding the old file open keeps its
+    inode number from being reused, so that comparison is sound.
+    """
+
+    def __init__(self, path: str, half_life: float) -> None:
+        self.path = path
+        self.half_life = half_life
+        self._lock_fd: int | None = None
+        self._fd: int | None = None
+        self._inode = 0
+        super().__init__()
+
+    def _reset(self) -> None:
+        super()._reset()
+        self._offset = 0  # bytes of the open file folded so far
+        self._lines = 0  # parsed lines in the file (the compaction trigger)
+        # The file ends in a torn line from a crash mid-append: the next
+        # append must start on a fresh line instead of gluing onto it.
+        self._torn = False
+
+    @contextlib.contextmanager
+    def _locked(self) -> Iterator[None]:
+        with self._lock:
+            if self._lock_fd is None:
+                lock_path = self.path + ".lock"
+                self._lock_fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o666)
+            fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+
+    def _sync(self, create: bool) -> None:
+        """Fold what other processes wrote since this store last looked."""
+        try:
+            current: os.stat_result | None = os.stat(self.path)
+        except FileNotFoundError:
+            current = None
+        if self._fd is not None and (
+            current is None
+            or current.st_ino != self._inode
+            or current.st_size < self._offset
+        ):
+            os.close(self._fd)
+            self._fd = None
+            self._reset()
+        if self._fd is None:
+            if current is None and not create:
+                return
+            self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            current = os.fstat(self._fd)
+            self._inode = current.st_ino
+        if current.st_size > self._offset:
+            raw = os.pread(self._fd, current.st_size - self._offset, self._offset)
+            self._lines += self._fold_text(raw, self.half_life, self._offset == 0)
+            self._offset += len(raw)
+            self._torn = not raw.endswith(b"\n")
+
+    def workload_record(
+        self, entries: Sequence[tuple[VersionID, int]], half_life: float
+    ) -> None:
+        lines = "".join(json.dumps([vid, count]) + "\n" for vid, count in entries)
+        with self._locked():
+            self._sync(create=True)
+            data = (("\n" if self._torn else "") + lines).encode("utf-8")
+            # os.write may take only part of the buffer.  If it raises
+            # part-way, the offset stays put and the next sync folds the
+            # lines that landed.
+            pending = memoryview(data)
+            while pending:
+                pending = pending[os.write(self._fd, pending) :]
+            self._offset += len(data)
+            self._torn = False
+            self._lines += len(entries)
+            for vid, count in entries:
+                self._fold(vid, count, half_life)
+            if self._lines >= _COMPACT_MIN_LINES and self._lines > (
+                _COMPACT_FACTOR * max(1, len(self._counts))
+            ):
+                self._compact()
+
+    def workload_state(self, half_life: float | None = None) -> _State:
+        with self._locked():
+            self._sync(create=False)
+            if half_life is None:
+                return self._state()
+            raw = b"" if self._fd is None else os.pread(self._fd, self._offset, 0)
+        # Replayed outside the locks: request threads and other processes
+        # append under them, and the whole-file replay may be long.
+        replay = _MemoryStore()
+        replay._fold_text(raw, half_life, at_start=True)
+        return replay._state()
+
+    def workload_clear(self) -> None:
+        with self._locked():
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.path)
+            self._reset()
+
+    def compact(self) -> None:
+        with self._locked():
+            self._sync(create=False)
+            if self._fd is not None:
+                self._compact()
+
+    def _compact(self) -> None:
+        # The fold is current under the flock: it covers every process's
+        # appends.  Write-then-rename, so a crash leaves the old file or the
+        # complete new one.  Each line carries its decayed weight now, at
+        # full float precision: rounding would compound across compactions.
+        seeds = _decay_to_now(self._state(), self.half_life)
+        data = "".join(
+            json.dumps([vid, count, seeds[vid]]) + "\n"
+            for vid, count in self._counts.items()
+        ).encode("utf-8")
+        tmp_path = self.path + ".tmp"
+        with open(tmp_path, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        # fsync the tmp file *before* os.replace: the rename must never
+        # become visible pointing at data the disk has not seen — that is
+        # the one ordering a crash can turn into an empty (truncated) log.
+        os.replace(tmp_path, self.path)
+        self._sync(create=False)  # adopt the new file as any process would
+
+    def __del__(self) -> None:
+        for fd in (self._fd, self._lock_fd):
+            if fd is not None:
+                os.close(fd)
+
+
+class WorkloadLog:
+    """Restart-surviving record of per-version access counts.
+
+    ``store`` is ``None`` (process memory), a path (an append-only file) or
+    a :class:`~repro.storage.catalog.MetadataCatalog`; the last two are
+    shared by every process that opens them.  A store has three methods:
+    ``workload_record(entries, half_life)`` persists one batch of
+    ``(version_id, count)``; ``workload_state(half_life=None)`` returns
+    ``(counts, decayed {vid: (weight, last_tick)}, total)`` merged over
+    every process, replaying the event order under a ``half_life`` other
+    than the log's own (only a file keeps that order; the other stores
+    raise ``ValueError``); ``workload_clear()`` forgets every record.
+    ``half_life`` configures the decaying view (in accesses).
+    """
+
+    def __init__(
+        self, store: Any = None, *, half_life: float = DEFAULT_HALF_LIFE
+    ) -> None:
+        if half_life <= 0:
+            raise ValueError("half_life must be positive (accesses)")
+        self.half_life = float(half_life)
+        # ``path`` names the store in ``stats``.
+        if isinstance(store, str):
+            self.path, self._store = store, _FileStore(store, self.half_life)
+        elif store is None:
+            self.path, self._store = None, _MemoryStore()
+        else:
+            self.path, self._store = f"sqlite://{store.path}", store
+
+    def record(self, version_id: VersionID, count: int = 1) -> None:
+        """Record ``count`` accesses of ``version_id``."""
+        if count <= 0:
+            raise ValueError("access count must be positive")
+        self._store.workload_record([(version_id, count)], self.half_life)
+
+    def record_many(self, version_ids: Iterable[VersionID]) -> None:
+        """Record one access per id (one store write for the whole batch)."""
+        entries: dict[VersionID, int] = {}
+        for vid in version_ids:
+            entries[vid] = entries.get(vid, 0) + 1
+        if entries:
+            self._store.workload_record(list(entries.items()), self.half_life)
+
     def counts(self) -> dict[VersionID, int]:
         """Snapshot of the per-version access counts."""
-        with self._lock:
-            return dict(self._counts)
+        return self._store.workload_state()[0]
 
     def decayed_counts(self) -> dict[VersionID, float]:
         """Snapshot of the decaying view, decayed to the current clock."""
-        with self._lock:
-            return self._decayed_snapshot_locked()
-
-    def _decayed_snapshot_locked(self) -> dict[VersionID, float]:
-        now = self._total
-        return {
-            vid: _decay(weight, now - last, self.half_life)
-            for vid, (weight, last) in self._decayed.items()
-        }
+        return _decay_to_now(self._store.workload_state(), self.half_life)
 
     @property
     def total_accesses(self) -> int:
         """Total number of recorded accesses."""
-        with self._lock:
-            return self._total
+        return self._store.workload_state()[2]
 
     def __len__(self) -> int:
         """Number of distinct versions ever accessed."""
-        with self._lock:
-            return len(self._counts)
+        return len(self.counts())
 
     def frequencies(
         self,
@@ -208,10 +425,8 @@ class WorkloadLog:
         empty mapping when nothing relevant was ever logged — callers
         should fall back to a uniform workload in that case.
         """
-        with self._lock:
-            counts = dict(self._counts)
-        return self._vector({vid: float(c) for vid, c in counts.items()},
-                            version_ids, smoothing)
+        weights = {vid: float(c) for vid, c in self.counts().items()}
+        return self._vector(weights, version_ids, smoothing)
 
     def decayed_frequencies(
         self,
@@ -227,34 +442,18 @@ class WorkloadLog:
         against this vector tracks the drifting workload instead of
         all-time popularity.  ``half_life`` defaults to the log's
         configured one; a *different* half-life is recomputed by replaying
-        the on-disk log (file-backed logs only — an in-memory log keeps no
-        event order to replay).  Compacted history replays approximately:
-        its seeded weights keep the scale of the half-life they were
-        maintained under (see the module notes), while every
+        the on-disk log (file-backed logs only — memory and the catalog
+        keep no event order to replay).  Compacted history replays
+        approximately: its seeded weights keep the scale of the half-life
+        they were maintained under (see the module notes), while every
         post-compaction event is rescaled exactly.
         """
         if half_life is not None and half_life <= 0:
             raise ValueError("half_life must be positive (accesses)")
         if half_life is None or half_life == self.half_life:
-            with self._lock:
-                weights = self._decayed_snapshot_locked()
-        elif self.path is not None:
-            # Deliberately outside the lock: the whole-file replay may be
-            # long, and request threads append under the same lock — the
-            # write-then-rename compaction makes a snapshot read safe.
-            if os.path.exists(self.path):
-                _, decayed, total, _, _ = self._parse_file(half_life)
-                weights = {
-                    vid: _decay(weight, total - last, half_life)
-                    for vid, (weight, last) in decayed.items()
-                }
-            else:
-                weights = {}  # file-backed but nothing ever logged
+            weights = self.decayed_counts()
         else:
-            raise ValueError(
-                "an in-memory workload log cannot recompute a different "
-                "half-life; construct it with the one you need"
-            )
+            weights = _decay_to_now(self._store.workload_state(half_life), half_life)
         return self._vector(weights, version_ids, smoothing)
 
     @staticmethod
@@ -272,156 +471,26 @@ class WorkloadLog:
 
     def snapshot(self) -> dict[str, object]:
         """JSON-ready summary for the service's ``stats`` endpoint."""
-        with self._lock:
-            return {
-                "path": self.path,
-                "total_accesses": self._total,
-                "distinct_versions": len(self._counts),
-                "half_life": self.half_life,
-                "decayed_total": float(
-                    sum(self._decayed_snapshot_locked().values())
-                ),
-            }
+        state = self._store.workload_state()
+        return {
+            "path": self.path,
+            "total_accesses": state[2],
+            "distinct_versions": len(state[0]),
+            "half_life": self.half_life,
+            "decayed_total": float(sum(_decay_to_now(state, self.half_life).values())),
+        }
 
-    # ------------------------------------------------------------------ #
-    # maintenance
-    # ------------------------------------------------------------------ #
     def clear(self) -> None:
-        """Forget every recorded access (and truncate the file)."""
-        with self._lock:
-            self._counts.clear()
-            self._decayed.clear()
-            self._total = 0
-            self._file_lines = 0
-            self._needs_newline = False
-            if self.path is not None and os.path.exists(self.path):
-                with open(self.path, "w", encoding="utf-8"):
-                    pass
+        """Forget every recorded access (and remove a log file)."""
+        self._store.workload_clear()
 
     def compact(self) -> None:
-        """Rewrite the file as one line per version (totals unchanged)."""
-        with self._lock:
-            self._compact_locked()
+        """Rewrite a log file as one line per version (totals unchanged).
 
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _load(self) -> None:
-        counts, decayed, total, lines, torn = self._parse_file()
-        self._counts = counts
-        self._decayed = decayed
-        self._total = total
-        self._file_lines = lines
-        # A file not ending in a newline carries a torn tail from a crash
-        # mid-append: the broken line is dropped, and the next append must
-        # start on a fresh line instead of gluing onto the fragment.
-        self._needs_newline = torn
-
-    def _parse_file(
-        self, half_life: float | None = None
-    ) -> tuple[
-        dict[VersionID, int], dict[VersionID, tuple[float, int]], int, int, bool
-    ]:
-        """Replay the on-disk log: counts, decayed view, total, lines, torn."""
-        half_life = half_life if half_life is not None else self.half_life
-        with open(self.path, "r", encoding="utf-8") as handle:  # type: ignore[arg-type]
-            raw = handle.read()
-        counts: dict[VersionID, int] = {}
-        decayed: dict[VersionID, tuple[float, int]] = {}
-        total = 0
-        lines = 0
-        # Compacted (3-element) lines form the leading block of the file and
-        # all carry weights snapshotted at one instant — the end of that
-        # block.  Collect them and stamp them together once the block ends,
-        # so replay does not re-decay history the seed already discounted.
-        pending_seeds: dict[VersionID, float] = {}
-        in_seeded_block = True
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                vid, count = entry[0], int(entry[1])
-                seed = float(entry[2]) if len(entry) > 2 else None
-            except (ValueError, TypeError, IndexError, KeyError):
-                # A torn tail from a crash mid-append: drop it rather
-                # than refusing to start; at most one access is lost.
-                continue
-            if count <= 0:
-                continue
-            counts[vid] = counts.get(vid, 0) + count
-            total += count
-            lines += 1
-            if seed is not None and in_seeded_block:
-                pending_seeds[vid] = pending_seeds.get(vid, 0.0) + seed
-                continue
-            if in_seeded_block:
-                in_seeded_block = False
-                for seeded_vid, weight in pending_seeds.items():
-                    decayed[seeded_vid] = (weight, total - count)
-                pending_seeds = {}
-            tick = total
-            weight, last = decayed.get(vid, (0.0, tick))
-            weight = _decay(weight, tick - last, half_life)
-            weight += count if seed is None else seed
-            decayed[vid] = (weight, tick)
-        for seeded_vid, weight in pending_seeds.items():
-            decayed[seeded_vid] = (weight, total)
-        return counts, decayed, total, lines, bool(raw) and not raw.endswith("\n")
-
-    def _append_locked(self, entries: Iterable[tuple[VersionID, int]]) -> None:
-        if self.path is None:
-            return
-        lines = [json.dumps([vid, count]) for vid, count in entries]
-        prefix = "\n" if self._needs_newline else ""
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(prefix + "\n".join(lines) + "\n")
-        self._needs_newline = False
-        self._file_lines += len(lines)
-        if self._file_lines >= _COMPACT_MIN_LINES and self._file_lines > (
-            _COMPACT_FACTOR * max(1, len(self._counts))
-        ):
-            self._compact_locked()
-
-    def _compact_locked(self) -> None:
-        if self.path is None:
-            return
-        # Compact from the *file*, not from this process's counters: other
-        # processes (CLI one-shots next to a running server) append to the
-        # same log, and everything this process ever recorded is already on
-        # disk too — so the file is the superset.  Adopt the merged totals
-        # as the new in-memory state, then write-then-rename so a crash
-        # mid-compaction leaves the old file (or the complete new one) —
-        # never a half-written log.  Each compacted line carries the
-        # decayed weight at compaction time as a third element, seeding the
-        # decaying view of the next load.
-        if os.path.exists(self.path):
-            counts, decayed, total, _, _ = self._parse_file()
-            self._counts = counts
-            self._decayed = decayed
-            self._total = total
-        snapshot = self._decayed_snapshot_locked()
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            # Weights are carried at full float precision: json round-trips
-            # floats exactly, and rounding here compounds across repeated
-            # compactions into a real drift of the decayed view.
-            for vid, count in self._counts.items():
-                handle.write(
-                    json.dumps([vid, count, snapshot.get(vid, 0.0)]) + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        # fsync the tmp file *before* os.replace: the rename must never
-        # become visible pointing at data the disk has not seen — that is
-        # the one ordering a crash can turn into an empty (truncated) log.
-        os.replace(tmp_path, self.path)
-        self._file_lines = len(self._counts)
-        self._needs_newline = False
+        Memory and the catalog hold one row per version already.
+        """
+        if isinstance(self._store, _FileStore):
+            self._store.compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<WorkloadLog path={self.path!r} accesses={self._total} "
-            f"versions={len(self._counts)} half_life={self.half_life}>"
-        )
+        return f"<WorkloadLog path={self.path!r} half_life={self.half_life}>"

@@ -35,7 +35,6 @@ from repro.exceptions import (
 )
 from repro.server.service import VersionStoreService
 from repro.storage.catalog import (
-    CatalogWorkloadLog,
     MetadataCatalog,
     SQLiteBackend,
 )
@@ -321,7 +320,7 @@ class TestCatalogWorkloadLog:
     def test_matches_file_log_exactly(self, tmp_path):
         catalog = MetadataCatalog(str(tmp_path / "cat.db"))
         file_log = WorkloadLog(str(tmp_path / "workload.log"))
-        cat_log = CatalogWorkloadLog(catalog)
+        cat_log = WorkloadLog(catalog)
         accesses = ["v1", "v2", "v1", "v3", "v1", "v2"] * 3
         for vid in accesses:
             file_log.record(vid)
@@ -338,15 +337,15 @@ class TestCatalogWorkloadLog:
     def test_counters_shared_across_instances_and_restart(self, tmp_path):
         path = str(tmp_path / "cat.db")
         catalog = MetadataCatalog(path)
-        CatalogWorkloadLog(catalog).record_many(["a", "b", "a"])
-        other = CatalogWorkloadLog(MetadataCatalog(path))
+        WorkloadLog(catalog).record_many(["a", "b", "a"])
+        other = WorkloadLog(MetadataCatalog(path))
         assert other.counts() == {"a": 2, "b": 1}
         other.clear()
-        assert CatalogWorkloadLog(MetadataCatalog(path)).counts() == {}
+        assert WorkloadLog(MetadataCatalog(path)).counts() == {}
 
     def test_half_life_mismatch_rejected(self, tmp_path):
         catalog = MetadataCatalog(str(tmp_path / "cat.db"))
-        log = CatalogWorkloadLog(catalog, half_life=100.0)
+        log = WorkloadLog(catalog, half_life=100.0)
         log.record("v1")
         with pytest.raises(ValueError):
             log.decayed_frequencies(["v1"], half_life=7.0)

@@ -1,4 +1,4 @@
-"""Tests for the per-figure experiment drivers (E1–E8 of DESIGN.md).
+"""Tests for the per-figure experiment drivers (E1–E8 of repro.bench.experiments).
 
 These run every experiment at a very small scale and assert the *shape*
 properties the paper reports, i.e. who wins and in which direction the

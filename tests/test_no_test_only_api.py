@@ -1,9 +1,9 @@
 """Guard: ``repro`` carries no API that only tests reach.
 
-Every function, method and class defined anywhere in ``src/repro`` (bar
-the fault-injecting test backends of ``storage/testing.py``) must be
-referenced from a program path other than its own definition, an
-``__all__`` list or an import.  The program paths are ``src/``, the load
+Every function, method, class and module-level ``NAME = …`` assignment
+defined anywhere in ``src/repro`` (bar the fault-injecting test backends of
+``storage/testing.py``) must be referenced from a program path other than
+its own definition, an ``__all__`` list or an import.  The program paths are ``src/``, the load
 benchmark in ``bench/load/``, the paper-figure benchmarks in
 ``benchmarks/`` and the runnable ``examples/``.  A def that only tests call
 is code the program carries for nobody: delete it (rewriting the tests to
@@ -13,11 +13,14 @@ entry with a one-line reason.
 
 References are matched by name — a ``Name`` (or the ``as`` alias it was
 imported under), an attribute or a string constant (``getattr``-style
-patching) — so the scan errs towards "referenced".  Private defs take part
-like public ones; only dunders are left out.  Deadness propagates: a def
-whose only references sit inside other unreferenced defs is itself
-unreferenced, and an allowlisted def is a live root, so the helpers it
-calls need no entries of their own.
+patching) — so the scan errs towards "referenced".  That is its one blind
+spot: a def is live while anything of the same bare name is used, so
+``Repository.total_storage_cost`` once kept a dead module function of that
+name alive.  Private defs take part like public ones; only dunders are left
+out.  Deadness propagates: a def whose only references sit inside other
+unreferenced defs is itself unreferenced — a dead dispatch table keeps
+none of the functions it lists alive — and an allowlisted def is a live
+root, so the helpers it calls need no entries of their own.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ ALLOWLIST = {
     "Trace.null": "the shared no-op trace, checked by the trace battery",
     "EpochCoordinator.exclusive_held": "lets a battery see the barrier held",
     "WorkloadLog.compact": "forces the log rewrite the workload battery checks",
-    "CatalogWorkloadLog.compact": "keeps the two workload logs interchangeable",
     "serve_in_thread": "runs a server on a daemon thread for the HTTP batteries",
     # the delta encoder family, kept until Φ ≠ Δ in the live store is decided
     "CellDiffEncoder": "a paper encoder, undecided as a priced store choice",
@@ -73,9 +75,9 @@ def is_dunder(name):
 def scanned_defs(roots, excluded=frozenset()):
     """``(qualname, name, path, first line, last line)`` of every def.
 
-    Module-level functions and classes plus the methods of any class,
-    private ones included; dunders are hooks the language calls, so they
-    are left out.
+    Module-level functions, classes and ``NAME = …`` / ``NAME: T = …``
+    assignments plus the methods of any class, private ones included;
+    dunders are hooks the language calls, so they are left out.
     """
     found = []
     for root in roots:
@@ -84,6 +86,16 @@ def scanned_defs(roots, excluded=frozenset()):
                 continue
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for node in tree.body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (
+                        node.targets if isinstance(node, ast.Assign) else [node.target]
+                    )
+                    found.extend(
+                        (t.id, t.id, path, node.lineno, node.end_lineno)
+                        for t in targets
+                        if isinstance(t, ast.Name) and not is_dunder(t.id)
+                    )
+                    continue
                 if not isinstance(node, DEF_NODES):
                     continue
                 members = [(node.name, node)]
@@ -220,7 +232,7 @@ def test_scan_propagates_deadness_and_ignores_exports(tmp_path):
         "    def dropped(self):\n"
         "        return 3\n"
         "\n"
-        "BOX = Box().kept()\n"
+        "print(Box().kept())\n"
     )
     dead = unreferenced(scanned_defs([package]), references([package]))
     assert sorted(d[0] for d in dead) == ["Box.dropped", "helper", "inner"]
@@ -245,7 +257,7 @@ def test_scan_counts_an_import_only_where_the_name_is_used(tmp_path):
         "def dead():\n"
         "    return used_by_dead()\n"
         "\n"
-        "VALUE = renamed()\n"
+        "print(renamed())\n"
     )
     dead = unreferenced(scanned_defs([package]), references([package]))
     assert sorted(d[0] for d in dead) == ["dead", "imported_only", "used_by_dead"]
@@ -271,7 +283,7 @@ def test_scan_propagates_deadness_through_private_defs(tmp_path):
         "    def __repr__(self):\n"
         "        return 'live'\n"
         "\n"
-        "LIVE = Live()\n"
+        "print(Live())\n"
     )
     dead = unreferenced(scanned_defs([package]), references([package]))
     assert sorted(d[0] for d in dead) == ["_Config", "_Config._record", "_helper", "dead"]
@@ -294,3 +306,25 @@ def test_kept_defs_are_live_roots(tmp_path):
         scanned_defs([package]), references([package]), keep=lambda q: q == "kept"
     )
     assert [d[0] for d in dead] == ["dropped"]
+
+
+def test_a_dead_table_keeps_nothing_alive(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def listed():\n"
+        "    return 1\n"
+        "\n"
+        "def served():\n"
+        "    return 2\n"
+        "\n"
+        "_TABLE = {'listed': listed}\n"
+        "ROUTES: dict = {'served': served}\n"
+        "\n"
+        "def main():\n"
+        "    return ROUTES\n"
+        "\n"
+        "main()\n"
+    )
+    dead = unreferenced(scanned_defs([package]), references([package]))
+    assert sorted(d[0] for d in dead) == ["_TABLE", "listed"]
