@@ -339,6 +339,9 @@ class VersionStoreService:
         self._state_lock = threading.Lock()
         self._write_gate = threading.Lock()
         self._inflight: dict[VersionID, _Inflight] = {}
+        # The workload total a stats() call already read, handed to the
+        # scrape-time collector its metrics snapshot runs on this thread.
+        self._stats_reading = threading.local()
         # Auto-repack policy state (all guarded by _state_lock).
         self.auto_repack_interval = max(1, int(auto_repack_interval))
         self.repack_horizon = float(repack_horizon)
@@ -482,7 +485,10 @@ class VersionStoreService:
             epoch_gauge.set(self.repacker.epoch)
             versions_gauge.set(len(self.repository))
             objects_gauge.set(len(self.repository.store))
-            workload_gauge.set(self.workload_log.total_accesses)
+            total = getattr(self._stats_reading, "workload_total", None)
+            workload_gauge.set(
+                total if total is not None else self.workload_log.total_accesses
+            )
             staging_scale.set(self.staging_calibration.scale)
             rate = self.repository.store.seconds_per_phi()
             phi_rate.set(rate if rate is not None else 0.0)
@@ -828,9 +834,9 @@ class VersionStoreService:
                 "backend": self.repository.store.backend.spec(),
             }
             version_ids = self.repository.graph.version_ids
-            workload = self.workload_log.snapshot()
-            frequencies = self.workload_log.frequencies(version_ids)
-            decayed = self.workload_log.decayed_frequencies(version_ids)
+            workload, frequencies, decayed = self.workload_log.stats_views(
+                version_ids
+            )
             # One pass prices both views: the per-version chain walk (and
             # its warm probe) is frequency-independent, only the
             # weighting differs.
@@ -867,15 +873,20 @@ class VersionStoreService:
                 "lock_stripes": self.chain_locks.num_stripes,
                 "exclusive_epochs": self.coordinator.exclusive_epochs,
             }
+        # The same registry `GET /metrics` scrapes, as JSON: quantile
+        # estimates for the histograms, raw values for the rest.
+        self._stats_reading.workload_total = workload["total_accesses"]
+        try:
+            metrics = self.metrics.snapshot()
+        finally:
+            self._stats_reading.workload_total = None
         return {
             "serving": serving,
             "repository": repository,
             "workload": workload,
             "repack": repack,
             "concurrency": concurrency,
-            # The same registry `GET /metrics` scrapes, as JSON: quantile
-            # estimates for the histograms, raw values for the rest.
-            "metrics": self.metrics.snapshot(),
+            "metrics": metrics,
         }
 
     def plan(

@@ -41,6 +41,7 @@ model the optimizers plan against.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -51,7 +52,7 @@ from ..exceptions import ObjectNotFoundError
 from ..obs.metrics import NULL_INSTRUMENT
 from .cache_tiers import LRUPayloadCache, TieredPayloadCache
 from .concurrency import StripedLockManager
-from .objects import ObjectStore
+from .objects import ChainStats, ObjectStore
 
 __all__ = [
     "BatchMaterializer",
@@ -146,6 +147,74 @@ class BatchResult:
         }
 
 
+class _VictimPrices:
+    """The warm cache's victim scorer: memoized marginal rebuild prices.
+
+    A cached payload's price is the Φ suffix from it down to its deepest
+    *other* cached ancestor, answered by the store's cost index without
+    any backend read.  It depends only on the cache membership of the
+    links its walk probed and on those links staying indexed, so a price
+    is kept, for a cache member, until the cache's key set changes at one
+    of those links (the cache calls :meth:`forget` on every insert,
+    eviction and clear) or the store drops an index entry.  Most puts on
+    a cold workload are refused at admission and change nothing, so the
+    sampled victims are priced once instead of on every put, and eviction
+    reuses the prices admission just computed.
+    """
+
+    def __init__(self, store: ObjectStore) -> None:
+        self.store = store
+        self.cache: LRUPayloadCache | None = None  # the cache it scores
+        self._lock = threading.Lock()
+        # key -> (price, ids its walk probed)
+        self._prices: dict[str, tuple[float, frozenset[str]]] = {}
+        self._changes = 0
+        self._drops = store.index_drops
+
+    def __call__(self, key: str) -> float | None:
+        memo = self._prices.get(key)
+        if memo is not None and self._drops == self.store.index_drops:
+            return memo[0]
+        cache = self.cache
+        assert cache is not None
+        with self._lock:
+            if self._drops != self.store.index_drops:
+                self._prices.clear()
+                self._drops = self.store.index_drops
+            memo = self._prices.get(key)
+            if memo is not None:
+                return memo[0]
+            changes, drops = self._changes, self._drops
+        probed: list[str] = []
+
+        def cached(oid: str) -> bool:
+            probed.append(oid)
+            return oid in cache
+
+        price = self.store.marginal_chain_cost(key, cached)
+        if price is None or key not in cache:
+            return price
+        with self._lock:
+            # Keep the price only if nothing it depends on changed while
+            # it was walked (a forget() in between may have missed it).
+            if self._changes == changes and self.store.index_drops == drops:
+                self._prices[key] = (price, frozenset(probed))
+        return price
+
+    def forget(self, key: str | None) -> None:
+        """Drop the prices a membership change of ``key`` can move
+        (``None``: the cache was cleared, drop them all)."""
+        with self._lock:
+            self._changes += 1
+            if key is None:
+                self._prices.clear()
+                return
+            self._prices.pop(key, None)
+            stale = [k for k, (_, probed) in self._prices.items() if key in probed]
+            for k in stale:
+                del self._prices[k]
+
+
 class BatchMaterializer:
     """Materializes many objects at once, replaying shared prefixes once.
 
@@ -173,6 +242,7 @@ class BatchMaterializer:
     ) -> None:
         self.store = store
         self.encoder = encoder
+        prices = _VictimPrices(store)
         if spill_dir is not None and int(spill_bytes) > 0:
             # Two-tier warm cache: the bounded memory LRU spills through to
             # a compressed disk tier, so warm capacity scales past RAM.
@@ -180,12 +250,11 @@ class BatchMaterializer:
                 cache_size,
                 spill_dir=spill_dir,
                 spill_bytes=int(spill_bytes),
-                victim_cost=self._marginal_payload_cost,
+                victim_cost=prices,
             )
         else:
-            self.cache = LRUPayloadCache(
-                cache_size, victim_cost=self._marginal_payload_cost
-            )
+            self.cache = LRUPayloadCache(cache_size, victim_cost=prices)
+        prices.cache = self.cache
         self.lock_manager = lock_manager
         # Live instruments replace these no-ops when bind_metrics() runs.
         self._metrics_on = False
@@ -271,19 +340,6 @@ class BatchMaterializer:
 
         registry.register_collector(collect)
 
-    def _marginal_payload_cost(self, object_id: str) -> float | None:
-        """Marginal recreation cost of one cached payload (eviction rank).
-
-        What a request would re-pay if exactly ``object_id`` left the
-        cache: the Φ suffix from it down to its deepest *other* cached
-        ancestor, answered by the store's cost index without any backend
-        read.  Invoked by the cache while its lock is held — the store
-        never takes the cache lock, so the ordering stays acyclic.
-        """
-        return self.store.marginal_chain_cost(
-            object_id, lambda oid: oid != object_id and oid in self.cache
-        )
-
     def materialize_many(
         self, requests: Sequence[tuple[Hashable, str]] | Sequence[str]
     ) -> BatchResult:
@@ -299,13 +355,11 @@ class BatchMaterializer:
             for request in requests
         ]
 
-        # Resolve every distinct chain up front from the store's cost index.
+        # Price every distinct chain up front from the store's cost index.
         distinct = list(dict.fromkeys(object_id for _, object_id in normalized))
-        chains: dict[str, tuple[str, ...]] = {
-            object_id: self.store.chain_ids(object_id) for object_id in distinct
-        }
+        tips = {object_id: self.store.chain_stats(object_id) for object_id in distinct}
 
-        materialized = self._materialize_forest(chains)
+        materialized = self._materialize_forest(tips)
 
         # Distinct keys can resolve to the same object (content addressing
         # deduplicates identical payloads): the single materialization's cost
@@ -344,17 +398,18 @@ class BatchMaterializer:
         second, differently keyed one taken inside it would invert the
         lock order across hashed stripes.
         """
-        predicted = None
+        tip = self.store.chain_stats(object_id)
+        trim = self._trim(object_id)
+        item = self._materialize_union_tree({object_id: tip}, {object_id: trim})[
+            object_id
+        ]
         if self._metrics_on:
-            # Price the chain against the current cache *before* the replay
-            # warms it — dictionary walks only, no payload touched.
-            try:
-                predicted = self.warm_chain_cost(object_id).phi
-            except ObjectNotFoundError:
-                predicted = None
-        chains = {object_id: self.store.chain_ids(object_id)}
-        item = self._materialize_union_tree(chains)[object_id]
-        if predicted is not None:
+            # The warm prediction for the cache as the trim found it, before
+            # the replay warmed it: what warm_chain_cost would have said.
+            anchor = trim[1]
+            predicted = tip.phi_total - (
+                self.store.chain_stats(anchor).phi_total if anchor is not None else 0.0
+            )
             actual = item.recreation_cost
             self._m_warm_error.observe(
                 abs(predicted - actual) / max(predicted, actual, 1.0)
@@ -364,27 +419,28 @@ class BatchMaterializer:
     def warm_chain_cost(self, object_id: str) -> WarmChainCost:
         """Price one chain against the *current* cache contents.
 
-        Performs exactly the probe the union-tree walk opens with — scan
-        the chain tip-down for the deepest cached payload — and prices the
+        Performs exactly the probe the union-tree walk opens with — walk
+        the chain tip-down to the deepest cached payload — and prices the
         remaining suffix from the store's cost index (both the tip's and
         the anchor's :class:`~repro.storage.objects.ChainStats` are
-        memoized by one walk, so repeat pricing is a pair of dictionary
-        lookups).  No payload is fetched or replayed, and the probe leaves
-        the cache's recency order and hit/miss counters untouched.  With
-        an empty cache this degrades to the cold Φ chain sum the storage
-        plan models.
+        memoized, so the cost is the walked suffix plus a pair of
+        dictionary lookups).  No payload is fetched or replayed, and the
+        probe leaves the cache's recency order and hit/miss counters
+        untouched.  With an empty cache this degrades to the cold Φ chain
+        sum the storage plan models.
         """
-        chain_ids = self.store.chain_ids(object_id)
         tip = self.store.chain_stats(object_id)
-        for index in range(len(chain_ids) - 1, -1, -1):
-            if chain_ids[index] in self.cache:
-                anchor = self.store.chain_stats(chain_ids[index])
-                return WarmChainCost(
-                    phi=tip.phi_total - anchor.phi_total,
-                    deltas=tip.num_deltas - anchor.num_deltas,
-                    cached_depth=index + 1,
-                    chain_length=tip.length,
-                )
+        _suffix, anchor_id = self.store.cached_suffix(
+            object_id, self.cache.__contains__
+        )
+        if anchor_id is not None:
+            anchor = self.store.chain_stats(anchor_id)
+            return WarmChainCost(
+                phi=tip.phi_total - anchor.phi_total,
+                deltas=tip.num_deltas - anchor.num_deltas,
+                cached_depth=anchor.length,
+                chain_length=tip.length,
+            )
         return WarmChainCost(
             phi=tip.phi_total,
             deltas=tip.num_deltas,
@@ -439,26 +495,54 @@ class BatchMaterializer:
         return self.lock_manager.holding(root_id)
 
     def _materialize_forest(
-        self, chains: dict[str, tuple[str, ...]]
+        self, tips: dict[str, ChainStats]
     ) -> dict[str, BatchItem]:
         """Replay the union forest, one group per chain *root*, in turn.
 
         Each group is an exactly-once union-tree DFS (the batch guarantee:
         no delta object replays twice, whatever the cache size) and holds
-        its root's stripe lock while it replays, so concurrent batches
-        cooperate on a tree instead of racing it.
+        its root's stripe lock while it trims and replays, so concurrent
+        batches cooperate on a tree instead of racing it.
         """
-        groups: dict[str, dict[str, tuple[str, ...]]] = {}
-        for object_id, chain_ids in chains.items():
-            groups.setdefault(chain_ids[0], {})[object_id] = chain_ids
+        groups: dict[str, dict[str, ChainStats]] = {}
+        for object_id, stats in tips.items():
+            groups.setdefault(stats.root_id, {})[object_id] = stats
         materialized: dict[str, BatchItem] = {}
         for root_id, group in groups.items():
             with self._chain_guard(root_id):
-                materialized.update(self._materialize_union_tree(group))
+                trims = {object_id: self._trim(object_id) for object_id in group}
+                materialized.update(self._materialize_union_tree(group, trims))
         return materialized
 
+    def _trim(self, object_id: str) -> tuple[list[str], str | None, Any]:
+        """``object_id``'s chain trimmed at its deepest cached link.
+
+        Returns the root-first ids from that link (the *anchor*) to the
+        tip, the anchor (``None``: nothing cached, the whole chain) and
+        the anchor's payload, captured *now*: puts during the traversal
+        can evict it before its subtree is reached, and a trimmed suffix
+        must never find itself without a base.  Only the suffix below the
+        anchor is walked, probing each link once through ``cache.get``.
+        """
+        found: list[Any] = []
+
+        def cached(oid: str) -> bool:
+            payload = self.cache.get(oid)
+            if LRUPayloadCache.is_miss(payload):
+                return False
+            found.append(payload)
+            return True
+
+        suffix, anchor = self.store.cached_suffix(object_id, cached)
+        ids = [oid for oid, _meta in reversed(suffix)]
+        if anchor is None:
+            return ids, None, None
+        return [anchor, *ids], anchor, found[0]
+
     def _materialize_union_tree(
-        self, chains: dict[str, tuple[str, ...]]
+        self,
+        tips: dict[str, ChainStats],
+        trims: dict[str, tuple[list[str], str | None, Any]],
     ) -> dict[str, BatchItem]:
         """Materialize every requested chain via one DFS over their union.
 
@@ -469,30 +553,24 @@ class BatchMaterializer:
         cache is tiny or disabled; the cache is still consulted (warm
         serving across batches) and re-warmed on the way down.
 
+        Every chain enters the tree trimmed at its deepest cached link (see
+        :meth:`_trim`), so a warm repeat request replays nothing even when
+        intermediate prefix nodes have been evicted.
+
         Every hop actually replayed reports its fetch + apply wall time to
         the store's measured Δ/Φ model.
 
         Per-item accounting charges each node's actually-paid cost to the
-        first request (in ``chains`` order) whose chain contains it, so the
+        first request (in ``tips`` order) whose chain contains it, so the
         per-item numbers sum to exactly what the batch paid and every item
         stays at or below its Φ prediction.
         """
-        # Trim every chain at its deepest cached ancestor, so a warm repeat
-        # request replays nothing even when intermediate prefix nodes have
-        # been evicted.  The cached payload is captured *now*: puts during
-        # the traversal can evict it from the LRU before its subtree is
-        # reached, and a trimmed suffix must never find itself without a base.
         captured: dict[str, Any] = {}
-        trimmed: dict[str, tuple[str, ...]] = {}
-        for object_id, chain_ids in chains.items():
-            start = 0
-            for index in range(len(chain_ids) - 1, -1, -1):
-                cached = self.cache.get(chain_ids[index])
-                if not LRUPayloadCache.is_miss(cached):
-                    captured.setdefault(chain_ids[index], cached)
-                    start = index
-                    break
-            trimmed[object_id] = chain_ids[start:]
+        trimmed: dict[str, list[str]] = {}
+        for object_id, (ids, anchor, payload) in trims.items():
+            if anchor is not None:
+                captured.setdefault(anchor, payload)
+            trimmed[object_id] = ids
 
         # A node can enter the tree both as a trim-point root (one chain
         # found it cached) and as an interior node of a longer untrimmed
@@ -510,7 +588,7 @@ class BatchMaterializer:
         for kids in children.values():
             kids.sort()
 
-        requested = set(chains)
+        requested = set(tips)
         payloads: dict[str, Any] = {}
         node_cost: dict[str, float] = {}
         node_is_delta_replay: dict[str, bool] = {}
@@ -560,13 +638,13 @@ class BatchMaterializer:
 
         charged: set[str] = set()
         materialized: dict[str, BatchItem] = {}
-        for object_id, chain_ids in chains.items():
+        for object_id, stats in tips.items():
             paid = 0.0
             deltas_applied = 0
             suffix = trimmed[object_id]
             # Nodes above the trim point were served by the cached ancestor,
             # never this request; only the traversed suffix can be charged.
-            cache_hits = len(chain_ids) - len(suffix)
+            cache_hits = stats.length - len(suffix)
             for oid in suffix:
                 if oid in charged:
                     cache_hits += 1
@@ -582,8 +660,8 @@ class BatchMaterializer:
                 key=object_id,
                 object_id=object_id,
                 payload=payloads[object_id],
-                chain_length=len(chain_ids) - 1,
-                predicted_cost=self.store.chain_stats(object_id).phi_total,
+                chain_length=stats.length - 1,
+                predicted_cost=stats.phi_total,
                 recreation_cost=paid,
                 deltas_applied=deltas_applied,
                 cache_hits=cache_hits,

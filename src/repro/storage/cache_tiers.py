@@ -40,6 +40,13 @@ _SPILL_SUFFIX = ".spill"
 _COMPRESSION_LEVEL = 1
 
 
+def _keys_changed(victim_cost: Any, key: str | None) -> None:
+    """Tell a memoizing scorer the cache's key set changed (lock held)."""
+    forget = getattr(victim_cost, "forget", None)
+    if forget is not None:
+        forget(key)
+
+
 class LRUPayloadCache:
     """A bounded least-recently-used cache of object-id → payload.
 
@@ -54,9 +61,15 @@ class LRUPayloadCache:
     otherwise-uncached chains are worth more than payloads one delta away
     from a cached base, even when touched less recently.  ``victim_cost``
     returning ``None`` marks an entry unpriceable (e.g. its chain left the
-    store's index after a repack) — those evict first.  The callback is
-    invoked while the cache lock is held; it may take other locks but must
-    never call back into this cache except through ``__contains__``.
+    store's index after a repack) — those evict first.  The callback runs
+    outside the cache lock and may call back into the cache only through
+    ``__contains__``.  Its contract: a key's price may change only when the
+    cache's key set changes or the scorer's own source (the store's index)
+    drops an entry.  A scorer that memoizes prices on that contract
+    defines ``forget(key)``, which the cache calls after every change of
+    its key set — the inserted or evicted key, or ``None`` after
+    :meth:`clear` — while holding its lock, so ``forget`` must take no lock
+    that is held around a call into the cache.
 
     **Admission.**  With ``victim_cost`` set, the same ranking is applied
     at the door: once the cache is full, a payload whose marginal rebuild
@@ -104,8 +117,11 @@ class LRUPayloadCache:
         with self._lock:
             if self.capacity <= 0:
                 return
+            added = key not in self._entries
             self._entries[key] = payload
             self._entries.move_to_end(key)
+            if added:
+                _keys_changed(self.victim_cost, key)
             if len(self._entries) <= self.capacity:
                 return
             if self.victim_cost is None:
@@ -229,11 +245,12 @@ class LRUPayloadCache:
                     else:
                         self.lru_evictions += 1
                     del self._entries[victim]
+                    _keys_changed(self.victim_cost, victim)
                     if len(self._entries) <= self.capacity:
                         return
         with self._lock:
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                _keys_changed(self.victim_cost, self._entries.popitem(last=False)[0])
                 self.lru_evictions += 1
 
     def __contains__(self, key: str) -> bool:
@@ -247,6 +264,7 @@ class LRUPayloadCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            _keys_changed(self.victim_cost, None)
 
     @staticmethod
     def is_miss(value: Any) -> bool:
@@ -356,6 +374,7 @@ class SpillTier:
         size = self._index.pop(key, None)
         if size is not None:
             self.bytes_used -= size
+            _keys_changed(self.victim_cost, key)
 
     def put(self, key: str, payload: Any) -> None:
         if self.max_bytes <= 0:
@@ -410,6 +429,7 @@ class SpillTier:
             self._index[key] = len(data)
             self.bytes_used += len(data)
             self.spills += 1
+            _keys_changed(self.victim_cost, key)
             over = self.bytes_used > self.max_bytes
         if over:
             self._evict()
@@ -478,6 +498,7 @@ class SpillTier:
             keys = list(self._index)
             self._index.clear()
             self.bytes_used = 0
+            _keys_changed(self.victim_cost, None)
         for key in keys:
             try:
                 os.unlink(self._path(key))

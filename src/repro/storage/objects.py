@@ -23,7 +23,11 @@ filled at *write* time — every ``put_full``/``put_delta`` records its entry
 pricing questions (``chain_ids``, ``chain_stats``, ``chain_root``) are
 answered from this index with pure dictionary walks: no payload is
 replayed, and for a store whose objects were all committed through it, no
-backend read happens at all.  This is what lets the repacker and the
+backend read happens at all.  Walks stop early wherever they can: chain
+totals and stripe keys are memoized per object and extended from the
+nearest memoized ancestor, and ``cached_suffix`` walks a chain only down
+to its deepest cached link, so a checkout's bookkeeping costs its replayed
+suffix, not its depth.  This is what lets the repacker and the
 serving stats price plans without scanning payloads under a lock, and what
 gives the serving layer a stable per-chain key (the chain's root object)
 for its striped locks.  All index state is guarded by one internal
@@ -156,6 +160,14 @@ class ObjectStore:
         # locks on the deepest fork's branches instead of the chain root,
         # so fork-fan graphs stop serializing on their common ancestor.
         self._children: dict[str, set[str]] = {}
+        # Memoized subtree_stripe_key answers.  Dropped with the chain
+        # totals, and whenever a node gains its second child (the keys of
+        # its existing subtree move below the new fork point).
+        self._stripes: dict[str, str] = {}
+        # Index entries dropped so far: a caller memoizing anything derived
+        # from the index (the cache's victim prices) compares it to know
+        # its memo may describe links that are gone.
+        self.index_drops = 0
         # The measured side of the cost index: per-object EWMA of actual
         # rebuild seconds (fetch + delta apply), recorded by replay paths,
         # plus running totals that fit a global seconds-per-Φ rate.  Like
@@ -221,19 +233,7 @@ class ObjectStore:
         with self._index_lock:
             self._observed.pop(object_id, None)
             self._children.pop(object_id, None)
-            meta = self._meta.pop(object_id, None)
-            if meta is not None:
-                # Chain totals memoized for *descendant* tips route through
-                # the removed object; there is no reverse index to find
-                # them, so drop the whole memo — per-object metadata stays,
-                # and live tips rebuild their totals with dictionary walks.
-                self._chain_stats.clear()
-                if meta.base_id is not None:
-                    siblings = self._children.get(meta.base_id)
-                    if siblings is not None:
-                        siblings.discard(object_id)
-                        if not siblings:
-                            del self._children[meta.base_id]
+            self._drop_meta(object_id)
 
     # ------------------------------------------------------------------ #
     # reading
@@ -295,8 +295,7 @@ class ObjectStore:
                 keys.add(object_id)
                 continue
             with self._index_lock:
-                if self._meta.pop(object_id, None) is not None:
-                    self._chain_stats.clear()  # see remove()
+                self._drop_meta(object_id)
         with self._index_lock:
             missing = keys - self._meta.keys()
         for object_id in missing:
@@ -346,20 +345,78 @@ class ObjectStore:
     # ------------------------------------------------------------------ #
     # the incremental cost index
     # ------------------------------------------------------------------ #
-    def cached_chain_ids(self, object_id: str) -> tuple[str, ...] | None:
-        """The root-first chain of ``object_id`` if the index can answer it
-        without any backend read; ``None`` when some link is unknown."""
+    def cached_suffix(
+        self,
+        object_id: str,
+        cached: Callable[[str], bool],
+        *,
+        backfill: bool = True,
+    ) -> tuple[list[tuple[str, ObjectMeta]], str | None] | None:
+        """Walk ``object_id``'s chain tip-first to its deepest cached link.
+
+        ``cached`` is asked about ``object_id`` first and then about each
+        ancestor in turn, once each, until it answers true: that id is the
+        *anchor*.  Returns ``(suffix, anchor)`` — the tip-first ``(id,
+        meta)`` links walked before the anchor, and the anchor (``None``
+        when the walk went past the chain root).  The cost is the suffix,
+        not the chain: the index lock is taken once per run of indexed
+        links (runs start at four links and double, so at most twice the
+        suffix plus three links are looked up), never across a ``cached``
+        call.
+
+        An unknown link is backfilled by reading the object (an absent one
+        raises :class:`~repro.exceptions.ObjectNotFoundError`); with
+        ``backfill=False`` the walk reads nothing and returns ``None``
+        instead.  A chain longer than the index is a cycle, which raises
+        (or returns ``None`` without backfill).
+        """
+        suffix: list[tuple[str, ObjectMeta]] = []
+        run: list[tuple[str, ObjectMeta]] = []
+        position = end = 0
+        run_length = 4
+        current = object_id
+        while not cached(current):
+            if position == end:
+                if len(suffix) > len(self._meta):
+                    if not backfill:
+                        return None
+                    raise ObjectNotFoundError(
+                        f"delta chain of {object_id!r} contains a cycle"
+                    )
+                run = self._index_run(current, run_length)
+                position = 0
+                run_length *= 2
+                if not run:
+                    if not backfill:
+                        return None
+                    self.get(current)  # raises ObjectNotFoundError if absent
+                    run = self._index_run(current, run_length)
+                    if not run:  # pragma: no cover - removed by a peer
+                        raise ObjectNotFoundError(current)
+                end = len(run)
+            link = run[position]
+            position += 1
+            suffix.append(link)
+            current = link[1].base_id
+            if current is None:
+                return suffix, None
+        return suffix, current
+
+    def _index_run(self, object_id: str, limit: int) -> list[tuple[str, ObjectMeta]]:
+        """Up to ``limit`` consecutive indexed links from ``object_id``
+        toward the root, under one hold of the index lock."""
+        run: list[tuple[str, ObjectMeta]] = []
+        current: str | None = object_id
         with self._index_lock:
-            reversed_chain: list[str] = []
-            current_id: str | None = object_id
-            while current_id is not None:
-                meta = self._meta.get(current_id)
-                if meta is None or len(reversed_chain) > len(self._meta):
-                    return None
-                reversed_chain.append(current_id)
-                current_id = meta.base_id
-        reversed_chain.reverse()
-        return tuple(reversed_chain)
+            for _ in range(limit):
+                meta = self._meta.get(current)
+                if meta is None:
+                    break
+                run.append((current, meta))
+                current = meta.base_id
+                if current is None:
+                    break
+        return run
 
     def chain_ids(self, object_id: str) -> tuple[str, ...]:
         """The root-first id chain of ``object_id``, from the index.
@@ -367,58 +424,52 @@ class ObjectStore:
         Unknown links are backfilled by reading the object; links already
         indexed cost a dictionary lookup only.
         """
-        reversed_chain: list[str] = []
-        seen: set[str] = set()
-        current_id: str | None = object_id
-        while current_id is not None:
-            with self._index_lock:
-                meta = self._meta.get(current_id)
-            if meta is None:
-                self.get(current_id)  # raises ObjectNotFoundError if absent
-                with self._index_lock:
-                    meta = self._meta[current_id]
-            if current_id in seen:
-                raise ObjectNotFoundError(
-                    f"delta chain of {object_id!r} contains a cycle"
-                )
-            seen.add(current_id)
-            reversed_chain.append(current_id)
-            current_id = meta.base_id
-        reversed_chain.reverse()
-        return tuple(reversed_chain)
+        suffix, _ = self.cached_suffix(object_id, _never)
+        return tuple(oid for oid, _meta in reversed(suffix))
 
     def chain_stats(self, object_id: str) -> ChainStats:
         """Aggregate Φ/delta-count pricing of ``object_id``'s chain.
 
-        Memoized per tip (and for every prefix of the walked chain, since
-        each prefix is a chain in its own right); content addressing makes
-        the memo permanently valid until the object is removed.
+        Memoized for every link a computation walks, since each is the tip
+        of a chain in its own right; content addressing keeps the memo
+        valid until an object is removed.  A tip whose ancestors are
+        memoized walks only down to the nearest of them, and extends its
+        totals in the same root-first order a full walk sums them in.
         """
-        with self._index_lock:
-            cached = self._chain_stats.get(object_id)
-        if cached is not None:
-            return cached
-        ids = self.chain_ids(object_id)
-        with self._index_lock:
-            phi_total = 0.0
-            num_deltas = 0
-            stats = None
-            for index, oid in enumerate(ids):
-                meta = self._meta.get(oid)
-                if meta is None:  # pragma: no cover - peer removed mid-walk
-                    raise ObjectNotFoundError(oid)
-                phi_total += meta.phi
-                if meta.is_delta:
-                    num_deltas += 1
-                stats = ChainStats(
-                    root_id=ids[0],
-                    length=index + 1,
-                    num_deltas=num_deltas,
-                    phi_total=phi_total,
-                )
-                self._chain_stats.setdefault(oid, stats)
-            assert stats is not None
-            return stats
+        while True:
+            with self._index_lock:
+                cached = self._chain_stats.get(object_id)
+                drops = self.index_drops
+            if cached is not None:
+                return cached
+            suffix, anchor = self.cached_suffix(
+                object_id, self._chain_stats.__contains__
+            )
+            with self._index_lock:
+                if self.index_drops != drops:
+                    continue  # a walked link or the memo went mid-walk
+                base = self._chain_stats[anchor] if anchor is not None else None
+                if base is None:
+                    root_id, length, num_deltas = suffix[-1][0], 0, 0
+                    phi_total = 0.0
+                else:
+                    root_id, length = base.root_id, base.length
+                    num_deltas, phi_total = base.num_deltas, base.phi_total
+                stats = base
+                for oid, meta in reversed(suffix):
+                    length += 1
+                    phi_total += meta.phi
+                    if meta.is_delta:
+                        num_deltas += 1
+                    stats = ChainStats(
+                        root_id=root_id,
+                        length=length,
+                        num_deltas=num_deltas,
+                        phi_total=phi_total,
+                    )
+                    self._chain_stats.setdefault(oid, stats)
+                assert stats is not None
+                return stats
 
     def chain_root(self, object_id: str) -> str:
         """Root full object of ``object_id``'s chain (the lock-striping key)."""
@@ -441,30 +492,28 @@ class ObjectStore:
 
         Walks the base links of the index only (no backend read): the sum
         of Φ contributions from ``object_id`` down to — exclusive — its
-        deepest ancestor for which ``cached`` returns true (or the chain
-        root when none is).  This is the *marginal* recreation cost of one
-        cache entry: what a request would re-pay if exactly this payload
-        were evicted while the rest of the cache stayed put — the metric
-        the warm cost model prices requests with and the cost-aware cache
-        ranks eviction victims by.  Returns ``None`` when some link is not
-        indexed yet (callers fall back to plain LRU ordering).
+        deepest proper ancestor for which ``cached`` returns true (or the
+        chain root when none is), added link by link from the tip.  This
+        is the *marginal* recreation cost of one cache entry: what a
+        request would re-pay if exactly this payload were evicted while
+        the rest of the cache stayed put — the metric the cost-aware cache
+        ranks admissions and eviction victims by.  Returns ``None`` when
+        some link is not indexed yet (callers fall back to plain LRU
+        ordering).
 
         ``cached`` may take its own lock; the index lock is never held
-        across the callback, so a cache holding its lock while scoring
-        victims cannot deadlock against index writers.
+        across the callback.
         """
+        walk = self.cached_suffix(
+            object_id,
+            lambda oid: oid != object_id and cached(oid),
+            backfill=False,
+        )
+        if walk is None:
+            return None
         cost = 0.0
-        current: str | None = object_id
-        seen: set[str] = set()
-        while current is not None:
-            meta = self.meta(current)
-            if meta is None or current in seen:
-                return None
-            seen.add(current)
+        for _oid, meta in walk[0]:
             cost += meta.phi
-            current = meta.base_id
-            if current is not None and cached(current):
-                break
         return cost
 
     # -- the measured Δ/Φ model ---------------------------------------- #
@@ -527,24 +576,39 @@ class ObjectStore:
         which actually contend (they replay overlapping chain suffixes)
         while separating requests that do not.  Keying on the chain *root*
         serializes every tip of a fork-heavy graph on its common ancestor;
-        this method instead walks the indexed chain root-first and keys on
-        the chain node just **below the deepest fork point** (the deepest
-        ancestor with two or more indexed children) — i.e. the root of the
-        tip's own subtree.  Linear chains degenerate to their root, exactly
-        the old behavior.  Pure dictionary walks, no backend read; returns
-        ``None`` when some link is not indexed yet (callers fall back to
-        the object id itself).
+        this key is instead the chain node just **below the deepest fork
+        point** (the deepest ancestor with two or more indexed children) —
+        i.e. the root of the tip's own subtree.  Linear chains degenerate
+        to their root.  Defined link by link — a node is its own key when
+        its base is a fork point and shares its base's key otherwise; a
+        root is its own key — and memoized per node, so a tip walks only
+        down to the nearest memoized ancestor.  Pure dictionary walks, no
+        backend read; returns ``None`` when some link is not indexed yet
+        (callers fall back to the object id itself).
         """
-        chain = self.cached_chain_ids(object_id)
-        if chain is None:
-            return None
-        key = chain[0]
         with self._index_lock:
-            for index in range(len(chain) - 1):
-                children = self._children.get(chain[index])
-                if children is not None and len(children) >= 2:
-                    key = chain[index + 1]
-        return key
+            key = self._stripes.get(object_id)
+            if key is not None:
+                return key
+            unkeyed: list[tuple[str, ObjectMeta]] = []
+            current = object_id
+            while key is None:
+                meta = self._meta.get(current)
+                if meta is None or len(unkeyed) > len(self._meta):
+                    return None
+                unkeyed.append((current, meta))
+                if meta.base_id is None:
+                    key = current
+                else:
+                    current = meta.base_id
+                    key = self._stripes.get(current)
+            for oid, meta in reversed(unkeyed):
+                if meta.base_id is not None and len(
+                    self._children.get(meta.base_id, ())
+                ) >= 2:
+                    key = oid
+                self._stripes[oid] = key
+            return key
 
     # ------------------------------------------------------------------ #
     # internals
@@ -602,4 +666,34 @@ class ObjectStore:
         with self._index_lock:
             stored = self._meta.setdefault(obj.object_id, meta)
             if stored is meta and meta.base_id is not None:
-                self._children.setdefault(meta.base_id, set()).add(obj.object_id)
+                siblings = self._children.setdefault(meta.base_id, set())
+                siblings.add(obj.object_id)
+                if len(siblings) == 2:
+                    self._stripes.clear()  # a new fork point
+
+    def _drop_meta(self, object_id: str) -> ObjectMeta | None:
+        """Forget ``object_id``'s index entry (index lock held).
+
+        The object also leaves its base's children, so a fork point whose
+        branch is gone stops counting it.  Chain totals and stripe keys
+        memoized for *descendant* tips route through the dropped object;
+        there is no reverse index to find them, so both memos go whole —
+        per-object metadata stays, and live tips rebuild them with
+        dictionary walks.
+        """
+        meta = self._meta.pop(object_id, None)
+        if meta is not None:
+            self._chain_stats.clear()
+            self._stripes.clear()
+            self.index_drops += 1
+            if meta.base_id is not None:
+                siblings = self._children.get(meta.base_id)
+                if siblings is not None:
+                    siblings.discard(object_id)
+                    if not siblings:
+                        del self._children[meta.base_id]
+        return meta
+
+
+def _never(_object_id: str) -> bool:
+    return False

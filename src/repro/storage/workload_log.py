@@ -469,16 +469,31 @@ class WorkloadLog:
             return {}
         return vector
 
-    def snapshot(self) -> dict[str, object]:
-        """JSON-ready summary for the service's ``stats`` endpoint."""
+    def stats_views(
+        self, version_ids: Sequence[VersionID] | None
+    ) -> tuple[dict[str, object], dict[VersionID, float], dict[VersionID, float]]:
+        """What the service's ``stats`` endpoint reports, from one read.
+
+        Returns the JSON-ready summary, then :meth:`frequencies` and
+        :meth:`decayed_frequencies` over ``version_ids`` — all three from a
+        single ``workload_state()`` of the store (one table read on the
+        catalog, one lock/fold round on a file).
+        """
         state = self._store.workload_state()
-        return {
+        decayed = _decay_to_now(state, self.half_life)
+        summary: dict[str, object] = {
             "path": self.path,
             "total_accesses": state[2],
             "distinct_versions": len(state[0]),
             "half_life": self.half_life,
-            "decayed_total": float(sum(_decay_to_now(state, self.half_life).values())),
+            "decayed_total": float(sum(decayed.values())),
         }
+        raw = {vid: float(count) for vid, count in state[0].items()}
+        return (
+            summary,
+            self._vector(raw, version_ids, 0.0),
+            self._vector(decayed, version_ids, 0.0),
+        )
 
     def clear(self) -> None:
         """Forget every recorded access (and remove a log file)."""

@@ -62,9 +62,13 @@ class TestObjectStore:
         base_id = writer.put_full(["a", "b"])
         leaf_id = writer.put_delta(base_id, encoder.diff(["a", "b"], ["a", "c"]))
         reader = ObjectStore(directory=directory)
-        assert reader.cached_chain_ids(leaf_id) is None
+        # The index answers nothing it has not been told: no key, no meta.
+        assert reader.subtree_stripe_key(leaf_id) is None
+        assert reader.meta(leaf_id) is None and reader.meta(base_id) is None
         reader.get_many([base_id, leaf_id])
-        assert reader.cached_chain_ids(leaf_id) == (base_id, leaf_id)
+        assert reader.meta(leaf_id).base_id == base_id
+        assert reader.meta(base_id).base_id is None
+        assert reader.subtree_stripe_key(leaf_id) == base_id
 
     def test_get_missing_raises(self):
         with pytest.raises(ObjectNotFoundError):

@@ -215,7 +215,7 @@ class TestCostAwareEviction:
         engine.materialize(repo.object_id_of(vids[-1]))
         # Every cached entry must be priceable through the store's index.
         for key in list(engine.cache._entries):
-            cost = engine._marginal_payload_cost(key)
+            cost = engine.cache.victim_cost(key)
             assert cost is not None and cost >= 0.0
 
     def test_marginal_cost_is_suffix_below_deepest_cached_ancestor(self):
@@ -231,13 +231,13 @@ class TestCostAwareEviction:
         chain = repo.store.chain_ids(tip_oid)
         # With its base cached, a delta's marginal cost is its own phi.
         tip_meta = repo.store.meta(chain[-1])
-        assert engine._marginal_payload_cost(chain[-1]) == pytest.approx(
+        assert engine.cache.victim_cost(chain[-1]) == pytest.approx(
             tip_meta.phi
         )
         # Strip the cache: the tip's marginal cost grows to the full chain.
         engine.clear_cache()
         full = repo.store.chain_stats(tip_oid).phi_total
-        assert engine._marginal_payload_cost(chain[-1]) == pytest.approx(full)
+        assert engine.cache.victim_cost(chain[-1]) == pytest.approx(full)
 
     def test_cost_eviction_preserves_expensive_chain_payloads(self):
         """Under pressure, the cost-aware cache keeps the deep chain's

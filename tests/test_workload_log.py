@@ -192,6 +192,50 @@ class TestServiceIntegration:
         restarted.checkout(vids[0])
         assert restarted.workload_log.counts()[vids[0]] == 3
 
+    @pytest.mark.parametrize("on_file", [False, True], ids=["memory", "file"])
+    def test_stats_reads_the_workload_state_once(self, tmp_path, on_file):
+        """One ``/stats`` is one ``workload_state()`` read of the store —
+        the summary and both frequency vectors come from that one state."""
+
+        class CountingStore:
+            def __init__(self, inner) -> None:
+                self.inner = inner
+                self.reads = 0
+
+            def workload_record(self, entries, half_life):
+                self.inner.workload_record(entries, half_life)
+
+            def workload_state(self, half_life=None):
+                self.reads += 1
+                return self.inner.workload_state(half_life)
+
+            def workload_clear(self):
+                self.inner.workload_clear()
+
+        repo = Repository(cache_size=0)
+        payload = [f"row,{i}" for i in range(20)]
+        vids = [repo.commit(payload)]
+        for step in range(1, 4):
+            payload = payload + [f"a,{step}"]
+            vids.append(repo.commit(payload))
+        log = WorkloadLog(str(tmp_path / "workload.log") if on_file else None)
+        store = log._store = CountingStore(log._store)
+        service = VersionStoreService(repo, workload_log=log)
+        for vid in (vids[0], vids[0], vids[2]):
+            service.checkout(vid)
+        store.reads = 0
+        stats = service.stats()["workload"]
+        assert store.reads == 1
+        assert stats["total_accesses"] == 3
+        assert stats["distinct_versions"] == 2
+        assert stats["decayed_total"] == pytest.approx(
+            sum(log.decayed_counts().values())
+        )
+        frequencies = log.frequencies(repo.graph.version_ids)
+        assert stats["expected_recreation_cost"]["weight"] == pytest.approx(
+            sum(frequencies.values())
+        )
+
     def test_coalesced_requests_count_as_accesses(self):
         repo = Repository(cache_size=0)
         payload = [f"row,{i}" for i in range(50)]
@@ -326,7 +370,7 @@ class TestDecayingView:
     def test_snapshot_reports_half_life(self):
         log = WorkloadLog(half_life=42.0)
         log.record("v0", count=3)
-        snapshot = log.snapshot()
+        snapshot, _raw, _decayed = log.stats_views(None)
         assert snapshot["half_life"] == 42.0
         assert snapshot["decayed_total"] == pytest.approx(3.0)
 
