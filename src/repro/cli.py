@@ -69,6 +69,7 @@ from .bench.harness import format_table
 from .core.problems import default_threshold, solve
 from .delta.line_diff import LineDiffEncoder
 from .exceptions import ReproError
+from .storage.backends import open_backend
 from .storage.repository import Repository
 from .storage.workload_log import WorkloadLog
 
@@ -98,47 +99,16 @@ def open_workload_log(
     )
 
 
-def _resolve_backend_spec(spec: str, directory: str) -> str:
-    """Anchor relative ``file://`` / ``zip://`` paths inside the repository.
+def _anchor_spec(spec: str, base: str) -> str:
+    """``spec`` with a relative filesystem path anchored at directory ``base``.
 
-    Composite ``shard://N/CHILDSPEC`` specs anchor their *child* spec.
+    A bare path is read as ``file://PATH``; pathless specs pass unchanged.
     """
     if "://" not in spec:
         spec = f"file://{spec}"
     scheme, _, path = spec.partition("://")
-    if scheme == "shard":
-        count, sep, child = path.partition("/")
-        if sep and child:
-            return f"{scheme}://{count}/{_resolve_backend_spec(child, directory)}"
-        return spec  # malformed — open_backend reports the proper error
     if path and not os.path.isabs(path):
-        path = os.path.join(directory, path)
-    return f"{scheme}://{path}"
-
-
-def _absolutize_spec(spec: str) -> str:
-    """Absolutize every filesystem path inside ``spec`` (shard children too).
-
-    Used when persisting a hand-built repository: the state file is later
-    resolved against the repository directory, so any cwd-relative path
-    must be pinned down now or the reload points at the wrong store.
-    """
-    if "://" not in spec:
-        spec = f"file://{spec}"
-    scheme, _, path = spec.partition("://")
-    if scheme == "shard":
-        count, sep, child = path.partition("/")
-        if not (count.isdigit() and sep and child):
-            raise ReproError(
-                f"backend spec {spec!r} cannot be reopened; construct the "
-                "sharded backend from a 'shard://N/CHILDSPEC' spec to "
-                "persist this repository"
-            )
-        return f"{scheme}://{count}/{_absolutize_spec(child)}"
-    if scheme == "memory":
-        return spec
-    if path and not os.path.isabs(path):
-        path = os.path.abspath(path)
+        path = os.path.join(base, path)
     return f"{scheme}://{path}"
 
 
@@ -147,19 +117,13 @@ def _require_persistent(backend_spec: str) -> str:
 
     Every CLI invocation is a separate process: a memory-backed store would
     lose the object bytes while ``repro_state.json`` keeps claiming they
-    exist, silently corrupting the repository.  Sharded specs are checked
-    at their leaves — ``shard://2/memory://`` is just as volatile.
+    exist, silently corrupting the repository.
     """
-    scheme, _, path = backend_spec.partition("://")
-    if scheme == "memory":
+    if backend_spec.partition("://")[0] == "memory":
         raise ReproError(
             "memory:// cannot back a persisted CLI repository; "
             "use file://PATH or zip://PATH"
         )
-    if scheme == "shard":
-        _, sep, child = path.partition("/")
-        if sep and child:
-            _require_persistent(child if "://" in child else f"file://{child}")
     return backend_spec
 
 
@@ -172,13 +136,10 @@ def save_repository(repo: Repository, directory: str) -> None:
     if backend_spec is None:
         # Fall back to the store's actual spec (not the CLI default) so a
         # hand-built Repository saved through this helper reloads against
-        # the backend that really holds its objects.  The spec may carry
-        # cwd-relative paths (including inside shard children);
-        # load_repository resolves relative paths against the repository
-        # directory, so absolutize everything here.  Hand-built sharded
-        # backends without a reopenable spec are rejected loudly rather
-        # than persisted as a state file no process could ever open.
-        backend_spec = _absolutize_spec(repo.store.backend.spec())
+        # the backend that really holds its objects.  The spec may carry a
+        # cwd-relative path; load_repository resolves relative paths
+        # against the repository directory, so pin it to the cwd here.
+        backend_spec = _anchor_spec(repo.store.backend.spec(), os.getcwd())
     state_path = os.path.join(directory, _STATE_FILE)
     if repo.catalog is not None:
         # The sqlite:// catalog is the authoritative metadata store; the
@@ -229,7 +190,7 @@ def load_repository(directory: str) -> Repository:
     backend_spec = state.get("backend", _DEFAULT_BACKEND)
     repo = Repository(
         encoder=LineDiffEncoder(),
-        backend=_resolve_backend_spec(backend_spec, directory),
+        backend=_anchor_spec(backend_spec, directory),
     )
     repo.backend_spec = backend_spec
     if repo.catalog is not None:
@@ -259,12 +220,18 @@ def load_repository(directory: str) -> Repository:
 
 
 def _init_repository(directory: str, backend_spec: str = _DEFAULT_BACKEND) -> Repository:
+    if os.path.exists(os.path.join(directory, _STATE_FILE)):
+        # Rewriting the state file would drop every committed version and
+        # orphan its objects.
+        raise ReproError(
+            f"{directory!r} is already a repro repository ({_STATE_FILE} exists)"
+        )
     _require_persistent(backend_spec)
+    # Open the backend before creating the directory, so a rejected spec
+    # leaves nothing behind.
+    backend = open_backend(_anchor_spec(backend_spec, directory))
     os.makedirs(directory, exist_ok=True)
-    repo = Repository(
-        encoder=LineDiffEncoder(),
-        backend=_resolve_backend_spec(backend_spec, directory),
-    )
+    repo = Repository(encoder=LineDiffEncoder(), backend=backend)
     repo.backend_spec = backend_spec
     save_repository(repo, directory)
     return repo

@@ -1,7 +1,7 @@
 """The prototype version-management system (DataHub-style).
 
 * :mod:`~repro.storage.backends` — pluggable keyed blob stores
-  (``memory://``, ``file://``, ``zip://``, ``shard://``, ``sqlite://``)
+  (``memory://``, ``file://``, ``zip://``, ``sqlite://``)
   the object store delegates to;
 * :mod:`~repro.storage.objects` — content-addressed store for full objects
   and deltas, with an incremental cost index (per-chain Φ totals and delta
@@ -35,10 +35,8 @@ from .backends import (
     CompressedFilesystemBackend,
     FilesystemBackend,
     MemoryBackend,
-    ShardedBackend,
     StorageBackend,
     open_backend,
-    register_backend,
 )
 from .batch import BatchItem, BatchMaterializer, BatchResult, WarmChainCost
 from .cache_tiers import LRUPayloadCache
@@ -62,10 +60,8 @@ __all__ = [
     "CompressedFilesystemBackend",
     "FilesystemBackend",
     "MemoryBackend",
-    "ShardedBackend",
     "StorageBackend",
     "open_backend",
-    "register_backend",
     "BatchItem",
     "BatchMaterializer",
     "BatchResult",

@@ -7,7 +7,7 @@ for durability, compressed files for cold archives), so the *where* is now a
 :class:`StorageBackend` — a minimal keyed blob interface the object store
 delegates to.
 
-Five implementations are selectable with a URI-style spec understood by
+Four implementations are selectable with a URI-style spec understood by
 :func:`open_backend`:
 
 * ``memory://``   — :class:`MemoryBackend`, objects held in a dict;
@@ -15,13 +15,10 @@ Five implementations are selectable with a URI-style spec understood by
   (the on-disk layout of the historical ``ObjectStore(directory=...)``);
 * ``zip://PATH``  — :class:`CompressedFilesystemBackend`, one
   zlib-compressed pickle per object;
-* ``shard://N/CHILDSPEC`` — :class:`ShardedBackend`, keys routed across
-  ``N`` child backends by key hash (``shard://4/file:///data/objects``
-  opens four ``FilesystemBackend`` shards under ``/data/objects``);
 * ``sqlite://PATH`` — objects *and* the transactional metadata catalog in
   one SQLite database (provided by :mod:`repro.storage.catalog`,
-  registered lazily on first use) — the backend that lets several
-  processes share one store.
+  imported on first use) — the backend that lets several processes share
+  one store.
 
 Backends deliberately know nothing about full objects, deltas or chains —
 they store opaque values under string keys.  All versioning semantics stay
@@ -31,8 +28,6 @@ in :mod:`repro.storage.objects`.
 from __future__ import annotations
 
 import abc
-import hashlib
-import importlib
 import os
 import pickle
 import threading
@@ -46,10 +41,8 @@ __all__ = [
     "MemoryBackend",
     "FilesystemBackend",
     "CompressedFilesystemBackend",
-    "ShardedBackend",
     "BackendSpecError",
     "open_backend",
-    "register_backend",
 ]
 
 
@@ -248,10 +241,7 @@ class CompressedFilesystemBackend(FilesystemBackend):
 
     scheme = "zip"
     extension = ".objz"
-
-    def __init__(self, directory: str, *, level: int = 6) -> None:
-        super().__init__(directory)
-        self.level = int(level)
+    level = 6  # zlib compression level
 
     def _encode(self, value: Any) -> bytes:
         return zlib.compress(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL), self.level)
@@ -260,112 +250,11 @@ class CompressedFilesystemBackend(FilesystemBackend):
         return pickle.loads(zlib.decompress(data))
 
 
-class ShardedBackend(StorageBackend):
-    """Keys routed across N child backends by a stable hash of the key.
-
-    The shard of a key is derived from a SHA-256 of the key itself (not
-    Python's salted ``hash``), so the same key always lands on the same
-    shard across processes and restarts — a prerequisite for pointing
-    several serving processes at one sharded store.
-
-    ``open_backend`` understands ``shard://N/CHILDSPEC``: ``N`` child
-    backends are opened from ``CHILDSPEC``, with ``shard-XX`` appended to
-    path-carrying child specs (``shard://4/zip:///data/objects`` creates
-    ``/data/objects/shard-00`` … ``shard-03``) and pathless specs opened
-    fresh per shard (``shard://8/memory://`` is eight independent dicts).
-    """
-
-    scheme = "shard"
-
-    def __init__(
-        self, shards: Sequence[StorageBackend], *, spec_path: str | None = None
-    ) -> None:
-        shards = list(shards)
-        if not shards:
-            raise BackendSpecError("shard:// backend requires at least one shard")
-        self.shards = shards
-        self._spec_path = spec_path
-
-    @classmethod
-    def from_spec(cls, path: str) -> "ShardedBackend":
-        """Open ``shard://N/CHILDSPEC`` (the part after ``shard://``)."""
-        count_text, sep, child_spec = path.partition("/")
-        try:
-            count = int(count_text)
-        except ValueError:
-            count = 0
-        if not sep or not child_spec or count < 1:
-            raise BackendSpecError(
-                f"shard spec must look like shard://N/CHILDSPEC with N >= 1, "
-                f"got {('shard://' + path)!r}"
-            )
-        if "://" not in child_spec:
-            child_spec = f"file://{child_spec}"
-        child_scheme, _, child_path = child_spec.partition("://")
-        if child_scheme == cls.scheme:
-            raise BackendSpecError("shard:// children cannot themselves be shard://")
-        shards = []
-        for index in range(count):
-            if child_path:
-                shards.append(
-                    open_backend(f"{child_scheme}://{child_path}/shard-{index:02d}")
-                )
-            else:
-                shards.append(open_backend(f"{child_scheme}://"))
-        return cls(shards, spec_path=path)
-
-    def shard_for(self, key: str) -> int:
-        """Index of the shard responsible for ``key`` (stable across runs)."""
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % len(self.shards)
-
-    def put(self, key: str, value: Any) -> None:
-        self.shards[self.shard_for(key)].put(key, value)
-
-    def get(self, key: str) -> Any:
-        return self.shards[self.shard_for(key)].get(key)
-
-    def delete(self, key: str) -> None:
-        self.shards[self.shard_for(key)].delete(key)
-
-    def keys(self) -> Iterator[str]:
-        for shard in self.shards:
-            yield from shard.keys()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.shards[self.shard_for(key)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def spec(self) -> str:
-        if self._spec_path is not None:
-            return f"{self.scheme}://{self._spec_path}"
-        children = ",".join(shard.spec() for shard in self.shards)
-        return f"{self.scheme}://[{children}]"
-
-
 _BACKENDS: dict[str, type[StorageBackend]] = {
     MemoryBackend.scheme: MemoryBackend,
     FilesystemBackend.scheme: FilesystemBackend,
     CompressedFilesystemBackend.scheme: CompressedFilesystemBackend,
-    ShardedBackend.scheme: ShardedBackend,
 }
-
-# Schemes provided by modules that must not be imported eagerly (the
-# catalog module imports this one, so registering its SQLiteBackend here
-# would be a cycle).  open_backend imports the module on first use, whose
-# import-time register_backend() call fills _BACKENDS.
-_LAZY_BACKEND_MODULES: dict[str, str] = {
-    "sqlite": "repro.storage.catalog",
-}
-
-
-def register_backend(backend_cls: type[StorageBackend]) -> None:
-    """Register ``backend_cls`` under its ``scheme`` for :func:`open_backend`."""
-    if not backend_cls.scheme:
-        raise BackendSpecError(f"{backend_cls.__name__} declares no scheme")
-    _BACKENDS[backend_cls.scheme] = backend_cls
 
 
 def open_backend(spec: str | StorageBackend | None) -> StorageBackend:
@@ -376,7 +265,6 @@ def open_backend(spec: str | StorageBackend | None) -> StorageBackend:
     * ``"memory://"`` — a fresh :class:`MemoryBackend`;
     * ``"file://PATH"`` — a :class:`FilesystemBackend` rooted at ``PATH``;
     * ``"zip://PATH"`` — a :class:`CompressedFilesystemBackend` at ``PATH``;
-    * ``"shard://N/CHILDSPEC"`` — a :class:`ShardedBackend` over N children;
     * ``"sqlite://PATH"`` — a ``SQLiteBackend`` whose database also carries
       the metadata catalog (see :mod:`repro.storage.catalog`);
     * a bare path — treated as ``file://PATH`` for convenience.
@@ -390,12 +278,16 @@ def open_backend(spec: str | StorageBackend | None) -> StorageBackend:
     if "://" not in spec:
         return FilesystemBackend(spec)
     scheme, _, path = spec.partition("://")
-    if scheme not in _BACKENDS and scheme in _LAZY_BACKEND_MODULES:
-        importlib.import_module(_LAZY_BACKEND_MODULES[scheme])
+    if scheme == "sqlite":
+        # The catalog module imports this one, so it is imported here, on
+        # first use, rather than at the top of the module.
+        from .catalog import SQLiteBackend
+
+        return SQLiteBackend(path)
     try:
         backend_cls = _BACKENDS[scheme]
     except KeyError:
-        known = ", ".join(sorted(set(_BACKENDS) | set(_LAZY_BACKEND_MODULES)))
+        known = ", ".join(sorted([*_BACKENDS, "sqlite"]))
         raise BackendSpecError(
             f"unknown storage backend scheme {scheme!r} (known: {known})"
         ) from None
@@ -403,7 +295,4 @@ def open_backend(spec: str | StorageBackend | None) -> StorageBackend:
         if path:
             raise BackendSpecError("memory:// backend does not take a path")
         return MemoryBackend()
-    from_spec = getattr(backend_cls, "from_spec", None)
-    if from_spec is not None:
-        return from_spec(path)
     return backend_cls(path)

@@ -57,7 +57,7 @@ from ..exceptions import (
     SnapshotConflictError,
     StaleEpochError,
 )
-from .backends import BackendSpecError, StorageBackend, register_backend
+from .backends import BackendSpecError, StorageBackend
 from .workload_log import _decay
 
 __all__ = ["MetadataCatalog", "SQLiteBackend"]
@@ -1013,6 +1013,3 @@ class SQLiteBackend(StorageBackend):
 
     def spec(self) -> str:
         return f"{self.scheme}://{self.path}"
-
-
-register_backend(SQLiteBackend)

@@ -19,13 +19,18 @@ from repro.storage.backends import (
 from repro.storage.objects import ObjectStore
 
 
-@pytest.fixture(params=["memory", "file", "zip"])
+SCHEMES = ["memory", "file", "zip", "sqlite"]
+
+
+@pytest.fixture(params=SCHEMES)
 def backend(request, tmp_path) -> StorageBackend:
     if request.param == "memory":
         return MemoryBackend()
     if request.param == "file":
         return FilesystemBackend(str(tmp_path / "fs"))
-    return CompressedFilesystemBackend(str(tmp_path / "zipfs"))
+    if request.param == "zip":
+        return CompressedFilesystemBackend(str(tmp_path / "zipfs"))
+    return open_backend(f"sqlite://{tmp_path}/store.db")
 
 
 class TestBackendContract:
@@ -141,6 +146,28 @@ class TestOpenBackend:
         known = str(error.value).partition("known: ")[2]
         assert known and "http" not in known
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # Specs that opened a store before shard:// was retired ...
+            "shard://4/memory://",
+            "shard://2/file://objs",
+            "shard://3/zip://cold",
+            # ... and ones that were malformed even then.
+            "shard://",
+            "shard://4",
+            "shard://0/memory://",
+            "shard://-1/memory://",
+            "shard://x/memory://",
+            "shard://2/shard://2/memory://",
+            "shard://2/http://127.0.0.1:8750",
+            "shard://2/https://127.0.0.1:8750",
+        ],
+    )
+    def test_retired_shard_specs_are_unknown_schemes(self, spec):
+        with pytest.raises(BackendSpecError, match="unknown storage backend scheme 'shard'"):
+            open_backend(spec)
+
     def test_memory_with_path_rejected(self):
         with pytest.raises(BackendSpecError):
             open_backend("memory://with-a-path")
@@ -165,6 +192,25 @@ class TestObjectStoreOnBackends:
         store.remove(delta_id)
         with pytest.raises(ObjectNotFoundError):
             store.get(delta_id)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_repository_cycle_on_every_scheme(self, scheme, tmp_path):
+        """Commit, checkout and batch checkout on a store opened from a spec."""
+        from repro.storage.repository import Repository
+
+        paths = {"file": "objs", "zip": "objz", "sqlite": "store.db"}
+        path = f"{tmp_path}/{paths[scheme]}" if scheme in paths else ""
+        repo = Repository(backend=f"{scheme}://{path}")
+        payload = [f"row,{i}" for i in range(30)]
+        payloads = {repo.commit(payload): payload}
+        for step in range(12):
+            payload = payload + [f"step,{step}"]
+            payloads[repo.commit(payload)] = payload
+        for vid, expected in payloads.items():
+            assert repo.checkout(vid).payload == expected
+        batch = repo.checkout_many(list(payloads))
+        for vid, expected in payloads.items():
+            assert batch.items[vid].payload == expected
 
     def test_spec_string_accepted_directly(self, tmp_path):
         store = ObjectStore(backend=f"zip://{tmp_path}/objs")

@@ -34,6 +34,19 @@ class TestBasicCommands:
     def test_init_creates_state(self, repo_dir):
         assert os.path.exists(os.path.join(repo_dir, "repro_state.json"))
 
+    def test_init_refuses_existing_repository(self, repo_dir, data_file, capsys):
+        assert main(["commit", repo_dir, data_file, "-m", "first"]) == 0
+        state_path = os.path.join(repo_dir, "repro_state.json")
+        with open(state_path, "rb") as handle:
+            before = handle.read()
+        capsys.readouterr()
+        assert main(["init", repo_dir]) == 1
+        assert "already a repro repository" in capsys.readouterr().err
+        with open(state_path, "rb") as handle:
+            assert handle.read() == before
+        assert main(["log", repo_dir]) == 0
+        assert "v0" in capsys.readouterr().out
+
     def test_commit_and_log(self, repo_dir, data_file, capsys):
         assert main(["commit", repo_dir, data_file, "-m", "first"]) == 0
         assert main(["log", repo_dir]) == 0
@@ -161,10 +174,15 @@ class TestBackendsAndBatch:
         # the objects while the state file keeps referencing them.
         assert main(["init", str(tmp_path / "mem"), "--backend", "memory://"]) == 1
         assert "memory://" in capsys.readouterr().err
+        assert not (tmp_path / "mem").exists()
 
     def test_init_rejects_http_backend(self, tmp_path, capsys):
-        assert main(["init", str(tmp_path / "net"), "--backend", "http://h:1"]) == 1
-        assert "error:" in capsys.readouterr().err
+        for scheme, spec in [("http", "http://h:1"), ("shard", "shard://2/file://objs")]:
+            directory = tmp_path / scheme
+            assert main(["init", str(directory), "--backend", spec]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and f"unknown storage backend scheme {scheme!r}" in err
+            assert not directory.exists()
 
     def test_state_records_backend_spec(self, tmp_path):
         directory = str(tmp_path / "zipped")
@@ -204,6 +222,57 @@ class TestBackendsAndBatch:
             spec = json.load(handle)["backend"]
         assert os.path.isabs(spec.partition("://")[2])
         assert load_repository(state_dir).checkout("v0").payload == ["row,1"]
+
+    @pytest.mark.parametrize(
+        "spec", ["zip://relative-objects", "sqlite://relative.db", "relative-objects"]
+    )
+    def test_save_anchors_cwd_relative_specs_of_every_scheme(
+        self, spec, tmp_path, monkeypatch
+    ):
+        """Saving anchors a relative path at the cwd whatever the scheme; a
+        bare path is recorded as the file:// spec it stands for."""
+        from repro.cli import save_repository
+        from repro.storage.repository import Repository
+
+        monkeypatch.chdir(tmp_path)
+        repo = Repository(backend=spec)
+        repo.commit(["row,1"], message="relative")
+        state_dir = str(tmp_path / "meta")
+        os.makedirs(state_dir)
+        save_repository(repo, state_dir)
+        with open(os.path.join(state_dir, "repro_state.json")) as handle:
+            saved = json.load(handle)["backend"]
+        scheme, _, path = saved.partition("://")
+        assert scheme == (spec.partition("://")[0] if "://" in spec else "file")
+        assert path == os.path.join(str(tmp_path), spec.partition("://")[2] or spec)
+        monkeypatch.chdir(tmp_path / "meta")
+        assert load_repository(state_dir).checkout("v0").payload == ["row,1"]
+
+    @pytest.mark.parametrize(
+        "spec, stored",
+        [("file://objs", "objs"), ("zip://objz", "objz"), ("sqlite://meta.db", "meta.db")],
+    )
+    def test_relative_init_specs_live_inside_the_repository(
+        self, spec, stored, tmp_path, monkeypatch, capsys
+    ):
+        """init/commit/checkout read a relative --backend path against the
+        repository directory, not the cwd of each invocation."""
+        monkeypatch.chdir(tmp_path)
+        directory = str(tmp_path / "repo")
+        assert main(["init", directory, "--backend", spec]) == 0
+        data = str(tmp_path / "data.csv")
+        write_file(data, ["row,1", "row,2"])
+        assert main(["commit", directory, data, "-m", "first"]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        out = str(tmp_path / "out.csv")
+        assert main(["checkout", directory, "v0", "-o", out]) == 0
+        with open(out) as handle:
+            assert handle.read().splitlines() == ["row,1", "row,2"]
+        assert os.path.exists(os.path.join(directory, stored))
+        assert not os.path.exists(tmp_path / stored)
+        assert sorted(os.listdir(elsewhere)) == []
 
     def test_batch_checkout_writes_files_and_reports(self, repo_dir, tmp_path, capsys):
         lines = [f"row,{i},{i}" for i in range(30)]

@@ -88,14 +88,12 @@ ENCODERS = {
     "compressed-line": (lambda: CompressedEncoder(LineDiffEncoder()), line_payloads),
 }
 
-BACKENDS = ["memory", "file", "zip", "shard"]
+BACKENDS = ["memory", "file", "zip", "sqlite"]
 
 
 def backend_spec(kind: str, tmp_path) -> str:
     if kind == "memory":
         return "memory://"
-    if kind == "shard":
-        return f"shard://2/file://{tmp_path}/objects"
     return f"{kind}://{tmp_path}/objects"
 
 

@@ -68,12 +68,14 @@ ENCODERS = {
     "compressed-line": (lambda: CompressedEncoder(LineDiffEncoder()), line_payloads),
 }
 
-BACKENDS = ["memory", "file", "zip"]
+BACKENDS = ["memory", "file", "zip", "sqlite"]
 
 
 def backend_spec(kind: str, tmp_path) -> str:
     if kind == "memory":
         return "memory://"
+    if kind == "sqlite":
+        return f"sqlite://{tmp_path}/store.db"
     return f"{kind}://{tmp_path}/objects"
 
 
