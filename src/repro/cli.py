@@ -18,14 +18,16 @@ repository::
     python -m repro solve       myrepo --problem 6 --threshold 2e6
     python -m repro serve       myrepo --port 8750
 
-``checkout``, ``stats`` and ``repack`` are remote-aware: pass
-``http://HOST:PORT`` (a running ``repro serve`` process) instead of a
-repository directory and the command is served over the JSON API with the
-server's warm cache (``repack`` triggers the server's *online* repack,
-which re-encodes the store while checkouts keep being served)::
+``checkout``, ``stats``, ``solve`` and ``repack`` are clients of one
+:class:`~repro.server.service.VersionStoreService`: given
+``http://HOST:PORT`` (a running ``repro serve`` process) they call its JSON
+API and are served from its warm cache (``repack`` then re-encodes the
+store online, while checkouts keep being served); given a directory they
+run the same service in-process.  Either way they print the same output::
 
     python -m repro checkout    http://127.0.0.1:8750 v3 -o restored.csv
     python -m repro stats       http://127.0.0.1:8750
+    python -m repro solve       http://127.0.0.1:8750 --problem 3
     python -m repro repack      http://127.0.0.1:8750 --workload
 
 Checkouts — local one-shots and served ones alike — are recorded in a
@@ -58,17 +60,19 @@ each process adopts peer changes by watching the catalog's change counter.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import socket
 import sys
-from typing import Sequence
+from typing import Any, Iterator, Sequence
 
 from .bench.harness import format_table
-from .core.problems import default_threshold, solve
 from .delta.line_diff import LineDiffEncoder
 from .exceptions import ReproError
+from .server.remote import ServiceClient
+from .server.service import VersionStoreService, batch_response
 from .storage.backends import open_backend
 from .storage.repository import Repository
 from .storage.workload_log import WorkloadLog
@@ -267,26 +271,72 @@ def _is_remote(repository: str) -> bool:
     return repository.startswith(("http://", "https://"))
 
 
+class _InProcessClient:
+    """:class:`ServiceClient`'s calls on an in-process service, answered
+    with the same JSON dicts the HTTP routes send."""
+
+    def __init__(self, service: VersionStoreService) -> None:
+        self.service = service
+        self.stats = service.stats
+        self.plan = service.plan
+
+    def checkout(self, version_id: str) -> dict[str, Any]:
+        return self.service.checkout(version_id).to_dict()
+
+    def checkout_many(self, version_ids: Sequence[str]) -> dict[str, Any]:
+        return batch_response(self.service.checkout_many(version_ids))
+
+    def repack(self, *, workload: bool, **options: Any) -> dict[str, Any]:
+        return self.service.repack(use_workload=workload, **options)
+
+
+@contextlib.contextmanager
+def _open_service(
+    repository: str, half_life: float | None = None
+) -> Iterator[ServiceClient | _InProcessClient]:
+    """The service behind a command's repository argument.
+
+    ``http://HOST:PORT`` is a running ``repro serve`` process, reached
+    through :class:`ServiceClient`.  A directory gets an in-process
+    :class:`VersionStoreService` that records into the same workload log
+    (opened at ``half_life``, for ``repack --half-life``) and persists the
+    state file after a repack, closed on exit.  Both answer every call with
+    the same JSON dict, so each command prints one output for either.
+    """
+    if _is_remote(repository):
+        yield ServiceClient(repository)
+        return
+    repo = load_repository(repository)
+    service = VersionStoreService(
+        repo,
+        on_commit=lambda served: save_repository(served, repository),
+        workload_log=open_workload_log(repository, repo=repo, half_life=half_life),
+    )
+    try:
+        yield _InProcessClient(service)
+    finally:
+        service.close()
+
+
 def _cmd_checkout(args: argparse.Namespace) -> int:
-    if _is_remote(args.repository):
-        return _remote_checkout(args)
-    repo = load_repository(args.repository)
-    if args.batch or len(args.versions) > 1:
-        code = _batch_checkout(repo, args)
-        if code == 0:
-            open_workload_log(args.repository, repo=repo).record_many(args.versions)
-        return code
-    version = args.versions[0]
-    result = repo.checkout(version)
-    open_workload_log(args.repository, repo=repo).record(version)
-    text = "\n".join(result.payload)
+    batch = args.batch or len(args.versions) > 1
+    if batch:
+        _check_batch_output(args.output)
+    with _open_service(args.repository) as service:
+        if batch:
+            response = service.checkout_many(args.versions)
+        else:
+            response = service.checkout(args.versions[0])
+    if batch:
+        _emit_batch(response, args.output)
+        return 0
+    text = "\n".join(response["payload"])
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         print(
-            f"checked out {version} to {args.output} "
-            f"(chain length {result.chain_length}, "
-            f"recreation cost {result.recreation_cost:.0f})"
+            f"checked out {response['version']} to {args.output} "
+            f"(chain length {response['chain_length']})"
         )
     else:
         print(text)
@@ -301,85 +351,35 @@ def _check_batch_output(output: str | None) -> None:
         )
 
 
-def _emit_batch_payloads(payloads: dict[str, list[str]], output: str | None) -> None:
-    """Write one ``<vid>.txt`` per version under ``output``, or — mirroring
-    single-version checkout — print one '### <id>' block per version."""
-    if output:
-        os.makedirs(output, exist_ok=True)
-        for vid, lines in payloads.items():
-            path = os.path.join(output, f"{vid}.txt")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
-    else:
-        for vid, lines in payloads.items():
+def _emit_batch(response: dict[str, Any], output: str | None) -> None:
+    """Write one ``<vid>.txt`` per version under ``output`` and report the
+    chains, or — mirroring single-version checkout — print one
+    '### <id>' block per version.
+
+    The report names what the stored encoding costs, which is the same
+    from every process; what this request paid depends on the serving
+    cache and is counted by ``repro stats``.
+    """
+    items = response["items"]
+    if not output:
+        for vid, item in items.items():
             print(f"### {vid}")
-            print("\n".join(lines))
-
-
-def _batch_checkout(repo: Repository, args: argparse.Namespace) -> int:
-    _check_batch_output(args.output)
-    result = repo.checkout_many(args.versions)
-    _emit_batch_payloads(
-        {vid: item.payload for vid, item in result.items.items()}, args.output
-    )
-    if not args.output:
-        return 0
-    rows = [
-        [
-            vid,
-            item.chain_length,
-            item.deltas_applied,
-            f"{item.recreation_cost:.0f}",
-            f"{item.predicted_cost:.0f}",
-        ]
-        for vid, item in result.items.items()
-    ]
-    print(format_table(["version", "chain", "deltas applied", "paid", "predicted"], rows))
-    summary = result.summary()
+            print("\n".join(item["payload"]))
+        return
+    os.makedirs(output, exist_ok=True)
+    for vid, item in items.items():
+        path = os.path.join(output, f"{vid}.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(item["payload"]) + "\n")
+    rows = [[vid, item["chain_length"]] for vid, item in items.items()]
+    print(format_table(["version", "chain length"], rows))
+    summary = response["summary"]
     print(
-        f"batch: {result.deltas_applied}/{result.naive_delta_applications} delta "
-        f"applications, paid {summary['recreation_cost_paid']:.0f} of "
-        f"{summary['recreation_cost_predicted']:.0f} predicted "
-        f"(saved {summary['recreation_cost_saved']:.0f})"
+        f"batch: {summary['naive_delta_applications']:.0f} delta applications "
+        f"and recreation cost {summary['recreation_cost_predicted']:.0f} "
+        "if each version were checked out alone"
     )
-    if args.output:
-        print(f"wrote {len(result.items)} files to {args.output}")
-    return 0
-
-
-def _remote_checkout(args: argparse.Namespace) -> int:
-    """Serve checkout(s) from a running ``repro serve`` process."""
-    from .server.remote import ServiceClient
-
-    client = ServiceClient(args.repository)
-    if args.batch or len(args.versions) > 1:
-        _check_batch_output(args.output)
-        result = client.checkout_many(args.versions)
-        _emit_batch_payloads(
-            {vid: item["payload"] for vid, item in result["items"].items()},
-            args.output,
-        )
-        if args.output:
-            summary = result["summary"]
-            print(
-                f"remote batch: {summary['deltas_applied']:.0f}/"
-                f"{summary['naive_delta_applications']:.0f} delta applications, "
-                f"wrote {len(result['items'])} files to {args.output}"
-            )
-        return 0
-    response = client.checkout(args.versions[0])
-    text = "\n".join(response["payload"])
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(
-            f"checked out {response['version']} from {args.repository} to "
-            f"{args.output} (chain length {response['chain_length']}, "
-            f"deltas applied {response['deltas_applied']})"
-        )
-    else:
-        print(text)
-    return 0
+    print(f"wrote {len(items)} files to {output}")
 
 
 def _cmd_log(args: argparse.Namespace) -> int:
@@ -426,91 +426,66 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if _is_remote(args.repository):
-        from .server.remote import ServiceClient
-
-        if getattr(args, "metrics", False):
-            # The raw Prometheus exposition, exactly what a scraper sees.
-            print(ServiceClient(args.repository).metrics_text(), end="")
-            return 0
-        stats = ServiceClient(args.repository).stats()
-        serving, repository = stats["serving"], stats["repository"]
-        workload = stats.get("workload", {})
-        expected = workload.get("expected_recreation_cost", {})
-        rows = [
-            ["versions", repository["versions"]],
-            ["branches", len(repository["branches"])],
-            ["objects", repository["objects"]],
-            ["storage cost", f"{repository['storage_cost']:.0f}"],
-            ["backend", repository["backend"]],
-            ["checkout requests", serving["checkout_requests"]],
-            ["coalesced requests", serving["coalesced_requests"]],
-            ["deltas applied", serving["deltas_applied"]],
-            ["naive delta applications", serving["naive_delta_applications"]],
-            ["recreation cost paid", f"{serving['recreation_cost_paid']:.0f}"],
-            ["workload accesses", workload.get("total_accesses", 0)],
-            ["workload versions", workload.get("distinct_versions", 0)],
-            [
-                "expected recreation/request",
-                f"{expected.get('per_request', 0.0):.0f}",
-            ],
-            ["repack epoch", stats.get("repack", {}).get("epoch", 0)],
-        ]
-        print(format_table(["metric", "value"], rows))
-        return 0
-    if getattr(args, "metrics", False):
+    if args.metrics and not _is_remote(args.repository):
         raise ReproError(
             "--metrics reads a live registry; point stats at a running "
             "server (http://HOST:PORT) instead of a repository directory"
         )
-    repo = load_repository(args.repository)
-    naive = sum(v.size for v in repo.graph.versions)
+    with _open_service(args.repository) as service:
+        if args.metrics:
+            # The raw Prometheus exposition, exactly what a scraper sees.
+            print(service.metrics_text(), end="")
+            return 0
+        stats = service.stats()
+    serving, repository = stats["serving"], stats["repository"]
+    workload = stats["workload"]
     rows = [
-        ["versions", len(repo)],
-        ["branches", len(repo.branches)],
-        ["objects", len(repo.store)],
-        ["storage cost", f"{repo.total_storage_cost():.0f}"],
-        ["store-everything cost", f"{naive:.0f}"],
+        ["versions", repository["versions"]],
+        ["branches", len(repository["branches"])],
+        ["objects", repository["objects"]],
+        ["storage cost", f"{repository['storage_cost']:.0f}"],
+        ["store-everything cost", f"{repository['store_everything_cost']:.0f}"],
+        ["backend", repository["backend"]],
+        ["checkout requests", serving["checkout_requests"]],
+        ["coalesced requests", serving["coalesced_requests"]],
+        ["deltas applied", serving["deltas_applied"]],
+        ["naive delta applications", serving["naive_delta_applications"]],
+        ["recreation cost paid", f"{serving['recreation_cost_paid']:.0f}"],
+        ["workload accesses", workload["total_accesses"]],
+        ["workload versions", workload["distinct_versions"]],
+        [
+            "expected recreation/request",
+            f"{workload['expected_recreation_cost']['per_request']:.0f}",
+        ],
+        ["repack epoch", stats["repack"]["epoch"]],
     ]
-    if len(repo) > 0:
-        # Priced entirely from the store's incremental cost index — no
-        # payload is replayed to answer this.
-        from .storage.repack import expected_workload_cost
-
-        frequencies = open_workload_log(args.repository, repo=repo).frequencies(
-            repo.graph.version_ids
-        )
-        expected = expected_workload_cost(repo, frequencies or None)
-        rows.append(
-            ["expected recreation/request", f"{expected['per_request']:.0f}"]
-        )
     print(format_table(["metric", "value"], rows))
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    repo = load_repository(args.repository)
-    instance = repo.problem_instance(hop_limit=args.hop_limit)
-    threshold = default_threshold(
-        instance, args.problem, threshold=args.threshold, factor=args.threshold_factor
-    )
-    result = solve(instance, args.problem, threshold=threshold)
-    print(
-        format_table(
-            ["metric", "value"],
-            [
-                ["problem", args.problem],
-                ["algorithm", result.algorithm],
-                ["storage cost", f"{result.metrics.storage_cost:.0f}"],
-                ["sum recreation", f"{result.metrics.sum_recreation:.0f}"],
-                ["max recreation", f"{result.metrics.max_recreation:.0f}"],
-                ["materialized versions", result.metrics.num_materialized],
-            ],
+    """Solve a storage plan through ``VersionStoreService.plan`` (not
+    applied; ``repro repack`` applies one)."""
+    with _open_service(args.repository) as service:
+        report = service.plan(
+            problem=args.problem,
+            threshold=args.threshold,
+            threshold_factor=args.threshold_factor,
+            hop_limit=args.hop_limit,
         )
-    )
+    metrics = report["metrics"]
+    rows = [
+        ["problem", report["problem"]],
+        ["algorithm", report["algorithm"]],
+        ["storage cost", f"{metrics['storage_cost']:.0f}"],
+        ["sum recreation", f"{metrics['sum_recreation']:.0f}"],
+        ["max recreation", f"{metrics['max_recreation']:.0f}"],
+        ["materialized versions", metrics["materialized_versions"]],
+    ]
+    print(format_table(["metric", "value"], rows))
     if args.plan_output:
         with open(args.plan_output, "w", encoding="utf-8") as handle:
-            handle.write(result.plan.to_json())
+            json.dump(report["plan"], handle, indent=2, sort_keys=True)
         print(f"wrote plan to {args.plan_output}")
     return 0
 
@@ -533,36 +508,18 @@ def _cmd_repack(args: argparse.Namespace) -> int:
     """Repack through ``VersionStoreService.repack`` — a running server's
     over HTTP, or an in-process one over the repository directory — so
     both report the same table and land in the same decision log."""
-    options = {
-        "problem": args.problem,
-        "threshold": args.threshold,
-        "threshold_factor": args.threshold_factor,
-        "hop_limit": args.hop_limit,
-        "half_life": args.half_life,
-        "dry_run": args.dry_run,
-    }
-    use_workload = args.workload or args.half_life is not None
-    if _is_remote(args.repository):
-        from .server.remote import ServiceClient
-
-        report = ServiceClient(args.repository).repack(workload=use_workload, **options)
-    else:
-        from .server.service import VersionStoreService
-
-        repo = load_repository(args.repository)
-        service = VersionStoreService(
-            repo,
-            on_commit=lambda repository: save_repository(repository, args.repository),
-            # Opened at the requested half-life: a catalog-backed log can
-            # only serve the decayed view it maintains.
-            workload_log=open_workload_log(
-                args.repository, half_life=args.half_life, repo=repo
-            ),
+    # Opened at the requested half-life: a catalog-backed log can only
+    # serve the decayed view it maintains.
+    with _open_service(args.repository, half_life=args.half_life) as service:
+        report = service.repack(
+            workload=args.workload or args.half_life is not None,
+            problem=args.problem,
+            threshold=args.threshold,
+            threshold_factor=args.threshold_factor,
+            hop_limit=args.hop_limit,
+            half_life=args.half_life,
+            dry_run=args.dry_run,
         )
-        try:
-            report = service.repack(use_workload=use_workload, **options)
-        finally:
-            service.close()
     print(format_table(["metric", "value"], _flatten_report(report)))
     return 0
 
@@ -583,7 +540,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     repack planner among them).
     """
     from .server.httpd import serve
-    from .server.service import VersionStoreService
 
     repo = load_repository(args.repository)
     log_sink = None
@@ -704,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         help="output file (single version) or directory (--batch; also "
-        "enables the per-version cost report — without it payloads are "
+        "enables the per-version chain report — without it payloads are "
         "printed to stdout)",
     )
     checkout.add_argument(
@@ -854,20 +810,17 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(
             name,
             help=(
-                "compute an optimized storage plan"
+                "compute an optimized storage plan and report it, without "
+                "applying it"
                 if name == "solve"
                 else "re-encode the repository according to an optimized plan"
             ),
         )
         command.add_argument(
             "repository",
-            help="repository directory"
-            + (
-                ", or http://HOST:PORT of a running 'repro serve' process "
-                "(triggers an online repack there)"
-                if name == "repack"
-                else ""
-            ),
+            help="repository directory, or http://HOST:PORT of a running "
+            "'repro serve' process"
+            + (" (triggers an online repack there)" if name == "repack" else ""),
         )
         command.add_argument("--problem", type=int, default=3, choices=range(1, 7))
         command.add_argument("--threshold", type=float, default=None)
@@ -914,18 +867,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # stdout closed early (e.g. piped to `head`); silence the flush on
         # interpreter shutdown and exit like a well-behaved pipe citizen.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
+    except (ReproError, OSError) as error:
+        # OSError: a path that is missing, a file where a directory should
+        # be, a permission refused — the user's to fix, not a crash.
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised through __main__.py

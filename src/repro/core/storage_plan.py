@@ -14,7 +14,6 @@ maximum, and the workload-weighted sum used in Figure 16.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Iterable, Iterator, Mapping
 
@@ -325,10 +324,6 @@ class StoragePlan:
                 for parent, child in self.delta_edges()
             ],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialize the plan to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,7 +3,8 @@
 Everything is plain standard library (``http.server.ThreadingHTTPServer``)
 so running a version store behind a port needs no dependencies beyond the
 package itself.  The socket carries one JSON service API (for clients and
-the remote-aware CLI):
+the CLI, whose ``checkout``, ``stats``, ``solve`` and ``repack`` take
+``http://HOST:PORT`` as well as a directory):
 
 ========  ======================  =============================================
 Method    Path                    Body / response
@@ -65,7 +66,7 @@ from urllib.parse import parse_qs, urlparse
 
 from ..exceptions import LeaseError, ReproError, VersionNotFoundError
 from ..obs import Trace
-from .service import PLAN_OPTIONS, VersionStoreService
+from .service import PLAN_OPTIONS, VersionStoreService, batch_response
 
 __all__ = ["VersionStoreHTTPServer", "serve", "serve_in_thread"]
 
@@ -327,21 +328,7 @@ class _Handler(BaseHTTPRequestHandler):
                     raise ReproError("checkout_many requires a 'versions' list")
                 trace = Trace() if self._trace_requested(query, body) else None
                 result = self.service.checkout_many(versions, trace=trace)
-                self._send_traced(
-                    {
-                        "items": {
-                            str(vid): {
-                                "payload": item.payload,
-                                "chain_length": item.chain_length,
-                                "recreation_cost": item.recreation_cost,
-                                "deltas_applied": item.deltas_applied,
-                            }
-                            for vid, item in result.items.items()
-                        },
-                        "summary": result.summary(),
-                    },
-                    trace,
-                )
+                self._send_traced(batch_response(result), trace)
                 return True
             if parts == ["commit"]:
                 body = self._read_json()

@@ -2,10 +2,10 @@
 
 :class:`ServiceClient` is a thin JSON client for the service API of a
 running :mod:`repro.server.httpd` server (commit / checkout /
-checkout_many / stats / plan / repack), used by the remote-aware CLI and
-handy in tests.  Idempotent reads retry through transport failures;
-everything else is single-shot.  Pure standard library
-(``urllib.request``).
+checkout_many / stats / plan / repack), used by the CLI when its
+repository argument is ``http://HOST:PORT`` and handy in tests.
+Idempotent reads retry through transport failures; everything else is
+single-shot.  Pure standard library (``urllib.request``).
 """
 
 from __future__ import annotations
@@ -142,25 +142,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The server's ``GET /metrics`` Prometheus text exposition, raw."""
-        url = f"{self.base_url}/metrics"
-        try:
-            raw = _http_idempotent(
-                "GET",
-                url,
-                data=None,
-                content_type=None,
-                timeout=self.timeout,
-                on_retry=self._note_retry,
-            )
-        except urlerror.HTTPError as error:
-            raise RemoteServiceError(
-                f"GET {url} failed: HTTP {error.code}"
-            ) from error
-        except urlerror.URLError as error:
-            raise RemoteServiceError(
-                f"cannot reach service at {self.base_url}: {error.reason}"
-            ) from error
-        return raw.decode("utf-8")
+        return self._request("GET", "/metrics", None, retry=True).decode("utf-8")
 
     def repack(self, **options: Any) -> dict[str, Any]:
         """Trigger a server-side online repack (``POST /repack``).
@@ -186,21 +168,24 @@ class ServiceClient:
 
     # -- internals ------------------------------------------------------- #
     def _get(self, path: str) -> dict[str, Any]:
-        return self._json("GET", path, None, retry=True)
+        return json.loads(self._request("GET", path, None, retry=True))
 
     def _post(self, path: str, body: dict[str, Any]) -> dict[str, Any]:
         # POSTs are single-shot: commit / repack are not idempotent, and a
         # request the server may have half-processed must not be replayed.
-        return self._json("POST", path, json.dumps(body).encode("utf-8"))
+        return json.loads(
+            self._request("POST", path, json.dumps(body).encode("utf-8"))
+        )
 
-    def _json(
+    def _request(
         self, method: str, path: str, data: bytes | None, *, retry: bool = False
-    ) -> dict[str, Any]:
+    ) -> bytes:
+        """One exchange with the service, its errors as :class:`RemoteServiceError`."""
         url = f"{self.base_url}{path}"
         content_type = "application/json" if data is not None else None
         try:
             if retry:
-                raw = _http_idempotent(
+                return _http_idempotent(
                     method,
                     url,
                     data=data,
@@ -208,25 +193,18 @@ class ServiceClient:
                     timeout=self.timeout,
                     on_retry=self._note_retry,
                 )
-            else:
-                raw = _http(
-                    method,
-                    url,
-                    data=data,
-                    content_type=content_type,
-                    timeout=self.timeout,
-                )
+            return _http(
+                method, url, data=data, content_type=content_type, timeout=self.timeout
+            )
         except urlerror.HTTPError as error:
             raise RemoteServiceError(
-                f"{method} {url} failed: HTTP {error.code}"
-                + _error_detail(error),
+                f"{method} {url} failed: HTTP {error.code}" + _error_detail(error),
                 status=error.code,
             ) from error
         except urlerror.URLError as error:
             raise RemoteServiceError(
                 f"cannot reach service at {self.base_url}: {error.reason}"
             ) from error
-        return json.loads(raw.decode("utf-8"))
 
 
 def _error_detail(error: urlerror.HTTPError) -> str:

@@ -85,7 +85,7 @@ from ..storage.repack import (
 from ..storage.repository import Repository
 from ..storage.workload_log import WorkloadLog
 
-__all__ = ["VersionStoreService", "CheckoutResponse", "ServiceStats"]
+__all__ = ["VersionStoreService", "CheckoutResponse", "ServiceStats", "batch_response"]
 
 
 def _non_negative(number: Any) -> Any:
@@ -171,6 +171,23 @@ class CheckoutResponse:
             "cache_hits": self.cache_hits,
             "coalesced": self.coalesced,
         }
+
+
+def batch_response(result: BatchResult) -> dict[str, Any]:
+    """JSON-ready form of a served batch: the ``POST /checkout_many`` body,
+    and what the CLI prints a directory's batch from."""
+    return {
+        "items": {
+            str(vid): {
+                "payload": item.payload,
+                "chain_length": item.chain_length,
+                "recreation_cost": item.recreation_cost,
+                "deltas_applied": item.deltas_applied,
+            }
+            for vid, item in result.items.items()
+        },
+        "summary": result.summary(),
+    }
 
 
 @dataclass
@@ -363,13 +380,13 @@ class VersionStoreService:
         # restarts: what the store's cost structure looks like is a
         # property of the store, not of one process lifetime.
         if self.controller is not None:
-            self._restore_controller_state()
+            self._restore_policy("controller_state", self.controller)
         # The staging-cost calibration learns the ratio between what
         # `estimate_repack_cost` predicts and what staging actually paid.
         # Like the controller baseline it is a property of the store, so a
         # catalog-backed repository restores the learned scale on open.
         self.staging_calibration = StagingCostCalibration()
-        self._restore_staging_calibration()
+        self._restore_policy("staging_calibration", self.staging_calibration)
         # Observability: a metrics registry (REPRO_METRICS=off selects the
         # no-op null registry), an optional JSON-lines event sink, and a
         # decision log that writes through to the catalog when one exists
@@ -498,39 +515,22 @@ class VersionStoreService:
 
         registry.register_collector(collect)
 
-    def _restore_controller_state(self) -> None:
-        catalog = getattr(self.repository, "catalog", None)
-        if catalog is None or self.controller is None:
-            return
-        saved = catalog.load_controller_state()
+    def _restore_policy(self, name: str, policy: Any) -> None:
+        """Load ``policy``'s learned state from the catalog, when saved."""
+        catalog = self.repository.catalog
+        saved = catalog.load_policy_state(name) if catalog is not None else None
         if saved:
-            self.controller.load_state(saved)
+            policy.load_state(saved)
 
-    def _persist_controller_state(self) -> None:
-        catalog = getattr(self.repository, "catalog", None)
-        if catalog is None or self.controller is None:
-            return
-        try:
-            catalog.save_controller_state(self.controller.state_dict())
-        except Exception as error:  # pragma: no cover - persistence best-effort
-            self._note_policy_error("controller_persist", error)
-
-    def _restore_staging_calibration(self) -> None:
-        catalog = getattr(self.repository, "catalog", None)
-        if catalog is None:
-            return
-        saved = catalog.load_staging_calibration()
-        if saved:
-            self.staging_calibration.load_state(saved)
-
-    def _persist_staging_calibration(self) -> None:
-        catalog = getattr(self.repository, "catalog", None)
+    def _persist_policy(self, name: str, policy: Any) -> None:
+        """Save ``policy``'s learned state to the catalog, best-effort."""
+        catalog = self.repository.catalog
         if catalog is None:
             return
         try:
-            catalog.save_staging_calibration(self.staging_calibration.state_dict())
+            catalog.save_policy_state(name, policy.state_dict())
         except Exception as error:  # pragma: no cover - persistence best-effort
-            self._note_policy_error("calibration_persist", error)
+            self._note_policy_error(f"{name}_persist", error)
 
     def _note_policy_error(self, site: str, error: BaseException) -> None:
         """Record a background-policy failure without losing it.
@@ -608,7 +608,7 @@ class VersionStoreService:
                     self.stats_counters.commits += 1
                 if self.controller is not None:
                     self.controller.note_commit()
-                    self._persist_controller_state()
+                    self._persist_policy("controller_state", self.controller)
         return version_id
 
     # ------------------------------------------------------------------ #
@@ -831,6 +831,10 @@ class VersionStoreService:
                 "current_branch": self.repository.current_branch,
                 "objects": len(self.repository.store),
                 "storage_cost": self.repository.total_storage_cost(),
+                # What storing every version in full would cost.
+                "store_everything_cost": sum(
+                    version.size for version in self.repository.graph.versions
+                ),
                 "backend": self.repository.store.backend.spec(),
             }
             version_ids = self.repository.graph.version_ids
@@ -900,11 +904,9 @@ class VersionStoreService:
     ) -> dict[str, Any]:
         """Compute an optimized storage plan for the served repository.
 
-        Measures the cost model from live payloads (an expensive full scan —
-        intended for operators, not the request hot path) under *shared*
-        access, so checkouts keep being served throughout; commits wait for
-        the duration.  The plan is *not* applied; use :meth:`repack` to
-        apply one online.
+        An operator's call, not the request hot path: :meth:`_solve`
+        measures the cost model with a full payload scan.  The plan is
+        *not* applied; use :meth:`repack` to apply one online.
         """
         options = _check_plan_options(
             problem=problem,
@@ -913,22 +915,9 @@ class VersionStoreService:
             hop_limit=hop_limit,
             algorithm=algorithm,
         )
-        if len(self.repository) == 0:
-            raise ReproError("cannot plan over an empty repository")
-        problem = options["problem"]
-        with self.coordinator.shared():
-            instance = self.repository.problem_instance(hop_limit=options["hop_limit"])
-        resolved = default_threshold(
-            instance,
-            problem,
-            threshold=options["threshold"],
-            factor=options["threshold_factor"],
-        )
-        result = solve(
-            instance, problem, threshold=resolved, algorithm=options["algorithm"]
-        )
+        _, resolved, result = self._solve(**options)
         return {
-            "problem": problem,
+            "problem": options["problem"],
             "algorithm": result.algorithm,
             "threshold": resolved,
             "metrics": {
@@ -939,6 +928,48 @@ class VersionStoreService:
             },
             "plan": result.plan.to_dict(),
         }
+
+    def _solve(
+        self,
+        *,
+        problem: int,
+        threshold: float | None,
+        threshold_factor: float | None,
+        hop_limit: int,
+        algorithm: str,
+        use_workload: bool = False,
+        half_life: float | None = None,
+    ) -> tuple[dict[VersionID, float], float | None, Any]:
+        """The one planner behind :meth:`plan` and :meth:`repack`.
+
+        Measures the cost model from live payloads (a full scan) under
+        *shared* access, so checkouts keep being served while commits wait,
+        then solves outside the coordinator.  With ``use_workload`` the
+        versions are weighted by the workload log's access frequencies
+        (decayed at ``half_life`` when set); an empty log, like
+        ``use_workload=False``, means a uniform workload.  Returns the
+        frequencies, the resolved threshold and the solver's result.
+        """
+        with self.coordinator.shared():
+            if len(self.repository) == 0:
+                raise ReproError("cannot plan over an empty repository")
+            version_ids = self.repository.graph.version_ids
+            if not use_workload:
+                frequencies: dict[VersionID, float] = {}
+            elif half_life is not None:
+                frequencies = self.workload_log.decayed_frequencies(
+                    version_ids, half_life=half_life
+                )
+            else:
+                frequencies = self.workload_log.frequencies(version_ids)
+            instance = self.repository.problem_instance(
+                access_frequencies=frequencies or None, hop_limit=hop_limit
+            )
+        resolved = default_threshold(
+            instance, problem, threshold=threshold, factor=threshold_factor
+        )
+        result = solve(instance, problem, threshold=resolved, algorithm=algorithm)
+        return frequencies, resolved, result
 
     # ------------------------------------------------------------------ #
     # online repacking
@@ -1124,28 +1155,19 @@ class VersionStoreService:
             # covered by the plan; ones landing later are carried forward
             # by the catalog's activation transaction.
             self.repository.sync()
+            frequencies, resolved, result = self._solve(
+                problem=problem,
+                threshold=threshold,
+                threshold_factor=threshold_factor,
+                hop_limit=hop_limit,
+                algorithm=algorithm,
+                use_workload=use_workload,
+                half_life=half_life,
+            )
             with self.coordinator.shared():
-                if len(self.repository) == 0:
-                    raise ReproError("cannot repack an empty repository")
-                version_ids = self.repository.graph.version_ids
-                if not use_workload:
-                    frequencies: dict[VersionID, float] = {}
-                elif half_life is not None:
-                    frequencies = self.workload_log.decayed_frequencies(
-                        version_ids, half_life=half_life
-                    )
-                else:
-                    frequencies = self.workload_log.frequencies(version_ids)
-                instance = self.repository.problem_instance(
-                    access_frequencies=frequencies or None, hop_limit=hop_limit
-                )
                 expected_before = expected_workload_cost(
                     self.repository, frequencies or None
                 )
-            resolved = default_threshold(
-                instance, problem, threshold=threshold, factor=threshold_factor
-            )
-            result = solve(instance, problem, threshold=resolved, algorithm=algorithm)
             report: dict[str, Any] = {
                 "problem": int(problem),
                 "algorithm": result.algorithm,
@@ -1254,7 +1276,7 @@ class VersionStoreService:
             self._m_staging_estimated.inc(staging_estimate)
             self._m_staging_measured.inc(staged.staging_cost_paid)
             self._m_staging_seconds.inc(staged.staging_seconds)
-            self._persist_staging_calibration()
+            self._persist_policy("staging_calibration", self.staging_calibration)
         return report
 
     def prune_epochs(self) -> dict[str, float]:
@@ -1344,7 +1366,7 @@ class VersionStoreService:
                 self.controller = AdaptiveRepackController(
                     horizon=self.repack_horizon
                 )
-                self._restore_controller_state()
+                self._restore_policy("controller_state", self.controller)
             if self._auto_repack_running:
                 return {
                     "adaptive": True,
@@ -1430,7 +1452,7 @@ class VersionStoreService:
         ):
             report["reason"] = controller.last_reason
             report["controller"] = controller.snapshot()
-            self._persist_controller_state()
+            self._persist_policy("controller_state", controller)
             return report
 
         weight = priced["weight"] or float(len(version_ids))
@@ -1470,7 +1492,7 @@ class VersionStoreService:
         report["reason"] = controller.last_reason
         report["repack"] = plan_report
         report["controller"] = controller.snapshot()
-        self._persist_controller_state()
+        self._persist_policy("controller_state", controller)
         return report
 
     def _adaptive_repack_worker(self) -> None:

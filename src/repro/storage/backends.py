@@ -11,8 +11,7 @@ Four implementations are selectable with a URI-style spec understood by
 :func:`open_backend`:
 
 * ``memory://``   — :class:`MemoryBackend`, objects held in a dict;
-* ``file://PATH`` — :class:`FilesystemBackend`, one pickle file per object
-  (the on-disk layout of the historical ``ObjectStore(directory=...)``);
+* ``file://PATH`` — :class:`FilesystemBackend`, one pickle file per object;
 * ``zip://PATH``  — :class:`CompressedFilesystemBackend`, one
   zlib-compressed pickle per object;
 * ``sqlite://PATH`` — objects *and* the transactional metadata catalog in

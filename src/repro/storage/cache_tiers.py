@@ -83,16 +83,17 @@ class LRUPayloadCache:
     immutable by every caller, exactly as before.
     """
 
+    #: Least-recently-used entries ranked per eviction or admission.
+    eviction_sample = 8
+
     def __init__(
         self,
         capacity: int,
         *,
         victim_cost: Callable[[str], float | None] | None = None,
-        eviction_sample: int = 8,
     ) -> None:
         self.capacity = int(capacity)
         self.victim_cost = victim_cost
-        self.eviction_sample = max(1, int(eviction_sample))
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
@@ -283,18 +284,19 @@ class SpillTier:
     state is guarded by one lock; file reads and writes happen outside it.
     """
 
+    #: Oldest entries ranked per eviction.
+    eviction_sample = LRUPayloadCache.eviction_sample
+
     def __init__(
         self,
         directory: str,
         max_bytes: int,
         *,
         victim_cost: Callable[[str], float | None] | None = None,
-        eviction_sample: int = 8,
     ) -> None:
         self.directory = str(directory)
         self.max_bytes = int(max_bytes)
         self.victim_cost = victim_cost
-        self.eviction_sample = max(1, int(eviction_sample))
         self._index: "OrderedDict[str, int]" = OrderedDict()  # key -> compressed size
         self._lock = threading.Lock()
         self.bytes_used = 0
@@ -526,17 +528,9 @@ class TieredPayloadCache(LRUPayloadCache):
         spill_dir: str,
         spill_bytes: int,
         victim_cost: Callable[[str], float | None] | None = None,
-        eviction_sample: int = 8,
     ) -> None:
-        super().__init__(
-            capacity, victim_cost=victim_cost, eviction_sample=eviction_sample
-        )
-        self.disk = SpillTier(
-            spill_dir,
-            spill_bytes,
-            victim_cost=victim_cost,
-            eviction_sample=eviction_sample,
-        )
+        super().__init__(capacity, victim_cost=victim_cost)
+        self.disk = SpillTier(spill_dir, spill_bytes, victim_cost=victim_cost)
 
     def get(self, key: str) -> Any:
         value = super().get(key)

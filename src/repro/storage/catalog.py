@@ -123,6 +123,10 @@ CREATE TABLE IF NOT EXISTS leases (
 #: Rows kept in ``repack_decisions`` before the oldest are trimmed.
 _DECISION_RETENTION = 4096
 
+#: The ``meta`` rows that hold a policy's learned state as JSON: the
+#: adaptive repack controller's, and the staging-cost calibration's.
+POLICY_STATES = ("controller_state", "staging_calibration")
+
 #: Seeded ``meta`` rows (INSERT OR IGNORE — only the first opener wins).
 _META_DEFAULTS = {
     "schema_version": str(_SCHEMA_VERSION),
@@ -727,32 +731,21 @@ class MetadataCatalog:
             self._set_meta(connection, "workload_total", "0")
 
     # ------------------------------------------------------------------ #
-    # adaptive-controller state
+    # learned policy state
     # ------------------------------------------------------------------ #
-    def save_controller_state(self, state: Mapping[str, Any]) -> None:
-        """Persist the adaptive controller's learned state."""
+    def save_policy_state(self, name: str, state: Mapping[str, Any]) -> None:
+        """Persist one policy's learned state as JSON in meta row ``name``
+        (one of ``POLICY_STATES``)."""
+        if name not in POLICY_STATES:
+            raise ValueError(f"unknown policy state {name!r}")
         with self._write() as connection:
-            self._set_meta(connection, "controller_state", json.dumps(dict(state)))
+            self._set_meta(connection, name, json.dumps(dict(state)))
 
-    def load_controller_state(self) -> dict[str, Any] | None:
-        """The persisted controller state, or ``None`` when never saved."""
-        raw = self._meta(self._connection(), "controller_state")
-        if not raw:
-            return None
-        try:
-            state = json.loads(raw)
-        except ValueError:  # pragma: no cover - a torn row is a fresh start
-            return None
-        return state if isinstance(state, dict) else None
-
-    def save_staging_calibration(self, state: Mapping[str, Any]) -> None:
-        """Persist the staging-cost calibration's fitted state."""
-        with self._write() as connection:
-            self._set_meta(connection, "staging_calibration", json.dumps(dict(state)))
-
-    def load_staging_calibration(self) -> dict[str, Any] | None:
-        """The persisted calibration state, or ``None`` when never saved."""
-        raw = self._meta(self._connection(), "staging_calibration")
+    def load_policy_state(self, name: str) -> dict[str, Any] | None:
+        """The state last saved under ``name``, or ``None`` when never saved."""
+        if name not in POLICY_STATES:
+            raise ValueError(f"unknown policy state {name!r}")
+        raw = self._meta(self._connection(), name)
         if not raw:
             return None
         try:

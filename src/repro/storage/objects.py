@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterator
 from ..delta.base import Delta, payload_size
 from ..exceptions import ObjectNotFoundError
 from ..obs.metrics import NULL_INSTRUMENT, log_once
-from .backends import FilesystemBackend, StorageBackend, open_backend
+from .backends import StorageBackend, open_backend
 
 __all__ = ["StoredObject", "ObjectStore", "ObjectMeta", "ChainStats"]
 
@@ -96,20 +96,6 @@ class ObjectMeta:
         return self.base_id is not None
 
 
-class _MeasuredCost:
-    """Mutable EWMA cell of one object's measured rebuild seconds."""
-
-    __slots__ = ("seconds", "count")
-
-    def __init__(self, seconds: float) -> None:
-        self.seconds = seconds
-        self.count = 1
-
-
-#: EWMA smoothing factor for per-object measured rebuild seconds.
-_MEASURED_ALPHA = 0.2
-
-
 @dataclass(frozen=True)
 class ChainStats:
     """Aggregate pricing of one delta chain, keyed by its tip object.
@@ -131,19 +117,10 @@ class ObjectStore:
 
     ``backend`` accepts a :class:`~repro.storage.backends.StorageBackend`
     instance or a spec string (``memory://``, ``file://PATH``,
-    ``zip://PATH``); ``directory`` is legacy sugar for ``file://directory``.
+    ``zip://PATH``, ``sqlite://PATH``).
     """
 
-    def __init__(
-        self,
-        directory: str | None = None,
-        *,
-        backend: str | StorageBackend | None = None,
-    ) -> None:
-        if directory is not None and backend is not None:
-            raise ValueError("pass either 'directory' or 'backend', not both")
-        if directory is not None:
-            backend = FilesystemBackend(directory)
+    def __init__(self, *, backend: str | StorageBackend | None = None) -> None:
         self.backend = open_backend(backend)
         # The incremental cost index: object id -> ObjectMeta, filled on
         # every write and on any read that touches the object anyway, plus
@@ -168,11 +145,10 @@ class ObjectStore:
         # from the index (the cache's victim prices) compares it to know
         # its memo may describe links that are gone.
         self.index_drops = 0
-        # The measured side of the cost index: per-object EWMA of actual
-        # rebuild seconds (fetch + delta apply), recorded by replay paths,
-        # plus running totals that fit a global seconds-per-Φ rate.  Like
-        # the Φ index it is answered with pure dictionary walks.
-        self._observed: dict[str, _MeasuredCost] = {}
+        # The measured side of the cost index: the ids of objects whose
+        # rebuild seconds (fetch + delta apply) replay paths have recorded,
+        # plus running totals that fit a global seconds-per-Φ rate.
+        self._observed: set[str] = set()
         self._apply_seconds_total = 0.0
         self._apply_phi_total = 0.0
         self._apply_observations = 0
@@ -231,7 +207,7 @@ class ObjectStore:
         self._op_delete.inc()
         self.backend.delete(object_id)
         with self._index_lock:
-            self._observed.pop(object_id, None)
+            self._observed.discard(object_id)
             self._children.pop(object_id, None)
             self._drop_meta(object_id)
 
@@ -530,12 +506,7 @@ class ObjectStore:
         if seconds < 0.0:
             return
         with self._index_lock:
-            cell = self._observed.get(object_id)
-            if cell is None:
-                self._observed[object_id] = _MeasuredCost(seconds)
-            else:
-                cell.seconds += _MEASURED_ALPHA * (seconds - cell.seconds)
-                cell.count += 1
+            self._observed.add(object_id)
             self._apply_observations += 1
             self._apply_seconds_total += seconds
             meta = self._meta.get(object_id)

@@ -80,12 +80,11 @@ class Repository:
         self,
         encoder: DeltaEncoder | None = None,
         *,
-        directory: str | None = None,
         backend: str | StorageBackend | None = None,
         cache_size: int = 64,
     ) -> None:
         self.encoder = encoder if encoder is not None else LineDiffEncoder()
-        self.store = ObjectStore(directory=directory, backend=backend)
+        self.store = ObjectStore(backend=backend)
         self.materializer = BatchMaterializer(
             self.store, self.encoder, cache_size=cache_size
         )

@@ -217,16 +217,6 @@ class TestObjectStoreOnBackends:
         object_id = store.put_full(["hello"])
         assert store.get(object_id).payload == ["hello"]
 
-    def test_directory_and_backend_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError):
-            ObjectStore(directory=str(tmp_path), backend="memory://")
-
-    def test_repository_forwards_the_exclusivity_check(self, tmp_path):
-        from repro.storage.repository import Repository
-
-        with pytest.raises(ValueError):
-            Repository(directory=str(tmp_path / "a"), backend=f"zip://{tmp_path}/b")
-
     def test_total_storage_cost_tracks_writes_and_removals(self, backend):
         store = ObjectStore(backend=backend)
         first = store.put_full(["a"] * 10)
@@ -252,9 +242,9 @@ class TestObjectStoreOnBackends:
         assert reader.total_storage_cost() == writer.total_storage_cost()
 
     def test_legacy_directory_layout_still_loads(self, tmp_path):
-        """ObjectStore(directory=...) and file:// share the on-disk format."""
+        """A FilesystemBackend instance and file:// share the on-disk format."""
         directory = str(tmp_path / "objects")
-        writer = ObjectStore(directory=directory)
+        writer = ObjectStore(backend=FilesystemBackend(directory))
         object_id = writer.put_full(["persisted", "rows"])
         reader = ObjectStore(backend=f"file://{directory}")
         assert reader.get(object_id).payload == ["persisted", "rows"]

@@ -231,6 +231,26 @@ class TestMeasuredCostModel:
         assert model["seconds_per_phi"] >= 0.0
         service.close()
 
+    def test_observed_objects_counts_distinct_live_objects(self):
+        repo, vids, _ = build_chain_repository("line", None)
+        service = VersionStoreService(repo, cache_size=0)
+        store = repo.store
+        for vid in vids:
+            service.checkout(vid)
+        for vid in vids:  # a second pass observes the same objects again
+            service.checkout(vid)
+        model = store.measured_cost_model()
+        replayed = set()
+        for vid in vids:
+            replayed.update(store.chain_ids(repo.object_id_of(vid)))
+        assert model["observed_objects"] == len(replayed)
+        assert model["observations"] > model["observed_objects"]
+        store.remove(repo.object_id_of(vids[-1]))
+        after = store.measured_cost_model()
+        assert after["observed_objects"] == model["observed_objects"] - 1
+        assert after["observations"] == model["observations"]
+        service.close()
+
 
 # --------------------------------------------------------------------- #
 # controller evaluation: zero payload reads

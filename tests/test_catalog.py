@@ -24,7 +24,9 @@ Covers the acceptance properties of the catalog subsystem:
 
 from __future__ import annotations
 
+import json
 import os
+import sqlite3
 
 import pytest
 
@@ -358,20 +360,59 @@ class TestControllerState:
         controller.baseline = 42.5
         controller.evaluations = 7
         controller.repacks_fired = 2
-        catalog.save_controller_state(controller.state_dict())
+        catalog.save_policy_state("controller_state", controller.state_dict())
 
         restored = AdaptiveRepackController()
-        restored.load_state(catalog.load_controller_state())
+        restored.load_state(catalog.load_policy_state("controller_state"))
         assert restored.baseline == 42.5
         assert restored.evaluations == 7
         assert restored.repacks_fired == 2
 
     def test_load_tolerates_missing_state(self, tmp_path):
         catalog = MetadataCatalog(str(tmp_path / "cat.db"))
-        assert catalog.load_controller_state() is None
+        assert catalog.load_policy_state("controller_state") is None
         controller = AdaptiveRepackController()
         controller.load_state(None)  # no-op, keeps defaults
         assert controller.evaluations == 0
+
+    def test_unknown_policy_name_is_refused(self, tmp_path):
+        catalog = MetadataCatalog(str(tmp_path / "cat.db"))
+        with pytest.raises(ValueError):
+            catalog.save_policy_state("epoch", {"scale": 2.0})
+        assert catalog.epoch() == 0
+
+    def test_service_restores_rows_in_the_existing_layout(self, tmp_path):
+        """A catalog whose ``controller_state`` and ``staging_calibration``
+        meta rows hold plain JSON objects (the layout every earlier release
+        wrote) restores both policies unchanged."""
+        path = str(tmp_path / "cat.db")
+        repo = Repository(backend=f"sqlite://{path}")
+        repo.commit(["row,1", "row,2"])
+        with sqlite3.connect(path) as connection:
+            connection.executemany(
+                "INSERT OR REPLACE INTO meta(key, value) VALUES (?, ?)",
+                [
+                    (
+                        "controller_state",
+                        json.dumps({"state": "steady", "baseline": 42.5, "evaluations": 7}),
+                    ),
+                    (
+                        "staging_calibration",
+                        json.dumps({"scale": 1.75, "observations": 3}),
+                    ),
+                ],
+            )
+        service = VersionStoreService(
+            Repository(backend=f"sqlite://{path}"), adaptive_repack=True
+        )
+        try:
+            assert service.controller.state == "steady"
+            assert service.controller.baseline == 42.5
+            assert service.controller.evaluations == 7
+            assert service.staging_calibration.scale == 1.75
+            assert service.staging_calibration.observations == 3
+        finally:
+            service.close()
 
 
 # --------------------------------------------------------------------- #

@@ -299,12 +299,12 @@ def test_a_branch_a_peer_removed_stops_counting_as_a_fork(tmp_path):
     point that has one branch left."""
     encoder = LineDiffEncoder()
     directory = str(tmp_path / "objects")
-    reader = ObjectStore(directory=directory)
+    reader = ObjectStore(backend=f"file://{directory}")
     base = reader.put_full(["x", "y"])
     left = reader.put_delta(base, encoder.diff(["x", "y"], ["x", "l"]))
     right = reader.put_delta(base, encoder.diff(["x", "y"], ["x", "r"]))
     assert reader.subtree_stripe_key(right) == right
-    ObjectStore(directory=directory).remove(left)
+    ObjectStore(backend=f"file://{directory}").remove(left)
     reader.total_storage_cost()
     assert reader.meta(left) is None
     assert reader.subtree_stripe_key(right) == base

@@ -47,6 +47,17 @@ class TestBasicCommands:
         assert main(["log", repo_dir]) == 0
         assert "v0" in capsys.readouterr().out
 
+    def test_init_on_a_regular_file_is_a_clean_error(self, tmp_path, capsys):
+        target = tmp_path / "f"
+        target.touch()
+        assert main(["init", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            err.strip()
+        ]
+        assert "Traceback" not in err
+        assert target.is_file() and target.stat().st_size == 0
+
     def test_commit_and_log(self, repo_dir, data_file, capsys):
         assert main(["commit", repo_dir, data_file, "-m", "first"]) == 0
         assert main(["log", repo_dir]) == 0
@@ -386,15 +397,25 @@ class TestServeSurface:
         assert err.startswith("usage:")
         assert f"argument {flag}: must be positive and finite" in err
 
-    def test_removed_keyword_arguments_are_rejected(self):
+    def test_removed_keyword_arguments_are_rejected(self, tmp_path):
         from repro.server.service import VersionStoreService
         from repro.storage.batch import BatchMaterializer
-        from repro.storage.cache_tiers import LRUPayloadCache
+        from repro.storage.cache_tiers import (
+            LRUPayloadCache,
+            SpillTier,
+            TieredPayloadCache,
+        )
+        from repro.storage.objects import ObjectStore
         from repro.storage.repository import Repository
 
         repo = Repository()
+        spill_dir = str(tmp_path)
         for factory, removed in [
-            (lambda **kw: Repository(**kw), ("batch_cache_size", "batch_strategy")),
+            (
+                lambda **kw: Repository(**kw),
+                ("batch_cache_size", "batch_strategy", "directory"),
+            ),
+            (lambda **kw: ObjectStore(**kw), ("directory",)),
             (
                 lambda **kw: BatchMaterializer(repo.store, repo.encoder, **kw),
                 ("strategy", "eviction", "admission", "worker_model", "max_workers"),
@@ -409,7 +430,14 @@ class TestServeSurface:
                     "max_workers",
                 ),
             ),
-            (lambda **kw: LRUPayloadCache(4, **kw), ("admission",)),
+            (lambda **kw: LRUPayloadCache(4, **kw), ("admission", "eviction_sample")),
+            (lambda **kw: SpillTier(spill_dir, 64, **kw), ("eviction_sample",)),
+            (
+                lambda **kw: TieredPayloadCache(
+                    4, spill_dir=spill_dir, spill_bytes=64, **kw
+                ),
+                ("eviction_sample",),
+            ),
         ]:
             for name in removed:
                 with pytest.raises(TypeError, match=name):

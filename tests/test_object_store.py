@@ -57,11 +57,11 @@ class TestObjectStore:
 
     def test_get_many_indexes_what_it_reads(self, tmp_path):
         directory = str(tmp_path / "objects")
-        writer = ObjectStore(directory=directory)
+        writer = ObjectStore(backend=f"file://{directory}")
         encoder = LineDiffEncoder()
         base_id = writer.put_full(["a", "b"])
         leaf_id = writer.put_delta(base_id, encoder.diff(["a", "b"], ["a", "c"]))
-        reader = ObjectStore(directory=directory)
+        reader = ObjectStore(backend=f"file://{directory}")
         # The index answers nothing it has not been told: no key, no meta.
         assert reader.subtree_stripe_key(leaf_id) is None
         assert reader.meta(leaf_id) is None and reader.meta(base_id) is None
@@ -92,9 +92,9 @@ class TestObjectStore:
 
     def test_disk_persistence_roundtrip(self, tmp_path):
         directory = str(tmp_path / "objects")
-        store = ObjectStore(directory=directory)
+        store = ObjectStore(backend=f"file://{directory}")
         object_id = store.put_full(["persisted"])
-        reopened = ObjectStore(directory=directory)
+        reopened = ObjectStore(backend=f"file://{directory}")
         assert reopened.get(object_id).payload == ["persisted"]
 
     def test_iteration(self):

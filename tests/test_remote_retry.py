@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import io
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib import error as urlerror
 
 import pytest
@@ -159,3 +161,36 @@ class TestErrorBodyReporting:
         client = ServiceClient("http://127.0.0.1:1")
         with pytest.raises(RemoteServiceError, match=r"HTTP 500$"):
             client.checkout("v1")
+
+
+class _Unavailable(BaseHTTPRequestHandler):
+    """Answers every GET with 503 and the service's JSON error shape."""
+
+    def do_GET(self) -> None:  # noqa: N802
+        body = json.dumps({"error": "draining for restart"}).encode()
+        self.send_response(503)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args) -> None:  # noqa: A002
+        pass
+
+
+def test_metrics_text_error_keeps_status_and_detail():
+    """``/metrics`` goes through the same request path as every JSON call:
+    an HTTP error keeps its status and the body's detail."""
+    server = HTTPServer(("127.0.0.1", 0), _Unavailable)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.metrics_text()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert excinfo.value.status == 503
+    assert "draining for restart" in str(excinfo.value)
+    assert client.retries == 0

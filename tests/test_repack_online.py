@@ -584,7 +584,7 @@ class TestRepackCLI:
         assert len(records) == 1
         assert records[0]["mode"] == "manual" and records[0]["applied"] is True
         assert records[0]["workload_aware"] is True
-        assert repo.catalog.load_staging_calibration()["observations"] == 1
+        assert repo.catalog.load_policy_state("staging_calibration")["observations"] == 1
         assert repo.epoch == 1
 
     @pytest.mark.parametrize("backend", ["sqlite://catalog.db", "file://objects"])

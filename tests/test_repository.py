@@ -69,7 +69,7 @@ class TestCommitAndCheckout:
             repo.checkout_many([vid], record_stats=False)
 
     def test_disk_backed_repository(self, tmp_path):
-        repo = Repository(directory=str(tmp_path / "objects"))
+        repo = Repository(backend=f"file://{tmp_path}/objects")
         vid = repo.commit(make_payload("disk"))
         assert repo.checkout(vid).payload == make_payload("disk")
 
