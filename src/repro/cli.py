@@ -549,12 +549,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         log_sink = JsonLogSink(args.log_json)
     replica_id = None
     if getattr(args, "join", False):
-        if repo.catalog is None:
-            raise ReproError(
-                "--join needs a shared metadata catalog: initialise the "
-                "store with --backend sqlite://PATH (peers then serve the "
-                "same catalog and elect one repack planner)"
-            )
         replica_id = getattr(args, "replica_id", None) or (
             f"replica-{socket.gethostname()}-{os.getpid()}"
         )

@@ -33,6 +33,11 @@ __all__ = [
 class ReproError(Exception):
     """Base class for every error raised by the :mod:`repro` package."""
 
+    def __str__(self) -> str:
+        # The plain message, also for the KeyError subclasses, whose own
+        # __str__ would quote it.
+        return Exception.__str__(self)
+
 
 class VersionNotFoundError(ReproError, KeyError):
     """A referenced version id does not exist in the graph or repository."""

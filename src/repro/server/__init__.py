@@ -5,7 +5,7 @@ checkout; a process that lives across requests amortizes it through a warm
 materialization cache and request coalescing.  This package provides:
 
 * :mod:`~repro.server.service` — :class:`VersionStoreService`, the
-  transport-agnostic core (warm batch cache, coalescing, serving stats);
+  transport-agnostic core, and :mod:`~repro.server.policy`, its repack policy;
 * :mod:`~repro.server.httpd` — the stdlib HTTP/JSON transport;
 * :mod:`~repro.server.remote` — :class:`ServiceClient`, the JSON client.
 

@@ -66,7 +66,8 @@ from urllib.parse import parse_qs, urlparse
 
 from ..exceptions import LeaseError, ReproError, VersionNotFoundError
 from ..obs import Trace
-from .service import PLAN_OPTIONS, VersionStoreService, batch_response
+from .policy import PLAN_OPTIONS
+from .service import VersionStoreService, batch_response
 
 __all__ = ["VersionStoreHTTPServer", "serve", "serve_in_thread"]
 
@@ -368,7 +369,7 @@ class _Handler(BaseHTTPRequestHandler):
                             "combine 'dry_run' with a plain repack, or read "
                             "the controller state from /stats"
                         )
-                    report = self.service.adaptive_repack_cycle(**_plan_options(body))
+                    report = self.service.policy.cycle(**_plan_options(body))
                     self._send_json(200, report)
                     return True
                 report = self.service.repack(

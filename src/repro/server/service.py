@@ -5,48 +5,25 @@ is amortized across many checkout requests — which requires a process that
 *stays alive* between requests instead of the one-shot CLI.  This module is
 that process's core, independent of any transport:
 
-* a persistent warm :class:`~repro.storage.batch.BatchMaterializer` cache
-  shared across *all* requests, so a hot version's chain is replayed once
-  and then served from memory;
-* **per-chain parallelism** — checkouts of independent delta chains
-  materialize concurrently.  A striped lock manager keyed by each chain's
-  root object serializes work *within* one chain (so concurrent requests
-  cooperate through the warm cache instead of duplicating a replay) while
-  an epoch read/write coordinator lets any number of reads run together
-  and reserves a brief exclusive barrier for structural mutations: commits
-  and the repack swap.  There is no global serving lock;
-* request coalescing — concurrent checkouts of the same version share one
-  chain replay: the first request becomes the leader and replays the chain,
-  every concurrent duplicate waits and receives the very same payload;
-* aggregate serving statistics (`deltas_applied` vs the
-  ``naive_delta_applications`` a cold sequential server would have paid)
-  so the amortization the batch engine promises is observable in
-  production, not only in benchmarks;
-* a persistent :class:`~repro.storage.workload_log.WorkloadLog` of
-  per-version access frequencies (raw and half-life-decayed views) that
-  survives restarts and feeds the workload-aware optimizers (Figure 16)
-  with *real* traffic;
-* an operator-triggered **online repack** (:meth:`VersionStoreService.repack`)
-  that re-optimizes the storage plan against the logged workload.  The
-  expensive parts run while checkouts keep flowing: the cost model is
-  measured under *shared* access, and staging writes only brand-new
-  content-addressed keys, so it runs concurrently with readers outside
-  the coordinator entirely.  Only the swap takes the exclusive
-  barrier, and the swap prices everything from the store's incremental
-  cost index, so the write pause is the swap window alone.  Every repack —
-  ``POST /repack``, the local ``repro repack DIR`` and the controller's —
-  runs through that one method;
-* a **warm cost model**: the same per-chain ``ChainStats`` that price
-  repacks are combined with the live cache contents, so
-  ``stats()['workload']['expected_recreation_cost']['warm']`` reports the
-  Σf·Φ each request will *actually* pay right now, and the serving
-  cache evicts by that marginal-cost metric instead of raw LRU;
-* an **adaptive repack controller** (``adaptive_repack=True``), the one
-  automatic trigger: hysteresis band around a learned baseline, decayed
-  workload trend, and an amortization horizon — the store repacks itself
-  exactly when a repack pays for itself, and stands down otherwise.  An
-  absolute recreation ceiling is a plan constraint (Problem 6 with a
-  ``threshold``), not a trigger.
+* one persistent warm :class:`~repro.storage.batch.BatchMaterializer`
+  cache shared across *all* requests, so a hot version's chain is replayed
+  once and then served from memory, evicting by the marginal recreation
+  cost it saves rather than by recency;
+* per-chain parallelism without a global serving lock, and request
+  coalescing: concurrent checkouts of one version share one replay (see
+  :class:`VersionStoreService` for the concurrency model);
+* serving statistics (``deltas_applied`` vs the ``naive_delta_applications``
+  a cold sequential server would have paid) and a persistent
+  :class:`~repro.storage.workload_log.WorkloadLog` of per-version access
+  frequencies that feeds the workload-aware optimizers (Figure 16) with
+  *real* traffic;
+* the **online repack** (:meth:`VersionStoreService.repack`) that
+  re-optimizes the storage plan against that workload while checkouts keep
+  flowing: only the swap takes the exclusive barrier.  Every repack —
+  ``POST /repack``, the local ``repro repack DIR`` and the adaptive
+  policy's — runs through that one method.  *When* to repack is decided
+  by the service's :class:`~repro.server.policy.RepackPolicy`, which also
+  holds a replica group's planner lease and the decision log.
 
 The HTTP transport lives in :mod:`repro.server.httpd`; this class is also
 usable directly in-process (the serving benchmark does exactly that).
@@ -54,94 +31,29 @@ usable directly in-process (the serving benchmark does exactly that).
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from ..core.problems import Algorithm, ProblemKind, default_threshold, solve
+from ..core.problems import default_threshold, solve
 from ..core.version import VersionID
-from ..exceptions import (
-    LeaseFencedError,
-    NotLeaseHolderError,
-    ReproError,
-    SnapshotConflictError,
-)
-from ..storage.lease import PlannerLease
-from ..obs import DecisionLog, JsonLogSink, MetricsRegistry, Trace
-from ..obs.metrics import default_registry_from_env, log_once
+from ..exceptions import LeaseFencedError, ReproError, SnapshotConflictError
+from ..obs import JsonLogSink, MetricsRegistry, Trace
+from ..obs.metrics import default_registry_from_env
 from ..obs.trace import NULL_TRACE
 from ..storage.batch import BatchMaterializer, BatchResult
 from ..storage.concurrency import EpochCoordinator, StripedLockManager
 from ..storage.repack import (
-    AdaptiveRepackController,
     OnlineRepacker,
-    StagingCostCalibration,
-    estimate_repack_cost,
     expected_workload_cost,
     expected_workload_costs,
 )
 from ..storage.repository import Repository
 from ..storage.workload_log import WorkloadLog
+from .policy import RepackPolicy, check_plan_options
 
 __all__ = ["VersionStoreService", "CheckoutResponse", "ServiceStats", "batch_response"]
-
-
-def _non_negative(number: Any) -> Any:
-    if not number >= 0:  # NaN fails the comparison too
-        raise ValueError(number)
-    return number
-
-
-def _positive_finite(number: float) -> float:
-    if not 0 < number < math.inf:  # NaN fails the comparison too
-        raise ValueError(number)
-    return number
-
-
-_PLAN_OPTION_CHECKS: dict[str, Callable[[Any], Any]] = {
-    "problem": lambda value: int(ProblemKind(int(value))),
-    "threshold": lambda value: _non_negative(float(value)),
-    "threshold_factor": lambda value: _non_negative(float(value)),
-    "hop_limit": lambda value: _non_negative(int(value)),
-    "algorithm": lambda value: Algorithm(value).value,
-}
-
-#: The plan knobs of :meth:`VersionStoreService.plan`, ``repack`` and
-#: ``adaptive_repack_cycle`` — the keys the HTTP layer forwards from a body.
-PLAN_OPTIONS = tuple(_PLAN_OPTION_CHECKS)
-
-#: ``repack`` also takes the half-life of its decayed workload view.
-_OPTION_CHECKS = {
-    **_PLAN_OPTION_CHECKS,
-    "half_life": lambda value: _positive_finite(float(value)),
-}
-
-#: Options whose ``None`` means "not set" rather than a malformed value.
-_UNSET_ALLOWED = ("threshold", "threshold_factor", "half_life")
-
-
-def _check_plan_options(**options: Any) -> dict[str, Any]:
-    """The plan knobs, converted, or a :class:`ReproError` (HTTP 400, CLI
-    exit 1) for a malformed one.
-
-    Measuring the cost model is a full payload scan, and a repack holds the
-    write gate through it, so the knobs are checked before any scan instead
-    of by the solver afterwards.  An unset threshold stays ``None``: it is
-    resolved from the instance at solve time, and an unset half-life
-    means the raw (undecayed) workload view.
-    """
-    checked: dict[str, Any] = {}
-    for name, value in options.items():
-        if value is None and name in _UNSET_ALLOWED:
-            checked[name] = None
-            continue
-        try:
-            checked[name] = _OPTION_CHECKS[name](value)
-        except (TypeError, ValueError):
-            raise ReproError(f"invalid plan option {name}={value!r}") from None
-    return checked
 
 
 @dataclass(frozen=True)
@@ -201,7 +113,6 @@ class ServiceStats:
     naive_delta_applications: int = 0
     recreation_cost_paid: float = 0.0
     recreation_cost_predicted: float = 0.0
-    auto_repacks: int = 0
     per_version: dict[VersionID, int] = field(default_factory=dict)
 
     def record_checkout(
@@ -239,7 +150,6 @@ class ServiceStats:
             "naive_delta_applications": self.naive_delta_applications,
             "recreation_cost_paid": self.recreation_cost_paid,
             "recreation_cost_predicted": self.recreation_cost_predicted,
-            "auto_repacks": self.auto_repacks,
             "per_version": dict(self.per_version),
         }
 
@@ -286,16 +196,13 @@ class VersionStoreService:
     but slow callbacks stall requests for their duration; the CLI uses it
     to persist the repository state file.
 
-    ``adaptive_repack`` arms the background repack policy, an
-    :class:`~repro.storage.repack.AdaptiveRepackController`: every
-    ``auto_repack_interval`` checkouts an evaluation on a background thread
-    prices the *warm decayed* expected cost — what requests actually pay
-    given the live cache, weighted toward recent traffic — against a
-    baseline the controller learns from its own repacks, with a hysteresis
-    band against thrash and an amortization gate (``repack_horizon``
-    requests) against repacks that cost more than they save.
-    :meth:`adaptive_repack_cycle` runs one evaluation synchronously (the
-    ``POST /repack {"adaptive": true}`` surface).
+    The repack policy — when to repack, the planner lease, the decision
+    log — is ``policy``, a :class:`~repro.server.policy.RepackPolicy`:
+    ``adaptive_repack`` arms its background trigger, checked every
+    ``auto_repack_interval`` checkouts and gated on ``repack_horizon``
+    requests of amortization; ``replica_id`` joins a replica group whose
+    planner it elects (``lease_ttl``/``lease_renew``); ``log_sink`` receives
+    its decision records as well as the transport's request events.
     """
 
     def __init__(
@@ -317,11 +224,6 @@ class VersionStoreService:
         lease_ttl: float = 10.0,
         lease_renew: float | None = None,
     ) -> None:
-        if replica_id is not None and getattr(repository, "catalog", None) is None:
-            raise ValueError(
-                "replica groups need a shared metadata catalog: serve the "
-                "store over a sqlite:// backend to use --join"
-            )
         self.repository = repository
         self.chain_locks = StripedLockManager(lock_stripes)
         self.materializer = BatchMaterializer(
@@ -359,62 +261,22 @@ class VersionStoreService:
         # The workload total a stats() call already read, handed to the
         # scrape-time collector its metrics snapshot runs on this thread.
         self._stats_reading = threading.local()
-        # Auto-repack policy state (all guarded by _state_lock).
-        self.auto_repack_interval = max(1, int(auto_repack_interval))
-        self.repack_horizon = float(repack_horizon)
-        # _adaptive_armed gates the *background* policy: a controller
-        # created lazily by an operator's synchronous cycle must not start
-        # firing repacks from the request path — only the constructor flag
-        # arms that.  _closed is set once by close() and never cleared.
-        self._adaptive_armed = bool(adaptive_repack)
-        self.controller = (
-            AdaptiveRepackController(horizon=self.repack_horizon)
-            if adaptive_repack
-            else None
-        )
-        self._auto_last_check = 0
-        self._auto_repack_running = False
-        self._closed = False
-        self._auto_repack_error: str | None = None
-        # A catalog remembers the controller's learned baseline across
-        # restarts: what the store's cost structure looks like is a
-        # property of the store, not of one process lifetime.
-        if self.controller is not None:
-            self._restore_policy("controller_state", self.controller)
-        # The staging-cost calibration learns the ratio between what
-        # `estimate_repack_cost` predicts and what staging actually paid.
-        # Like the controller baseline it is a property of the store, so a
-        # catalog-backed repository restores the learned scale on open.
-        self.staging_calibration = StagingCostCalibration()
-        self._restore_policy("staging_calibration", self.staging_calibration)
         # Observability: a metrics registry (REPRO_METRICS=off selects the
-        # no-op null registry), an optional JSON-lines event sink, and a
-        # decision log that writes through to the catalog when one exists
-        # so the repack audit trail survives restarts.
+        # no-op null registry) and an optional JSON-lines event sink.
         self.metrics = metrics if metrics is not None else default_registry_from_env()
         self.log_sink = log_sink
-        self.decision_log = DecisionLog(
-            capacity=256, catalog=getattr(repository, "catalog", None)
-        )
-        # Replica-group mode: this replica competes for the repack-planner
-        # lease.  Only the holder's policy evaluates/stages; every replica
-        # still adopts finished swaps through sync().  The lease's renewal
-        # thread starts here and is stopped (with a voluntary release, so
-        # peers take over immediately) by close().
-        self.replica_id = replica_id
-        self.lease: PlannerLease | None = None
-        if replica_id is not None:
-            self.lease = PlannerLease(
-                repository.catalog,
-                replica_id,
-                ttl=lease_ttl,
-                renew_interval=lease_renew,
-                on_event=self._record_lease_event,
-            )
         self._bind_metrics()
-        if self.lease is not None:
-            self.lease.try_acquire()
-            self.lease.start()
+        self.policy = RepackPolicy(
+            self,
+            armed=adaptive_repack,
+            interval=auto_repack_interval,
+            horizon=repack_horizon,
+            log_sink=log_sink,
+            replica_id=replica_id,
+            lease_ttl=lease_ttl,
+            lease_renew=lease_renew,
+        )
+        self.lease = self.policy.lease
 
     def _bind_metrics(self) -> None:
         """Create this service's instruments and bind every collaborator."""
@@ -441,43 +303,8 @@ class VersionStoreService:
             "repro_coalesced_requests_total",
             "Checkouts served by sharing a concurrent leader's replay.",
         )
-        self._m_decisions = registry.counter(
-            "repro_repack_decisions_total",
-            "Adaptive-controller evaluate outcomes, by verdict.",
-            ("verdict",),
-        )
-        self._m_repacks = registry.counter(
-            "repro_repacks_total",
-            "Applied online repacks, by what initiated them.",
-            ("mode",),
-        )
-        self._m_service_errors = registry.counter(
-            "repro_backend_errors_total",
-            "Backend read/write errors (misses excluded) by scheme.",
-            ("scheme",),
-        ).labels("service")
-        staging = registry.counter(
-            "repro_repack_staging_phi_total",
-            "Repack staging cost in recreation-cost units, estimated vs measured.",
-            ("kind",),
-        )
-        self._m_staging_estimated = staging.labels("estimated")
-        self._m_staging_measured = staging.labels("measured")
-        self._m_staging_seconds = registry.counter(
-            "repro_repack_staging_seconds_total",
-            "Wall-clock seconds spent staging repacks.",
-        )
-        self._m_lease_events = registry.counter(
-            "repro_lease_events_total",
-            "Planner-lease transitions observed by this replica, by event.",
-            ("event",),
-        )
         if not self._metrics_on:
             return
-        staging_scale = registry.gauge(
-            "repro_repack_staging_scale",
-            "Calibrated scale applied to repack staging-cost estimates.",
-        )
         phi_rate = registry.gauge(
             "repro_apply_seconds_per_phi",
             "Measured wall-clock seconds per unit of recreation cost.",
@@ -493,10 +320,6 @@ class VersionStoreService:
             "repro_workload_accesses_total",
             "Accesses folded into the workload log.",
         )
-        lease_holder_gauge = registry.gauge(
-            "repro_lease_holder",
-            "1 when this replica holds the repack-planner lease, else 0.",
-        )
 
         def collect(_registry: MetricsRegistry) -> None:
             epoch_gauge.set(self.repacker.epoch)
@@ -506,50 +329,10 @@ class VersionStoreService:
             workload_gauge.set(
                 total if total is not None else self.workload_log.total_accesses
             )
-            staging_scale.set(self.staging_calibration.scale)
             rate = self.repository.store.seconds_per_phi()
             phi_rate.set(rate if rate is not None else 0.0)
-            lease_holder_gauge.set(
-                1.0 if self.lease is not None and self.lease.is_holder else 0.0
-            )
 
         registry.register_collector(collect)
-
-    def _restore_policy(self, name: str, policy: Any) -> None:
-        """Load ``policy``'s learned state from the catalog, when saved."""
-        catalog = self.repository.catalog
-        saved = catalog.load_policy_state(name) if catalog is not None else None
-        if saved:
-            policy.load_state(saved)
-
-    def _persist_policy(self, name: str, policy: Any) -> None:
-        """Save ``policy``'s learned state to the catalog, best-effort."""
-        catalog = self.repository.catalog
-        if catalog is None:
-            return
-        try:
-            catalog.save_policy_state(name, policy.state_dict())
-        except Exception as error:  # pragma: no cover - persistence best-effort
-            self._note_policy_error(f"{name}_persist", error)
-
-    def _note_policy_error(self, site: str, error: BaseException) -> None:
-        """Record a background-policy failure without losing it.
-
-        Previously these handlers only stashed the message in
-        ``_auto_repack_error`` (visible only to a stats caller who thought
-        to look); now every one also logs once per site and counts on the
-        shared backend-error counter so dashboards see the failure.
-        """
-        log_once(
-            f"service:{site}",
-            "service background task %s failed (%s: %s)",
-            site,
-            type(error).__name__,
-            error,
-        )
-        self._m_service_errors.inc()
-        with self._state_lock:
-            self._auto_repack_error = f"{type(error).__name__}: {error}"
 
     # ------------------------------------------------------------------ #
     # writes
@@ -606,9 +389,7 @@ class VersionStoreService:
                     self._on_commit(self.repository)
                 with self._state_lock:
                     self.stats_counters.commits += 1
-                if self.controller is not None:
-                    self.controller.note_commit()
-                    self._persist_policy("controller_state", self.controller)
+                self.policy.note_commit()
         return version_id
 
     # ------------------------------------------------------------------ #
@@ -680,7 +461,7 @@ class VersionStoreService:
                     coalesced=True,
                 )
             self.workload_log.record(version_id)
-            self._maybe_auto_repack()
+            self.policy.maybe_auto_repack()
             return response
 
         try:
@@ -741,7 +522,7 @@ class VersionStoreService:
         # already released, and neither a log-append failure nor a blocking
         # auto-repack check can stall or poison them.
         self.workload_log.record(version_id)
-        self._maybe_auto_repack()
+        self.policy.maybe_auto_repack()
         return response
 
     def checkout_many(
@@ -791,7 +572,7 @@ class VersionStoreService:
                         predicted_cost=item.predicted_cost,
                     )
         self.workload_log.record_many(vid for vid, _ in requests)
-        self._maybe_auto_repack()
+        self.policy.maybe_auto_repack()
         return result
 
     # ------------------------------------------------------------------ #
@@ -824,7 +605,6 @@ class VersionStoreService:
             with self._state_lock:
                 serving = self.stats_counters.snapshot()
                 serving["cache"] = self.materializer.cache_info()
-                auto_error = self._auto_repack_error
             repository = {
                 "versions": len(self.repository),
                 "branches": dict(self.repository.branches),
@@ -856,23 +636,10 @@ class VersionStoreService:
             }
             repack = {
                 "epoch": self.repacker.epoch,
-                "horizon": self.repack_horizon,
-                "auto_repacks": serving["auto_repacks"],
-                "auto_repack_error": auto_error,
-                "controller": (
-                    dict(
-                        self.controller.snapshot(),
-                        staging_calibration=self.staging_calibration.snapshot(),
-                    )
-                    if self.controller is not None
-                    else None
-                ),
-                "staging_calibration": self.staging_calibration.snapshot(),
+                **self.policy.snapshot(),
                 "measured_cost_model": self.repository.store.measured_cost_model(),
-                "decisions": self.decision_log.tail(20),
-                "decision_seq": self.decision_log.last_seq,
-                "lease": self.lease.state() if self.lease is not None else None,
             }
+            serving["auto_repacks"] = repack["auto_repacks"]
             concurrency = {
                 "lock_stripes": self.chain_locks.num_stripes,
                 "exclusive_epochs": self.coordinator.exclusive_epochs,
@@ -908,7 +675,7 @@ class VersionStoreService:
         measures the cost model with a full payload scan.  The plan is
         *not* applied; use :meth:`repack` to apply one online.
         """
-        options = _check_plan_options(
+        options = check_plan_options(
             problem=problem,
             threshold=threshold,
             threshold_factor=threshold_factor,
@@ -1015,8 +782,9 @@ class VersionStoreService:
         ``dry_run`` stops after step 2 and reports what the repack *would*
         do.  ``gate`` is judged at the same point with the planning report:
         returning ``False`` abandons the repack before any staging write
-        (the adaptive controller's amortization gate plugs in here, so the
-        expensive plan is solved exactly once per decision).  Returns a
+        (the adaptive policy's amortization gate plugs in here, so the plan
+        is solved once per decision and staging priced once, from the
+        ``staging_cost_estimate`` the gate leaves).  Returns a
         JSON-ready report either way; ``"applied"`` records whether the
         store was actually re-encoded.  ``mode`` only labels the decision
         record (``manual`` / ``adaptive``).  The plan knobs and
@@ -1028,7 +796,7 @@ class VersionStoreService:
         gets :class:`~repro.exceptions.NotLeaseHolderError` (HTTP 409)
         and should retry against the holder named in ``/stats``.
         """
-        options = _check_plan_options(
+        options = check_plan_options(
             problem=problem,
             threshold=threshold,
             threshold_factor=threshold_factor,
@@ -1037,105 +805,15 @@ class VersionStoreService:
             half_life=half_life,
         )
         if not dry_run:
-            self._require_lease_holder("repack")
+            self.policy.require_lease_holder("repack")
         report = self._repack_locked(
             **options,
             use_workload=use_workload,
             dry_run=dry_run,
             gate=gate,
         )
-        self._record_repack_decision(report, mode)
+        self.policy.record_repack(report, mode)
         return report
-
-    def _record_repack_decision(self, report: dict[str, Any], mode: str) -> None:
-        """Fold one repack outcome into the decision log, metrics and sink."""
-        applied = bool(report.get("applied"))
-        record: dict[str, Any] = {
-            "event": "repack",
-            "ts": round(time.time(), 3),
-            "mode": mode,
-            "applied": applied,
-            "dry_run": bool(report.get("dry_run")),
-            "workload_aware": bool(report.get("workload_aware")),
-            "epoch": report.get("epoch"),
-            "expected_cost_before": (report.get("expected_cost_before") or {}).get(
-                "per_request"
-            ),
-            "expected_cost_after": (report.get("expected_cost_after") or {}).get(
-                "per_request"
-            ),
-        }
-        for key in (
-            "staging_cost_estimate",
-            "staging_cost_calibrated",
-            "staging_cost_paid",
-            "staging_seconds",
-            "staging_scale",
-        ):
-            if key in report:
-                record[key] = report[key]
-        if "conflict" in report:
-            record["conflict"] = report["conflict"]
-        if "fenced" in report:
-            record["fenced"] = report["fenced"]
-        self.decision_log.append(record)
-        if applied:
-            self._m_repacks.labels(mode).inc()
-        self._emit_decision(record)
-
-    def _emit_decision(self, record: dict[str, Any]) -> None:
-        if self.log_sink is None:
-            return
-        fields = {k: v for k, v in record.items() if k != "event"}
-        self.log_sink.emit(str(record.get("event", "decision")), **fields)
-
-    def _record_lease_event(self, event: dict[str, Any]) -> None:
-        """Fold one lease transition into the decision log, metrics, sink.
-
-        Renewals and rejections fire every renew interval from every
-        replica; they stay in the in-memory decision ring (visible in
-        ``/stats``) but skip the catalog write-through — persisting one
-        row per second per replica would flush the bounded repack audit
-        trail out of its retention window.  Holder *changes* (acquired /
-        stolen / lost / released) and fencings are the audit trail, so
-        those persist.
-        """
-        kind = str(event.get("event", "lease"))
-        record = {
-            "event": f"lease_{kind}",
-            "ts": round(time.time(), 3),
-            "role": event.get("role"),
-            "holder": event.get("holder"),
-            "token": event.get("token"),
-            "replica_id": self.replica_id,
-        }
-        if "stolen_from" in event:
-            record["stolen_from"] = event["stolen_from"]
-        if "detail" in event:
-            record["detail"] = event["detail"]
-        persist = kind not in ("renewed", "rejected")
-        self.decision_log.append(record, persist=persist)
-        self._m_lease_events.labels(kind).inc()
-        if persist:
-            self._emit_decision(record)
-
-    def _require_lease_holder(self, operation: str) -> None:
-        """Planner-only operations 409 on replicas without the lease.
-
-        Repack planning and pruning mutate shared store state that every
-        replica serves from; in a replica group exactly one process — the
-        lease holder — may run them.  Prune especially: a non-holder's
-        sweep could collect objects the holder's in-flight staging already
-        wrote but has not mapped yet.
-        """
-        if self.lease is None or self.lease.is_holder:
-            return
-        state = self.lease.state()
-        raise NotLeaseHolderError(
-            f"replica {self.replica_id!r} does not hold the "
-            f"{self.lease.role!r} lease (held by {state['holder']!r}); "
-            f"{operation} must run on the lease holder"
-        )
 
     def _repack_locked(
         self,
@@ -1193,23 +871,11 @@ class VersionStoreService:
                 report["applied"] = False
                 return report
 
-            # Price staging before paying for it, so the calibration below
-            # can compare prediction to reality.  Index-only walk.
-            with self.coordinator.shared():
-                staging_estimate = estimate_repack_cost(self.repository)
-            report["staging_cost_estimate"] = staging_estimate
-            report["staging_cost_calibrated"] = self.staging_calibration.calibrated(
-                staging_estimate
-            )
-
+            self.policy.price_staging(report)
             with self.repacker.lock:
-                # Phase 1 — stage the new encoding; readers keep serving.
-                # The lease fence is captured *now*, at staging start: if
-                # the lease changes hands before the swap (this planner
-                # paused past its TTL), the activation transaction rejects
-                # the stale token and the zombie epoch never goes live.
-                fence = self.lease.fence() if self.lease is not None else None
-                staged = self.repacker.rebuild(result.plan, fence=fence)
+                # Phase 1 — stage the new encoding under the lease fence;
+                # readers keep serving.
+                staged = self.repacker.rebuild(result.plan, fence=self.policy.fence())
                 # Phase 2 — the exclusive barrier: the only window in which
                 # reads pause, and it contains no payload access at all.
                 try:
@@ -1243,16 +909,7 @@ class VersionStoreService:
                     report["epoch"] = self.repacker.epoch
                     report["applied"] = False
                     report["fenced"] = str(error)
-                    if self.lease is not None:
-                        self._record_lease_event(
-                            {
-                                "event": "fenced",
-                                "role": self.lease.role,
-                                "holder": self.replica_id,
-                                "token": self.lease.token,
-                                "detail": str(error),
-                            }
-                        )
+                    self.policy.note_fenced(error)
                     return report
                 # Priced outside the barrier: totalling storage enumerates
                 # backend keys and may read index-unseen orphans — reads
@@ -1265,18 +922,7 @@ class VersionStoreService:
             report["epoch"] = self.repacker.epoch
             report["expected_cost_after"] = expected_after
             report["applied"] = True
-            # Close the loop: fold what staging actually paid back into the
-            # calibration so the next estimate lands closer to reality.
-            self.staging_calibration.observe(
-                staging_estimate,
-                staged.staging_cost_paid,
-                seconds=staged.staging_seconds,
-            )
-            report["staging_scale"] = self.staging_calibration.scale
-            self._m_staging_estimated.inc(staging_estimate)
-            self._m_staging_measured.inc(staged.staging_cost_paid)
-            self._m_staging_seconds.inc(staged.staging_seconds)
-            self._persist_policy("staging_calibration", self.staging_calibration)
+            self.policy.note_staged(report, staged)
         return report
 
     def prune_epochs(self) -> dict[str, float]:
@@ -1297,7 +943,7 @@ class VersionStoreService:
         written but not yet mapped look unreferenced) — that footgun is a
         409 now, not a silent data-loss window.
         """
-        self._require_lease_holder("prune")
+        self.policy.require_lease_holder("prune")
         with self._write_gate:
             with self.coordinator.exclusive():
                 return self.repacker.prune_dead_epochs()
@@ -1313,19 +959,8 @@ class VersionStoreService:
         deletes.  A ``False`` return means some repack was still running;
         its own ``on_commit`` persists consistent state when it completes.
         """
-        with self._state_lock:
-            self._closed = True
-        # Release the planner lease first: a clean shutdown should hand
-        # planning to a peer immediately instead of making the group wait
-        # a TTL for the dead holder to expire.
-        if self.lease is not None:
-            self.lease.stop(release=True)
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._state_lock:
-                if not self._auto_repack_running:
-                    break
-            time.sleep(0.05)
+        self.policy.stop(deadline)
         # Every repack — operator-triggered included — holds the write
         # gate for its whole duration, so passing through it establishes
         # that no swap is mid-flight when the caller persists state.
@@ -1337,212 +972,3 @@ class VersionStoreService:
         if self.log_sink is not None:
             self.log_sink.close()
         return quiesced
-
-    # ------------------------------------------------------------------ #
-    # adaptive repack controller
-    # ------------------------------------------------------------------ #
-    def adaptive_repack_cycle(self, **plan_options: Any) -> dict[str, Any]:
-        """Run one adaptive-controller evaluation cycle, synchronously.
-
-        Prices the warm decayed expected cost, feeds it to the controller,
-        and — when the controller triggers — solves a workload-aware plan
-        whose application is gated on the amortization check, all on the
-        calling thread.  ``plan_options`` (``problem``, ``threshold``,
-        ``threshold_factor``, ``hop_limit``, ``algorithm``) are forwarded
-        to :meth:`repack` when a plan is solved.  This is the
-        deterministic surface behind ``POST /repack {"adaptive": true}``
-        and the convergence tests; the background policy runs exactly the
-        same cycle with default options.  A controller is created on first
-        use when the service was not started with ``adaptive_repack=True``,
-        so an operator can drive the policy manually against any running
-        server.  In a replica group only the planner-lease holder may run
-        a cycle; other replicas raise
-        :class:`~repro.exceptions.NotLeaseHolderError`.
-        """
-        plan_options = _check_plan_options(**plan_options)
-        self._require_lease_holder("adaptive repack cycle")
-        with self._state_lock:
-            if self.controller is None:
-                self.controller = AdaptiveRepackController(
-                    horizon=self.repack_horizon
-                )
-                self._restore_policy("controller_state", self.controller)
-            if self._auto_repack_running:
-                return {
-                    "adaptive": True,
-                    "fired": False,
-                    "reason": "an auto repack is already running",
-                    "controller": self.controller.snapshot(),
-                }
-            self._auto_repack_running = True
-        try:
-            return self._adaptive_cycle(**plan_options)
-        finally:
-            with self._state_lock:
-                self._auto_repack_running = False
-
-    def _adaptive_cycle(self, **plan_options: Any) -> dict[str, Any]:
-        """One evaluate → (maybe plan) → (maybe repack) controller pass.
-
-        Every cycle — fired, gate-vetoed or stood down — leaves one
-        structured record in the decision log (persisted via the catalog
-        when the store has one) and bumps the per-verdict decision counter.
-        """
-        report = self._adaptive_cycle_inner(**plan_options)
-        self._record_adaptive_decision(report)
-        return report
-
-    def _record_adaptive_decision(self, report: dict[str, Any]) -> None:
-        controller_snapshot = report.get("controller") or {}
-        fired = bool(report.get("fired"))
-        if fired:
-            verdict = "fired"
-        elif "projected_cost_per_request" in report:
-            # The controller triggered and a plan was solved, but the
-            # amortization gate (or a swap conflict) kept it from applying.
-            verdict = "vetoed"
-        else:
-            verdict = "held"
-        record: dict[str, Any] = {
-            "event": "adaptive_evaluate",
-            "ts": round(time.time(), 3),
-            "verdict": verdict,
-            "fired": fired,
-            "reason": report.get("reason"),
-            "state": controller_snapshot.get("state"),
-            "baseline_per_request": controller_snapshot.get("baseline_per_request"),
-            "epoch": self.repacker.epoch,
-            "observations": report.get("observations"),
-            "cost_per_request": report.get("evaluated_cost_per_request"),
-            "projected_cost_per_request": report.get("projected_cost_per_request"),
-            "staging_cost_estimate": report.get("staging_cost_estimate"),
-            "staging_cost_calibrated": report.get("staging_cost_calibrated"),
-            "staging_scale": self.staging_calibration.scale,
-        }
-        self.decision_log.append(record)
-        self._m_decisions.labels(verdict).inc()
-        self._emit_decision(record)
-
-    def _adaptive_cycle_inner(self, **plan_options: Any) -> dict[str, Any]:
-        controller = self.controller
-        assert controller is not None
-        with self.coordinator.shared():
-            if len(self.repository) == 0:
-                return {
-                    "adaptive": True,
-                    "fired": False,
-                    "reason": "empty repository",
-                    "controller": controller.snapshot(),
-                }
-            version_ids = self.repository.graph.version_ids
-            frequencies = self.workload_log.decayed_frequencies(version_ids)
-            priced = expected_workload_cost(
-                self.repository, frequencies or None, materializer=self.materializer
-            )
-            observations = self.workload_log.total_accesses
-        current = priced["warm"]["per_request"]
-        report: dict[str, Any] = {
-            "adaptive": True,
-            "fired": False,
-            "evaluated_cost_per_request": current,
-            "observations": observations,
-        }
-        if not controller.observe(
-            current, observations=observations, frequencies=frequencies
-        ):
-            report["reason"] = controller.last_reason
-            report["controller"] = controller.snapshot()
-            self._persist_policy("controller_state", controller)
-            return report
-
-        weight = priced["weight"] or float(len(version_ids))
-
-        def gate(plan_report: dict[str, Any]) -> bool:
-            metrics = plan_report["plan_metrics"]
-            if plan_report["workload_aware"]:
-                projected = metrics["weighted_recreation"] / weight
-            else:
-                projected = metrics["sum_recreation"] / max(1, len(version_ids))
-            with self.coordinator.shared():
-                staging_cost = estimate_repack_cost(self.repository)
-            calibrated = self.staging_calibration.calibrated(staging_cost)
-            report["projected_cost_per_request"] = projected
-            report["staging_cost_estimate"] = staging_cost
-            report["staging_cost_calibrated"] = calibrated
-            return controller.approve(
-                current, projected, calibrated, frequencies=frequencies
-            )
-
-        plan_report = self.repack(
-            use_workload=True,
-            half_life=self.workload_log.half_life,
-            gate=gate,
-            mode="adaptive",
-            **plan_options,
-        )
-        fired = bool(plan_report.get("applied"))
-        if fired:
-            after = plan_report.get("expected_cost_after", {}).get(
-                "per_request", current
-            )
-            controller.note_repack(after, frequencies=frequencies)
-            with self._state_lock:
-                self.stats_counters.auto_repacks += 1
-        report["fired"] = fired
-        report["reason"] = controller.last_reason
-        report["repack"] = plan_report
-        report["controller"] = controller.snapshot()
-        self._persist_policy("controller_state", controller)
-        return report
-
-    def _adaptive_repack_worker(self) -> None:
-        try:
-            self._adaptive_cycle()
-            with self._state_lock:
-                self._auto_repack_error = None
-        except Exception as error:  # pragma: no cover - defensive
-            self._note_policy_error("adaptive_worker", error)
-        finally:
-            with self._state_lock:
-                self._auto_repack_running = False
-
-    # ------------------------------------------------------------------ #
-    # auto-repack policy
-    # ------------------------------------------------------------------ #
-    def _maybe_auto_repack(self) -> None:
-        """Start a background adaptive evaluation when one is due.
-
-        Called at the end of every served request, outside all locks, and
-        rate-limited to once every ``auto_repack_interval`` requests; the
-        evaluation itself (it may solve a plan) runs on a background
-        thread.  A worker that fails to start must never fail the request
-        that triggered it (the checkout already succeeded), so that error
-        is recorded in the stats instead of raised.
-        """
-        if not self._adaptive_armed:
-            return
-        # Replica groups: the background policy runs only on the lease
-        # holder.  Non-holders keep serving (and keep folding traffic into
-        # the shared workload log, which the holder plans against).
-        if self.lease is not None and not self.lease.is_holder:
-            return
-        with self._state_lock:
-            total = self.stats_counters.checkout_requests
-            if total - self._auto_last_check < self.auto_repack_interval:
-                return
-            self._auto_last_check = total
-            if self._auto_repack_running or self._closed:
-                return
-            self._auto_repack_running = True
-        try:
-            threading.Thread(
-                target=self._adaptive_repack_worker,
-                name="repro-adaptive-repack",
-                daemon=True,
-            ).start()
-        except Exception as error:  # pragma: no cover - resource exhaustion
-            # A failed start must release the running flag, or the policy
-            # would be wedged off for the rest of the process.
-            with self._state_lock:
-                self._auto_repack_running = False
-            self._note_policy_error("policy_worker_start", error)

@@ -212,16 +212,13 @@ class StagingCostCalibration:
     state round-trips through the catalog like the controller's.
     """
 
-    def __init__(
-        self,
-        *,
-        alpha: float = 0.3,
-        min_scale: float = 0.05,
-        max_scale: float = 20.0,
-    ) -> None:
-        self.alpha = float(alpha)
-        self.min_scale = float(min_scale)
-        self.max_scale = float(max_scale)
+    #: EWMA weight of the newest measured/estimated ratio.
+    alpha = 0.3
+    #: The fitted scale stays within [min_scale, max_scale].
+    min_scale = 0.05
+    max_scale = 20.0
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.scale = 1.0
         self.observations = 0
@@ -295,10 +292,6 @@ class StagingCostCalibration:
                 except (TypeError, ValueError):
                     setattr(self, attr, None)
 
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-ready calibration state for the service's ``stats``."""
-        return self.state_dict()
-
 
 class AdaptiveRepackController:
     """Decides *when* an online repack is worth firing — and when it isn't.
@@ -341,29 +334,20 @@ class AdaptiveRepackController:
     testable without a store.
     """
 
-    def __init__(
-        self,
-        *,
-        horizon: float = 1000.0,
-        trigger_factor: float = 1.5,
-        standdown_factor: float = 1.15,
-        drift_threshold: float = 0.35,
-        min_observations: int = 16,
-    ) -> None:
+    #: Cost above ``trigger_factor × baseline`` triggers a plan; below
+    #: ``standdown_factor × baseline`` re-arms.  1 ≤ standdown < trigger,
+    #: or the hysteresis band would be empty or inverted.
+    trigger_factor = 1.5
+    standdown_factor = 1.15
+    #: A decayed-workload drift past this re-plans (see ``frequency_drift``).
+    drift_threshold = 0.35
+    #: Accesses observed before the controller judges at all.
+    min_observations = 16
+
+    def __init__(self, *, horizon: float = 1000.0) -> None:
         if not 0 < horizon < math.inf:
             raise ValueError("horizon must be positive and finite (requests)")
-        if trigger_factor <= standdown_factor:
-            raise ValueError(
-                "trigger_factor must exceed standdown_factor "
-                "(the hysteresis band would be empty or inverted)"
-            )
-        if standdown_factor < 1.0:
-            raise ValueError("standdown_factor must be >= 1.0")
         self.horizon = float(horizon)
-        self.trigger_factor = float(trigger_factor)
-        self.standdown_factor = float(standdown_factor)
-        self.drift_threshold = float(drift_threshold)
-        self.min_observations = int(min_observations)
         self._lock = threading.Lock()
         self.state = "warming"
         self.baseline: float | None = None
@@ -585,9 +569,9 @@ class AdaptiveRepackController:
 
         Covers everything :meth:`load_state` restores — the learned
         baseline, the state machine's position and the workload shapes its
-        verdicts were judged under — but none of the constructor-tunable
-        thresholds (those belong to the process configuration, not to the
-        store).
+        verdicts were judged under — but none of the thresholds (class
+        constants and the horizon belong to the code and the process
+        configuration, not to the store).
         """
         with self._lock:
             return {

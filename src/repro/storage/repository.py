@@ -45,25 +45,6 @@ from .objects import ObjectStore
 __all__ = ["Repository"]
 
 
-def _find_catalog(backend: StorageBackend) -> Any:
-    """The metadata catalog behind ``backend``, if its chain carries one.
-
-    A ``sqlite://`` backend exposes ``.catalog``; test wrappers (e.g. the
-    fault-injecting :class:`~repro.storage.testing.FlakyBackend`) expose
-    the wrapped backend as ``.child`` — follow a few links so wrapping a
-    cataloged backend keeps it cataloged.
-    """
-    current: Any = backend
-    for _ in range(8):
-        if current is None:
-            return None
-        catalog = getattr(current, "catalog", None)
-        if catalog is not None:
-            return catalog
-        current = getattr(current, "child", None)
-    return None
-
-
 class Repository:
     """Commit/checkout/branch/merge on top of delta-compressed storage.
 
@@ -102,11 +83,10 @@ class Repository:
         # When present, the catalog is the source of truth for the version
         # graph, branch heads, id allocation and the epoch pointer; this
         # object is a cache kept current by :meth:`sync`.
-        self._catalog = _find_catalog(self.store.backend)
+        self._catalog = getattr(self.store.backend, "catalog", None)
         self._change_seq = -1
         self._sync_lock = threading.Lock()
-        if self._catalog is not None:
-            self.sync(force=True)
+        self.sync(force=True)
 
     # ------------------------------------------------------------------ #
     # the metadata catalog
@@ -239,11 +219,7 @@ class Repository:
             if parent not in self.graph:
                 # A peer process may have committed the parent since the
                 # last sync; adopt the catalog state before giving up.
-                if (
-                    self._catalog is None
-                    or not self.sync()
-                    or parent not in self.graph
-                ):
+                if not self.sync() or parent not in self.graph:
                     raise VersionNotFoundError(parent)
 
         if version_id is not None and version_id in self.graph:

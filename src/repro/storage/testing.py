@@ -101,6 +101,11 @@ class FlakyBackend(StorageBackend):
         self.injected = 0
         self._lock = threading.Lock()
 
+    @property
+    def catalog(self) -> Any:
+        """The wrapped backend's catalog: wrapping keeps a store cataloged."""
+        return getattr(self.child, "catalog", None)
+
     def _maybe_delay(self) -> None:
         if self._latency_rng is None or self.latency_max <= 0:
             return

@@ -23,45 +23,58 @@ from repro.bench.serve_bench import build_independent_chains
 from repro.cli import build_parser
 from repro.server.httpd import serve_in_thread
 from repro.server.service import VersionStoreService
-from repro.storage.repack import AdaptiveRepackController, estimate_repack_cost
+from repro.storage.repack import (
+    AdaptiveRepackController,
+    StagingCostCalibration,
+    estimate_repack_cost,
+)
 from repro.storage.workload_log import frequency_drift
 
 
 # --------------------------------------------------------------------- #
 # pure state-machine units
 # --------------------------------------------------------------------- #
+def tuned(horizon=1000.0, **constants):
+    """A controller with some of its class-constant thresholds overridden."""
+    controller = AdaptiveRepackController(horizon=horizon)
+    for name, value in constants.items():
+        assert hasattr(AdaptiveRepackController, name), name
+        setattr(controller, name, value)
+    return controller
+
+
 class TestControllerStateMachine:
     def test_warms_up_until_min_observations(self):
-        controller = AdaptiveRepackController(min_observations=10)
+        controller = tuned(min_observations=10)
         assert controller.observe(100.0, observations=3) is False
         assert controller.state == "warming"
 
     def test_uncalibrated_triggers_a_plan(self):
-        controller = AdaptiveRepackController(min_observations=4)
+        controller = tuned(min_observations=4)
         assert controller.observe(100.0, observations=8) is True
         assert controller.state == "triggered"
 
     def test_approve_fires_when_horizon_recoups(self):
-        controller = AdaptiveRepackController(horizon=100, min_observations=1)
+        controller = tuned(horizon=100, min_observations=1)
         controller.observe(100.0, observations=5)
         assert controller.approve(100.0, 20.0, repack_cost=500.0) is True
 
     def test_no_gain_stands_down_and_calibrates_baseline(self):
-        controller = AdaptiveRepackController(min_observations=1)
+        controller = tuned(min_observations=1)
         controller.observe(50.0, observations=5)
         assert controller.approve(50.0, 80.0, repack_cost=10.0) is False
         assert controller.state == "stand-down"
         assert controller.baseline == pytest.approx(80.0)
 
     def test_amortization_failure_stands_down(self):
-        controller = AdaptiveRepackController(horizon=10, min_observations=1)
+        controller = tuned(horizon=10, min_observations=1)
         controller.observe(100.0, observations=5)
         # gain 10/request * horizon 10 = 100 < staging cost 5000
         assert controller.approve(100.0, 90.0, repack_cost=5000.0) is False
         assert controller.state == "stand-down"
 
     def test_note_repack_resets_to_steady_with_new_baseline(self):
-        controller = AdaptiveRepackController(min_observations=1)
+        controller = tuned(min_observations=1)
         controller.observe(100.0, observations=5)
         controller.approve(100.0, 20.0, repack_cost=1.0)
         controller.note_repack(22.0, frequencies={"v1": 5.0})
@@ -70,7 +83,7 @@ class TestControllerStateMachine:
         assert controller.repacks_fired == 1
 
     def test_hysteresis_band_holds_state(self):
-        controller = AdaptiveRepackController(
+        controller = tuned(
             trigger_factor=1.5, standdown_factor=1.15, min_observations=1
         )
         controller.note_repack(100.0)
@@ -85,8 +98,10 @@ class TestControllerStateMachine:
         assert controller.state == "triggered"
 
     def test_steady_drift_triggers_inside_band(self):
-        controller = AdaptiveRepackController(
-            trigger_factor=2.0, standdown_factor=1.1, drift_threshold=0.3,
+        controller = tuned(
+            trigger_factor=2.0,
+            standdown_factor=1.1,
+            drift_threshold=0.3,
             min_observations=1,
         )
         controller.note_repack(100.0, frequencies={"a": 10.0, "b": 1.0})
@@ -98,9 +113,7 @@ class TestControllerStateMachine:
         assert "drift" in controller.last_reason
 
     def test_standdown_rearms_on_cost_growth(self):
-        controller = AdaptiveRepackController(
-            trigger_factor=1.5, min_observations=1
-        )
+        controller = tuned(trigger_factor=1.5, min_observations=1)
         controller.observe(100.0, observations=5)
         controller.approve(100.0, 90.0, repack_cost=10**9)  # stand down
         assert controller.observe(120.0, observations=10) is False
@@ -109,9 +122,7 @@ class TestControllerStateMachine:
         assert controller.state == "triggered"
 
     def test_standdown_rearms_on_drift(self):
-        controller = AdaptiveRepackController(
-            drift_threshold=0.3, min_observations=1
-        )
+        controller = tuned(drift_threshold=0.3, min_observations=1)
         controller.observe(100.0, observations=5)
         controller.approve(
             100.0, 95.0, repack_cost=10**9, frequencies={"a": 10.0}
@@ -124,7 +135,7 @@ class TestControllerStateMachine:
         assert "drift" in controller.last_reason
 
     def test_note_commit_rearms_standdown(self):
-        controller = AdaptiveRepackController(min_observations=1)
+        controller = tuned(min_observations=1)
         controller.observe(100.0, observations=5)
         controller.approve(100.0, 95.0, repack_cost=10**9)
         assert controller.state == "stand-down"
@@ -134,10 +145,13 @@ class TestControllerStateMachine:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="horizon"):
             AdaptiveRepackController(horizon=0)
-        with pytest.raises(ValueError, match="hysteresis"):
-            AdaptiveRepackController(trigger_factor=1.1, standdown_factor=1.2)
-        with pytest.raises(ValueError, match="standdown_factor"):
-            AdaptiveRepackController(standdown_factor=0.9)
+        # The thresholds are class constants: the hysteresis band they span
+        # is neither empty nor inverted, and the calibration's clamp holds 1.
+        controller = AdaptiveRepackController(horizon=1.0)
+        assert 1.0 <= controller.standdown_factor < controller.trigger_factor
+        assert 0.0 < StagingCostCalibration.alpha <= 1.0
+        assert 0.0 < StagingCostCalibration.min_scale <= 1.0
+        assert StagingCostCalibration.max_scale >= 1.0
 
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
     def test_non_finite_or_non_positive_horizon_rejected(self, horizon):
@@ -207,7 +221,7 @@ class TestAdaptiveServiceLoop:
         for _ in range(60):
             service.checkout(hot[rng.randrange(4)])
 
-        first = service.adaptive_repack_cycle()
+        first = service.policy.cycle()
         assert first["fired"] is True, first["reason"]
         assert service.repacker.epoch == 1
         assert first["controller"]["state"] == "steady"
@@ -216,11 +230,11 @@ class TestAdaptiveServiceLoop:
         for _cycle in range(5):
             for _ in range(12):
                 service.checkout(hot[rng.randrange(4)])
-            out = service.adaptive_repack_cycle()
+            out = service.policy.cycle()
             assert out["fired"] is False, out["reason"]
             states.append(out["controller"]["state"])
         assert states == ["steady"] * 5, states
-        assert service.controller.repacks_fired == 1
+        assert service.policy.controller.repacks_fired == 1
         assert service.repacker.epoch == 1
 
         stats = service.stats()
@@ -236,8 +250,8 @@ class TestAdaptiveServiceLoop:
         hot = [chains[c][-1] for c in range(3)]
         for _ in range(60):
             service.checkout(hot[rng.randrange(3)])
-        first = service.adaptive_repack_cycle()
-        assert service.controller.repacks_fired <= 1  # calibrated either way
+        first = service.policy.cycle()
+        assert service.policy.controller.repacks_fired <= 1  # calibrated either way
 
         # Drift onto whatever the new epoch made most expensive: the
         # versions with the deepest cold chains — the hot set the plan
@@ -254,7 +268,7 @@ class TestAdaptiveServiceLoop:
         for _cycle in range(10):
             for _ in range(20):
                 service.checkout(drifted[rng.randrange(3)])
-            out = service.adaptive_repack_cycle()
+            out = service.policy.cycle()
             if out["fired"] or out["controller"]["state"] in (
                 "triggered",
                 "stand-down",
@@ -275,7 +289,7 @@ class TestAdaptiveServiceLoop:
         hot = [chains[c][-1] for c in range(4)]
         for _ in range(60):
             service.checkout(hot[rng.randrange(4)])
-        out = service.adaptive_repack_cycle()
+        out = service.policy.cycle()
         assert out["fired"] is False
         assert out["repack"]["applied"] is False
         assert out["controller"]["state"] == "stand-down"
@@ -296,7 +310,7 @@ class TestAdaptiveServiceLoop:
         fired = False
         while time.monotonic() < deadline:
             service.checkout(hot[rng.randrange(4)])
-            if service.controller.repacks_fired >= 1:
+            if service.policy.controller.repacks_fired >= 1:
                 fired = True
                 break
         assert fired, "background adaptive policy never repacked"
@@ -304,27 +318,27 @@ class TestAdaptiveServiceLoop:
         for _ in range(40):
             service.checkout(hot[rng.randrange(4)])
         time.sleep(0.2)  # drain any in-flight background evaluation
-        assert service.controller.repacks_fired == 1
+        assert service.policy.controller.repacks_fired == 1
         assert service.repacker.epoch == 1
         service.close()
 
     def test_cycle_is_reentrant_safe(self):
         service, repo, chains = build_service()
-        with service._state_lock:
-            service._auto_repack_running = True
-        out = service.adaptive_repack_cycle()
+        with service.policy._lock:
+            service.policy._running = True
+        out = service.policy.cycle()
         assert out["fired"] is False
         assert "already running" in out["reason"]
-        with service._state_lock:
-            service._auto_repack_running = False
+        with service.policy._lock:
+            service.policy._running = False
         service.close()
 
     def test_lazy_controller_on_unarmed_service(self):
         repo, chains = build_independent_chains(num_chains=2, chain_length=4)
         service = VersionStoreService(repo, cache_size=4)
-        assert service.controller is None
-        out = service.adaptive_repack_cycle()
-        assert service.controller is not None
+        assert service.policy.controller is None
+        out = service.policy.cycle()
+        assert service.policy.controller is not None
         assert out["adaptive"] is True
         service.close()
 
@@ -334,16 +348,110 @@ class TestAdaptiveServiceLoop:
         # budget): only the constructor flag arms the request-path hook.
         repo, chains = build_independent_chains(num_chains=2, chain_length=4)
         service = VersionStoreService(repo, cache_size=4, auto_repack_interval=1)
-        service.adaptive_repack_cycle()  # creates the controller lazily
-        assert service.controller is not None
-        assert service._adaptive_armed is False
+        service.policy.cycle()  # creates the controller lazily
+        assert service.policy.controller is not None
+        assert service.policy.armed is False
         tip = chains[0][-1]
         for _ in range(5):
             service.checkout(tip)
         # The interval elapsed every request, yet no background evaluation
         # ran: the controller's counters only move on explicit cycles.
-        assert service.controller.evaluations == 1
+        assert service.policy.controller.evaluations == 1
         service.close()
+
+
+class TestPolicyRecords:
+    def test_applied_adaptive_repack_prices_staging_once(self, monkeypatch):
+        # The gate's estimate rides on the repack report: staging is not
+        # priced again (each estimate walks every chain of the cost index).
+        from repro.server import policy, service as service_module
+        from repro.storage import repack
+
+        calls = []
+
+        def counting(repository):
+            calls.append(repository)
+            return estimate_repack_cost(repository)
+
+        for module in (policy, service_module, repack):
+            monkeypatch.setattr(
+                module, "estimate_repack_cost", counting, raising=False
+            )
+        service, repo, chains = build_service()
+        rng = random.Random(5)
+        hot = [chains[c][-1] for c in range(4)]
+        for _ in range(60):
+            service.checkout(hot[rng.randrange(4)])
+        out = service.policy.cycle()
+        assert out["fired"] is True, out["reason"]
+        assert len(calls) == 1
+        assert out["repack"]["staging_cost_estimate"] == out["staging_cost_estimate"]
+        service.close()
+
+    def test_record_and_log_line_keys(self, tmp_path):
+        """The decision records and their ``--log-json`` lines keep their
+        schemas: an applied adaptive cycle, its repack, a manual repack
+        and a planner-lease acquisition."""
+        from repro.delta.line_diff import LineDiffEncoder
+        from repro.obs import JsonLogSink
+        from repro.storage.repository import Repository
+
+        repack_keys = {
+            "applied", "dry_run", "epoch", "event", "expected_cost_after",
+            "expected_cost_before", "mode", "staging_cost_calibrated",
+            "staging_cost_estimate", "staging_cost_paid", "staging_scale",
+            "staging_seconds", "ts", "workload_aware",
+        }  # fmt: skip
+        expected = {
+            "adaptive_evaluate": {
+                "baseline_per_request", "cost_per_request", "epoch", "event",
+                "fired", "observations", "projected_cost_per_request",
+                "reason", "staging_cost_calibrated", "staging_cost_estimate",
+                "staging_scale", "state", "ts", "verdict",
+            },
+            ("repack", "adaptive"): repack_keys,
+            ("repack", "manual"): repack_keys,
+            "lease_acquired": {
+                "event", "holder", "replica_id", "role", "token", "ts",
+            },
+        }  # fmt: skip
+
+        def kind(record):
+            if record["event"] == "repack":
+                return ("repack", record["mode"])
+            return record["event"]
+
+        def keys_by_kind(records):
+            return {kind(r): set(r) for r in records if kind(r) in expected}
+
+        log_path = str(tmp_path / "decisions.jsonl")
+        service, repo, chains = build_service(log_sink=JsonLogSink(log_path))
+        rng = random.Random(5)
+        hot = [chains[c][-1] for c in range(4)]
+        for _ in range(60):
+            service.checkout(hot[rng.randrange(4)])
+        assert service.policy.cycle()["fired"] is True
+        assert service.repack()["applied"] is True
+        records = service.policy.decision_log.tail(100)
+        service.close()
+
+        spec = "sqlite://" + str(tmp_path / "catalog.db")
+        replicated = Repository(LineDiffEncoder(), backend=spec)
+        replicated.commit("row\n", message="c0")
+        replica = VersionStoreService(
+            replicated,
+            replica_id="r1",
+            lease_ttl=30.0,
+            log_sink=JsonLogSink(log_path),
+        )
+        records += replica.policy.decision_log.tail(100)
+        replica.close()
+
+        with open(log_path, encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+        stamped = {k: v | {"seq"} for k, v in expected.items()}
+        assert keys_by_kind(records) == stamped
+        assert keys_by_kind(lines) == expected
 
 
 # --------------------------------------------------------------------- #

@@ -283,7 +283,7 @@ def test_adaptive_evaluation_reads_no_payloads():
     try:
         for _ in range(5):
             before = len(reads)
-            report = service.adaptive_repack_cycle()
+            report = service.policy.cycle()
             if "repack" in report:
                 # The controller triggered and a plan was solved — plan
                 # construction diffs payloads by design.  Everything up to
@@ -337,7 +337,7 @@ class TestStagingCalibration:
         assert report["staging_cost_paid"] > 0
         assert report["staging_seconds"] >= 0
         assert report["staging_scale"] == pytest.approx(
-            service.staging_calibration.scale
+            service.policy.staging_calibration.scale
         )
         stats = service.stats()
         assert stats["repack"]["staging_calibration"]["observations"] == 1
@@ -350,10 +350,10 @@ class TestStagingCalibration:
         # A fresh service over the same catalog restores the learned scale.
         reopened = Repository(repo.encoder, backend=spec, cache_size=0)
         service2 = VersionStoreService(reopened)
-        assert service2.staging_calibration.scale == pytest.approx(
-            service.staging_calibration.scale
+        assert service2.policy.staging_calibration.scale == pytest.approx(
+            service.policy.staging_calibration.scale
         )
-        assert service2.staging_calibration.observations == 1
+        assert service2.policy.staging_calibration.observations == 1
         service2.close()
 
     def test_adaptive_gate_uses_the_calibrated_estimate(self):
@@ -361,16 +361,16 @@ class TestStagingCalibration:
         service = VersionStoreService(repo, cache_size=8)
         # Poison the calibration so the calibrated staging cost is huge:
         # a triggered controller must then veto on amortization grounds.
-        service.staging_calibration.observe(1.0, 1e6)
+        service.policy.staging_calibration.observe(1.0, 1e6)
         for _ in range(6):
             for vid in vids:
                 service.checkout(vid)
-            report = service.adaptive_repack_cycle()
+            report = service.policy.cycle()
             assert not report["fired"]
             if "staging_cost_calibrated" in report:
                 assert report["staging_cost_calibrated"] == pytest.approx(
                     report["staging_cost_estimate"]
-                    * service.staging_calibration.scale
+                    * service.policy.staging_calibration.scale
                 )
         service.close()
 

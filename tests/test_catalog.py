@@ -406,11 +406,11 @@ class TestControllerState:
             Repository(backend=f"sqlite://{path}"), adaptive_repack=True
         )
         try:
-            assert service.controller.state == "steady"
-            assert service.controller.baseline == 42.5
-            assert service.controller.evaluations == 7
-            assert service.staging_calibration.scale == 1.75
-            assert service.staging_calibration.observations == 3
+            assert service.policy.controller.state == "steady"
+            assert service.policy.controller.baseline == 42.5
+            assert service.policy.controller.evaluations == 7
+            assert service.policy.staging_calibration.scale == 1.75
+            assert service.policy.staging_calibration.observations == 3
         finally:
             service.close()
 

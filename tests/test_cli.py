@@ -47,6 +47,10 @@ class TestBasicCommands:
         assert main(["log", repo_dir]) == 0
         assert "v0" in capsys.readouterr().out
 
+    def test_unknown_version_error_is_the_plain_message(self, repo_dir, capsys):
+        assert main(["checkout", repo_dir, "ghost"]) == 1
+        assert capsys.readouterr().err == "error: version 'ghost' does not exist\n"
+
     def test_init_on_a_regular_file_is_a_clean_error(self, tmp_path, capsys):
         target = tmp_path / "f"
         target.touch()
@@ -397,6 +401,15 @@ class TestServeSurface:
         assert err.startswith("usage:")
         assert f"argument {flag}: must be positive and finite" in err
 
+    def test_join_needs_a_catalog(self, tmp_path, capsys):
+        directory = str(tmp_path / "repo")
+        assert main(["init", directory, "--backend", "file://objects"]) == 0
+        capsys.readouterr()
+        assert main(["serve", directory, "--join", "--port", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: replica groups need a shared metadata catalog")
+        assert err.count("\n") == 1
+
     def test_removed_keyword_arguments_are_rejected(self, tmp_path):
         from repro.server.service import VersionStoreService
         from repro.storage.batch import BatchMaterializer
@@ -406,6 +419,10 @@ class TestServeSurface:
             TieredPayloadCache,
         )
         from repro.storage.objects import ObjectStore
+        from repro.storage.repack import (
+            AdaptiveRepackController,
+            StagingCostCalibration,
+        )
         from repro.storage.repository import Repository
 
         repo = Repository()
@@ -429,6 +446,19 @@ class TestServeSurface:
                     "repack_budget",
                     "max_workers",
                 ),
+            ),
+            (
+                lambda **kw: AdaptiveRepackController(**kw),
+                (
+                    "trigger_factor",
+                    "standdown_factor",
+                    "drift_threshold",
+                    "min_observations",
+                ),
+            ),
+            (
+                lambda **kw: StagingCostCalibration(**kw),
+                ("alpha", "min_scale", "max_scale"),
             ),
             (lambda **kw: LRUPayloadCache(4, **kw), ("admission", "eviction_sample")),
             (lambda **kw: SpillTier(spill_dir, 64, **kw), ("eviction_sample",)),

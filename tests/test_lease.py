@@ -27,7 +27,7 @@ import threading
 import pytest
 
 from repro.delta.line_diff import LineDiffEncoder
-from repro.exceptions import LeaseFencedError, NotLeaseHolderError
+from repro.exceptions import LeaseFencedError, NotLeaseHolderError, ReproError
 from repro.server.service import VersionStoreService
 from repro.storage.catalog import MetadataCatalog
 from repro.storage.lease import PLANNER_ROLE, PlannerLease
@@ -374,7 +374,7 @@ def test_fast_clock_steals_early(catalog):
 class TestServiceGating:
     def test_replica_mode_requires_catalog(self):
         repo = Repository(cache_size=0)
-        with pytest.raises(ValueError, match="catalog"):
+        with pytest.raises(ReproError, match="catalog"):
             VersionStoreService(repo, replica_id="r1")
 
     def test_non_holder_repack_prune_and_adaptive_raise(self, tmp_path):
@@ -393,7 +393,7 @@ class TestServiceGating:
             with pytest.raises(NotLeaseHolderError):
                 follower.prune_epochs()
             with pytest.raises(NotLeaseHolderError):
-                follower.adaptive_repack_cycle()
+                follower.policy.cycle()
             # Dry runs are read-only and allowed everywhere.
             report = follower.repack(dry_run=True)
             assert report["applied"] is False
@@ -428,7 +428,7 @@ class TestServiceGating:
             assert repo.catalog.epoch() == epoch_before
             # The fencing is observable: a lease_fenced decision record
             # and a failed snapshot.
-            events = [r["event"] for r in service.decision_log.tail(50)]
+            events = [r["event"] for r in service.policy.decision_log.tail(50)]
             assert "lease_fenced" in events
             statuses = [s["status"] for s in repo.catalog.snapshots()]
             assert "failed" in statuses

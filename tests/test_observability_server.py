@@ -186,10 +186,10 @@ class TestStatsAndDecisionLog:
         service = VersionStoreService(repo, cache_size=8, adaptive_repack=True)
         for vid in vids * 3:
             service.checkout(vid)
-        service.adaptive_repack_cycle()
-        first_seq = service.decision_log.last_seq
+        service.policy.cycle()
+        first_seq = service.policy.decision_log.last_seq
         assert first_seq >= 1
-        assert service.decision_log.tail()[-1]["event"] == "adaptive_evaluate"
+        assert service.policy.decision_log.tail()[-1]["event"] == "adaptive_evaluate"
         service.close()
         repo.catalog.close()
 
@@ -198,13 +198,13 @@ class TestStatsAndDecisionLog:
             reopened, cache_size=8, adaptive_repack=True
         )
         try:
-            tail = revived.decision_log.tail()
+            tail = revived.policy.decision_log.tail()
             assert tail, "decisions must reload from the catalog"
             assert tail[-1]["event"] == "adaptive_evaluate"
-            assert revived.decision_log.last_seq == first_seq
+            assert revived.policy.decision_log.last_seq == first_seq
             # New decisions continue the sequence rather than restarting.
-            revived.adaptive_repack_cycle()
-            assert revived.decision_log.last_seq == first_seq + 1
+            revived.policy.cycle()
+            assert revived.policy.decision_log.last_seq == first_seq + 1
         finally:
             revived.close()
             reopened.catalog.close()
@@ -224,7 +224,7 @@ class TestJsonLogSinkIntegration:
         try:
             client = ServiceClient(server.url)
             client.checkout(vids[-1])
-            service.adaptive_repack_cycle()
+            service.policy.cycle()
         finally:
             server.shutdown()
             server.server_close()

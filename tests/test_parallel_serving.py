@@ -538,12 +538,12 @@ class TestAutoRepack:
             repo, cache_size=1, adaptive_repack=True, auto_repack_interval=1
         )
         assert service.close() is True
-        before = service.controller.evaluations
+        before = service.policy.controller.evaluations
         service.commit(["after", "close"])
         for step in range(40):
             service.checkout(chains[step % 2][-1])
         time.sleep(0.2)  # a background evaluation, had one started, runs now
-        assert service.controller.evaluations == before
+        assert service.policy.controller.evaluations == before
         assert service.repacker.epoch == 0
 
 

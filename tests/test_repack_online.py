@@ -660,12 +660,12 @@ class TestPlanOptionsCheckedBeforeTheScan:
     def test_service_rejects_without_a_scan(self, bad, scans):
         repo, _ = build_independent_chains(num_chains=1, chain_length=4)
         service = VersionStoreService(repo)
-        for call in (service.repack, service.plan, service.adaptive_repack_cycle):
+        for call in (service.repack, service.plan, service.policy.cycle):
             with pytest.raises(ReproError, match="plan option"):
                 call(**bad)
         assert scans == []
         assert service.repacker.epoch == 0
-        assert service.decision_log.tail() == []
+        assert service.policy.decision_log.tail() == []
         service.close()
 
     def test_http_answers_400_without_a_scan(self, scans):
@@ -703,7 +703,7 @@ class TestPlanOptionsCheckedBeforeTheScan:
                 service.repack(half_life=half_life, dry_run=dry_run)
         assert scans == []
         assert service.repacker.epoch == 0
-        assert service.decision_log.tail() == []
+        assert service.policy.decision_log.tail() == []
         service.close()
 
     def test_null_half_life_means_unset(self):

@@ -126,6 +126,9 @@ class TestEndToEnd:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{server.url}/checkout/ghost")
         assert err.value.code == 404
+        assert json.loads(err.value.read()) == {
+            "error": "version 'ghost' does not exist"
+        }
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{server.url}/no/such/route")
         assert err.value.code == 404
@@ -199,7 +202,7 @@ class TestEndToEnd:
                 stats["repack"]["decision_seq"],
                 stats["repack"]["auto_repacks"],
                 stats["serving"]["checkout_requests"],
-                len(service.decision_log.tail(100)),
+                len(service.policy.decision_log.tail(100)),
             )
 
         before = observed()
