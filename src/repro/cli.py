@@ -552,26 +552,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         replica_id = getattr(args, "replica_id", None) or (
             f"replica-{socket.gethostname()}-{os.getpid()}"
         )
-    service = VersionStoreService(
-        repo,
-        cache_size=args.cache_size,
-        cache_tier_dir=_cache_tier_dir(args),
-        cache_tier_bytes=args.cache_tier_bytes,
-        # Persist the state file after every commit so a crash never loses
-        # acknowledged versions (objects are already on disk by then).
-        on_commit=lambda repository: save_repository(repository, args.repository),
-        # Persist observed access frequencies inside the repository, so the
-        # workload survives restarts and feeds `repro repack --workload`.
-        workload_log=open_workload_log(args.repository, repo=repo),
-        auto_repack_interval=args.repack_interval,
-        adaptive_repack=args.adaptive_repack,
-        repack_horizon=args.repack_horizon,
-        log_sink=log_sink,
-        replica_id=replica_id,
-        lease_ttl=getattr(args, "lease_ttl", 10.0),
-        lease_renew=getattr(args, "lease_renew", None),
-    )
-    server = serve(service, host=args.host, port=args.port)
+    service = None
+    try:
+        service = VersionStoreService(
+            repo,
+            cache_size=args.cache_size,
+            cache_tier_dir=_cache_tier_dir(args),
+            cache_tier_bytes=args.cache_tier_bytes,
+            # Persist the state file after every commit so a crash never loses
+            # acknowledged versions (objects are already on disk by then).
+            on_commit=lambda repository: save_repository(repository, args.repository),
+            # Persist observed access frequencies inside the repository, so the
+            # workload survives restarts and feeds `repro repack --workload`.
+            workload_log=open_workload_log(args.repository, repo=repo),
+            auto_repack_interval=args.repack_interval,
+            adaptive_repack=args.adaptive_repack,
+            repack_horizon=args.repack_horizon,
+            log_sink=log_sink,
+            replica_id=replica_id,
+            lease_ttl=getattr(args, "lease_ttl", 10.0),
+            lease_renew=getattr(args, "lease_renew", None),
+        )
+        server = serve(service, host=args.host, port=args.port)
+    except BaseException:
+        # A start that is refused (--join without a catalog, a port in use)
+        # stops what it started and leaves no empty --log-json file behind.
+        if service is not None:
+            service.close()
+        if log_sink is not None:
+            log_sink.discard()
+        raise
     host, port = server.server_address[:2]
     replica = f"replica {replica_id}; " if replica_id else ""
     print(

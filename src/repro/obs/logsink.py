@@ -11,6 +11,7 @@ serving path down with it.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from typing import Dict, Optional, TextIO
@@ -24,6 +25,7 @@ class JsonLogSink:
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
+        self._created = not os.path.exists(path)
         self._fh: Optional[TextIO] = open(path, "a", encoding="utf-8")
 
     def emit(self, event: str, **fields: object) -> None:
@@ -57,6 +59,17 @@ class JsonLogSink:
             try:
                 fh.close()
             except Exception:
+                pass
+
+    def discard(self) -> None:
+        """Close, and remove the file if this sink created it and it is
+        still empty: a server that refused to start leaves nothing behind."""
+        self.close()
+        if self._created:
+            try:
+                if os.path.getsize(self.path) == 0:
+                    os.remove(self.path)
+            except OSError:
                 pass
 
     def __enter__(self) -> "JsonLogSink":

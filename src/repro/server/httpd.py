@@ -21,7 +21,10 @@ POST      ``/checkout``           ``{"version": VID}`` — same as GET form
 Checkout routes accept ``?trace=1`` (or ``"trace": true`` in a POST body):
 the response then carries an ``X-Trace`` header and a ``"trace"`` span dump
 covering the coalesce wait, shared section and materialization with its
-stripe-lock wait attributed.
+stripe-lock wait attributed.  A checkout body is written around its
+payload's encoding from the server's :class:`EncodedPayloads` memo, so a
+warm hit does not encode its payload again; the bytes are those of
+``json.dumps(response.to_dict())``.
 
 ========  ======================  =============================================
 Method    Path                    Body / response
@@ -58,6 +61,7 @@ transport.
 from __future__ import annotations
 
 import json
+import mmap
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -65,15 +69,138 @@ from typing import Any
 from urllib.parse import parse_qs, urlparse
 
 from ..exceptions import LeaseError, ReproError, VersionNotFoundError
-from ..obs import Trace
+from ..obs import MetricsRegistry, Trace
 from .policy import PLAN_OPTIONS
-from .service import VersionStoreService, batch_response
+from .service import CheckoutResponse, VersionStoreService, batch_response
 
-__all__ = ["VersionStoreHTTPServer", "serve", "serve_in_thread"]
+__all__ = ["EncodedPayloads", "VersionStoreHTTPServer", "serve", "serve_in_thread"]
 
 #: Maximum accepted request body (64 MiB) — a plain guard against a
 #: misbehaving client exhausting server memory with one request.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Byte cap of a server's memo of encoded checkout payloads (1 MiB).  The
+#: memo's bytes are resident on top of the warm cache's decoded payloads,
+#: which share their row strings while encodings share nothing, so the cap
+#: is sized against the server's memory rather than the hot set.
+ENCODED_PAYLOAD_BYTES = 1 << 20
+
+#: Checkout requests between two halvings of the memo's request counts:
+#: a version that stops being read loses its rank within a few periods.
+COUNT_HALVING_PERIOD = 4096
+
+
+class EncodedPayloads:
+    """Object id → ``json.dumps(payload).encode()``, capped at
+    :data:`ENCODED_PAYLOAD_BYTES`.
+
+    Object ids are content digests (a delta's id digests its base's id and
+    its operations), so the bytes behind an id never change and the memo
+    needs no invalidation: a repack points a version at a new id, and the
+    entries of ids no longer served stop being counted and are displaced.
+
+    Entries are ranked by request count, and every count is halved each
+    :data:`COUNT_HALVING_PERIOD` requests.  A new encoding is kept while it
+    fits; in a full memo it displaces the least-counted entries, and only
+    when every one of them is counted lower than the newcomer.  A payload
+    larger than the cap is served and never kept.  Recency plays no part:
+    an LRU memo turns over on every cold read, and the encodings it keeps
+    churning cost more resident memory than its cap.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._bodies: dict[str, mmap.mmap] = {}
+        self._counts: dict[str, int] = {}
+        self._requests = 0
+        self.bytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def encoded(self, object_id: str, payload: Any) -> bytes | mmap.mmap:
+        """``json.dumps(payload).encode()`` for the object ``object_id``,
+        from the memo when it holds it.  Counts one request.  Read the
+        result as a buffer: a kept encoding is an anonymous memory map."""
+        with self._lock:
+            self._counts[object_id] = self._counts.get(object_id, 0) + 1
+            self._requests += 1
+            if self._requests >= COUNT_HALVING_PERIOD:
+                self._halve_counts()
+            body = self._bodies.get(object_id)
+            if body is not None:
+                self.hits += 1
+                return body
+            self.misses += 1
+        body = json.dumps(payload).encode("utf-8")
+        with self._lock:
+            self._admit(object_id, body)
+        return body
+
+    def _halve_counts(self) -> None:
+        self._requests = 0
+        counts = {}
+        for key, count in self._counts.items():
+            if count > 1 or key in self._bodies:
+                counts[key] = count // 2
+        self._counts = counts
+
+    def _admit(self, object_id: str, body: bytes) -> None:
+        size = len(body)
+        if object_id in self._bodies or size > ENCODED_PAYLOAD_BYTES:
+            return
+        count = self._counts.get(object_id, 0)
+        room = ENCODED_PAYLOAD_BYTES - self.bytes
+        victims = []
+        if room < size:
+            for key in sorted(self._bodies, key=self._counts.__getitem__):
+                if self._counts[key] >= count:
+                    return
+                victims.append(key)
+                room += len(self._bodies[key])
+                if room >= size:
+                    break
+        for key in victims:
+            self.bytes -= len(self._bodies.pop(key))
+        # A kept encoding gets pages of its own: displaced, they go back to
+        # the system, where a heap block would leave a hole among the
+        # request path's short-lived allocations.
+        kept = mmap.mmap(-1, size)
+        kept.write(body)
+        self._bodies[object_id] = kept
+        self.bytes += size
+
+    def snapshot(self) -> dict[str, int]:
+        """The memo's counters, as ``/stats`` reports them."""
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "entries": len(self._bodies),
+                "bytes": self.bytes,
+                "capacity_bytes": ENCODED_PAYLOAD_BYTES,
+            }
+
+    def bind_metrics(self, registry: MetricsRegistry) -> None:
+        """Scrape-time gauges copied from the memo's own counters, so a
+        request pays nothing for them."""
+        hits = registry.gauge(
+            "repro_encoded_payload_hits",
+            "Checkouts whose payload encoding came from the memo (lifetime).",
+        )
+        misses = registry.gauge(
+            "repro_encoded_payload_misses",
+            "Checkouts that encoded their payload (lifetime).",
+        )
+        held = registry.gauge(
+            "repro_encoded_payload_bytes", "Bytes of encodings the memo holds."
+        )
+
+        def collect(_registry: MetricsRegistry) -> None:
+            hits.set(self.hits)
+            misses.set(self.misses)
+            held.set(self.bytes)
+
+        registry.register_collector(collect)
 
 
 def _field(body: dict[str, Any], name: str, kind: type) -> Any:
@@ -108,6 +235,7 @@ class VersionStoreHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], service: VersionStoreService) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        self.encoded_payloads = EncodedPayloads()
         # Transport-level instruments, shared by every per-request handler.
         # Endpoint labels are the first path segment only (never a version
         # id), so the label cardinality is bounded by the route table.
@@ -124,6 +252,7 @@ class VersionStoreHTTPServer(ThreadingHTTPServer):
             "HTTP requests served, by endpoint and status code.",
             ("endpoint", "code"),
         )
+        self.encoded_payloads.bind_metrics(registry)
 
     @property
     def url(self) -> str:
@@ -165,15 +294,25 @@ class _Handler(BaseHTTPRequestHandler):
         body: dict[str, Any],
         extra_headers: dict[str, str] | None = None,
     ) -> None:
-        data = json.dumps(body).encode("utf-8")
+        self._send_parts(status, (json.dumps(body).encode("utf-8"),), extra_headers)
+
+    def _send_parts(
+        self,
+        status: int,
+        parts: tuple[bytes | mmap.mmap, ...],
+        extra_headers: dict[str, str] | None = None,
+    ) -> None:
+        """Send a JSON body given as consecutive buffers, each written as it
+        is (never joined into one copy)."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Length", str(sum(map(len, parts))))
         if extra_headers:
             for name, value in extra_headers.items():
                 self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(data)
+        for part in parts:
+            self.wfile.write(part)
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         data = text.encode("utf-8")
@@ -271,6 +410,27 @@ class _Handler(BaseHTTPRequestHandler):
         values = query.get("trace")
         return bool(values and values[-1].strip().lower() in {"1", "true", "yes", "on"})
 
+    def _send_checkout(
+        self, response: CheckoutResponse, trace: Trace | None
+    ) -> None:
+        """Send a checkout, byte for byte ``json.dumps(response.to_dict())``
+        (with the span dump last when traced), around the memoized encoding
+        of its payload: only the per-request fields are encoded here."""
+        fields = response.to_dict()
+        version = fields.pop("version")
+        payload = self.server.encoded_payloads.encoded(
+            response.object_id, fields.pop("payload")
+        )
+        headers = None
+        if trace is not None:
+            fields["trace"] = trace.to_dict()
+            headers = {"X-Trace": trace.trace_id}
+        # `{"version": V, "payload": P, "chain_length": ...}`: the key order
+        # of to_dict() and json.dumps' default separators.
+        head = b'{"version": ' + json.dumps(version).encode("utf-8") + b', "payload": '
+        tail = b", " + json.dumps(fields).encode("utf-8")[1:]
+        self._send_parts(200, (head, payload, tail), headers)
+
     def _send_traced(
         self, payload: dict[str, Any], trace: Trace | None
     ) -> None:
@@ -296,12 +456,16 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 return True
             if parts == ["stats"]:
-                self._send_json(200, self.service.stats())
+                stats = self.service.stats()
+                stats["serving"]["encoded_payloads"] = (
+                    self.server.encoded_payloads.snapshot()
+                )
+                self._send_json(200, stats)
                 return True
             if len(parts) == 2 and parts[0] == "checkout":
                 trace = Trace() if self._trace_requested(query) else None
                 response = self.service.checkout(parts[1], trace=trace)
-                self._send_traced(response.to_dict(), trace)
+                self._send_checkout(response, trace)
                 return True
             if parts == ["snapshots"]:
                 catalog = self.service.repository.catalog
@@ -320,7 +484,7 @@ class _Handler(BaseHTTPRequestHandler):
                     raise ReproError("checkout requires a 'version' field")
                 trace = Trace() if self._trace_requested(query, body) else None
                 response = self.service.checkout(version, trace=trace)
-                self._send_traced(response.to_dict(), trace)
+                self._send_checkout(response, trace)
                 return True
             if parts == ["checkout_many"]:
                 body = self._read_json()

@@ -62,9 +62,12 @@ class CheckoutResponse:
 
     ``coalesced`` is true when this request did not replay anything itself
     but shared the leader's materialization of the same version.
+    ``object_id`` names the stored object the payload was materialized
+    from; it is not part of the wire format.
     """
 
     version_id: VersionID
+    object_id: str
     payload: Any
     chain_length: int
     recreation_cost: float
@@ -444,6 +447,7 @@ class VersionStoreService:
             assert entry.response is not None
             response = CheckoutResponse(
                 version_id=version_id,
+                object_id=entry.response.object_id,
                 payload=entry.response.payload,
                 chain_length=entry.response.chain_length,
                 recreation_cost=0.0,
@@ -489,6 +493,7 @@ class VersionStoreService:
                     span.tag("cache_hits", item.cache_hits)
                 response = CheckoutResponse(
                     version_id=version_id,
+                    object_id=object_id,
                     payload=item.payload,
                     chain_length=item.chain_length,
                     recreation_cost=item.recreation_cost,

@@ -410,6 +410,58 @@ class TestServeSurface:
         assert err.startswith("error: replica groups need a shared metadata catalog")
         assert err.count("\n") == 1
 
+    @staticmethod
+    def recording_sinks(monkeypatch) -> list:
+        import repro.obs
+        from repro.obs import JsonLogSink
+
+        sinks = []
+
+        class RecordingSink(JsonLogSink):
+            def __init__(self, path):
+                super().__init__(path)
+                sinks.append(self)
+
+        monkeypatch.setattr(repro.obs, "JsonLogSink", RecordingSink)
+        return sinks
+
+    def test_refused_join_leaves_no_log_file(self, tmp_path, monkeypatch, capsys):
+        sinks = self.recording_sinks(monkeypatch)
+        directory = str(tmp_path / "repo")
+        log_path = tmp_path / "ev.jsonl"
+        assert main(["init", directory, "--backend", "file://objects"]) == 0
+        argv = ["serve", directory, "--join", "--port", "0", "--log-json", str(log_path)]
+        assert main(argv) == 1
+        assert "replica groups need a shared metadata catalog" in capsys.readouterr().err
+        assert not log_path.exists()
+        assert len(sinks) == 1 and sinks[0]._fh is None
+
+    def test_port_in_use_leaves_no_log_file(self, tmp_path, monkeypatch, capsys):
+        import socket
+
+        sinks = self.recording_sinks(monkeypatch)
+        directory = str(tmp_path / "repo")
+        log_path = tmp_path / "ev.jsonl"
+        assert main(["init", directory]) == 0
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = str(taken.getsockname()[1])
+            argv = ["serve", directory, "--port", port, "--log-json", str(log_path)]
+            assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not log_path.exists()
+        assert len(sinks) == 1 and sinks[0]._fh is None
+
+    def test_refused_start_keeps_an_existing_log_file(self, tmp_path, capsys):
+        directory = str(tmp_path / "repo")
+        log_path = tmp_path / "ev.jsonl"
+        log_path.write_text("")
+        assert main(["init", directory, "--backend", "file://objects"]) == 0
+        argv = ["serve", directory, "--join", "--port", "0", "--log-json", str(log_path)]
+        assert main(argv) == 1
+        assert log_path.exists()
+
     def test_removed_keyword_arguments_are_rejected(self, tmp_path):
         from repro.server.service import VersionStoreService
         from repro.storage.batch import BatchMaterializer
