@@ -583,8 +583,14 @@ class VersionStoreService:
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
-    def stats(self) -> dict[str, Any]:
+    def stats(
+        self, encoded_payloads: dict[str, int] | None = None
+    ) -> dict[str, Any]:
         """Serving counters plus a snapshot of the repository behind them.
+
+        An HTTP server passes its memo of encoded payloads' counters as
+        ``encoded_payloads``, reported as ``serving.encoded_payloads``; an
+        in-process caller has no such memo, and the block is absent.
 
         The snapshot is taken under shared access (counters additionally
         under the state lock), so it can never interleave with a commit or
@@ -645,6 +651,8 @@ class VersionStoreService:
                 "measured_cost_model": self.repository.store.measured_cost_model(),
             }
             serving["auto_repacks"] = repack["auto_repacks"]
+            if encoded_payloads is not None:
+                serving["encoded_payloads"] = encoded_payloads
             concurrency = {
                 "lock_stripes": self.chain_locks.num_stripes,
                 "exclusive_epochs": self.coordinator.exclusive_epochs,

@@ -9,12 +9,15 @@ its frequency ranking, and that a repack never serves an old object's bytes.
 from __future__ import annotations
 
 import json
+import random
 import sys
 import threading
+import types
 import urllib.request
 
 import pytest
 
+from repro.server import httpd
 from repro.server.httpd import (
     COUNT_HALVING_PERIOD,
     ENCODED_PAYLOAD_BYTES,
@@ -183,7 +186,7 @@ class TestMemo:
         first = memo.encoded("a", payload)
         assert first == json.dumps(payload).encode("utf-8")
         kept = memo.encoded("a", payload)
-        assert bytes(kept) == first
+        assert kept == first
         assert memo.encoded("a", payload) is kept
         assert (memo.hits, memo.misses) == (2, 1)
 
@@ -196,6 +199,8 @@ class TestMemo:
         memo.encoded("hot", big("hot", third))
         assert "hot" not in memo._bodies  # counted 1, like every entry
         memo.encoded("hot", big("hot", third))
+        assert "hot" not in memo._bodies  # twice, not more than twice
+        memo.encoded("hot", big("hot", third))
         assert "hot" in memo._bodies
         assert len(memo._bodies) == 3
         for _ in range(3):
@@ -204,6 +209,20 @@ class TestMemo:
             memo.encoded(key, big(key, third))
         assert "hot" in memo._bodies
         assert memo.bytes <= ENCODED_PAYLOAD_BYTES
+
+    def test_uniform_reads_seldom_turn_the_memo_over(self):
+        memo = EncodedPayloads()
+        payloads = {f"id{index}": big(f"{index}", 21_000) for index in range(400)}
+        keys = random.Random(0).choices(list(payloads), k=2 * COUNT_HALVING_PERIOD)
+        displaced = 0
+        for key in keys:
+            kept = set(memo._bodies)
+            memo.encoded(key, payloads[key])
+            displaced += len(kept - set(memo._bodies))
+        # Admitting on any higher count displaces 415 entries here (about
+        # one every 20 requests); the factor of two leaves 54.
+        assert len(memo._bodies) == 49
+        assert displaced < 100
 
     def test_oversize_payload_is_served_but_not_kept(self):
         memo = EncodedPayloads()
@@ -225,6 +244,31 @@ class TestMemo:
         assert memo._counts["kept"] == 2
         assert memo._counts["once"] == 0  # kept, so still ranked
         assert memo._requests == 0
+
+    def test_halving_while_encoding_keeps_every_kept_entry_counted(self, monkeypatch):
+        memo = EncodedPayloads()
+        dumps = json.dumps
+
+        def busy_meanwhile(payload):
+            # Other requests roll the halving period over while ["late"] is
+            # encoded, so the halving drops its count of 1 (it is not kept
+            # yet) before it is admitted.
+            if payload == ["late"]:
+                for _ in range(COUNT_HALVING_PERIOD):
+                    memo.encoded("busy", ["busy"])
+            return dumps(payload)
+
+        monkeypatch.setattr(httpd, "json", types.SimpleNamespace(dumps=busy_meanwhile))
+        memo.encoded("late", ["late"])
+        assert memo._requests == 1  # the halving ran
+        assert set(memo._bodies) == {"late", "busy"}
+        assert set(memo._bodies) <= set(memo._counts)
+        # A newcomer that needs room ranks every kept entry by its count.
+        payload = big("new", ENCODED_PAYLOAD_BYTES - 4)
+        for _ in range(2):
+            assert memo.encoded("new", payload) == dumps(payload).encode()
+        assert set(memo._bodies) == {"late", "busy"}  # "busy" outranks "new"
+        assert memo.bytes <= ENCODED_PAYLOAD_BYTES
 
     def test_threads_on_one_key_get_identical_bytes(self):
         memo = EncodedPayloads()
